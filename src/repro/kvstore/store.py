@@ -94,10 +94,10 @@ class KVStore:
 class Namespace:
     """One logical table: codec-translated view over the shared index.
 
-    ``len(namespace)`` tracks puts/deletes through this view; with
-    concurrent writers racing on the *same key* the counter is
-    best-effort (the underlying index stays exact -- use
-    ``len(store.index)`` for the authoritative total).
+    The view keeps no state of its own: writes are plain upserts into
+    the index and ``len(namespace)`` counts the namespace's key span in
+    the index on demand, so it is exact whoever wrote the keys (another
+    view, WAL replay, a snapshot load) and costs one ``count_range``.
     """
 
     def __init__(self, store: KVStore, name: str, ns_id: int, codec: KeyCodec):
@@ -111,8 +111,6 @@ class Namespace:
         self.codec = codec
         self._base = ns_id << store._payload_bits
         self._span = 1 << store._payload_bits
-        self._count = 0
-        self._count_lock = threading.Lock()
 
     def _encode(self, key) -> int:
         return self._base | self.codec.encode(key)
@@ -132,21 +130,17 @@ class Namespace:
         return self._base + min(off, self._span)
 
     def __len__(self) -> int:
-        return self._count
+        if self.store._index_has_count_range:
+            return self.store.index.count_range(
+                self._base, self._base + self._span
+            )
+        return sum(1 for _ in self.items())
 
     # -- operations -----------------------------------------------------
 
     def insert(self, key, value: Any) -> None:
         """Insert or overwrite ``key`` (IndexProtocol naming)."""
-        self._insert_full(self._encode(key), value)
-
-    def _insert_full(self, full: int, value: Any) -> None:
-        """Insert by already-encoded key (WAL wrapper hot path)."""
-        existed = full in self.store.index
-        self.store.index.insert(full, value)
-        if not existed:
-            with self._count_lock:
-                self._count += 1
+        self.store.index.insert(self._encode(key), value)
 
     def put(self, key, value: Any) -> None:
         """Deprecated alias for :meth:`insert` (pre-protocol naming)."""
@@ -179,38 +173,22 @@ class Namespace:
         """Batched insert-or-update.
 
         Accepts ``(keys, values)`` parallel sequences (the typed
-        contract) or one iterable of pairs (the legacy form).  Keeps
-        the namespace counter exact by pre-checking existence, then
-        hands the encoded batch to the index's ``insert_many``.
+        contract) or one iterable of pairs (the legacy form) and hands
+        the encoded batch to the index's ``insert_many``.
         """
-        self._insert_many_full(
-            [(self._encode(k), v) for k, v in batch_pairs(keys, values)]
-        )
-
-    def _insert_many_full(self, encoded) -> None:
-        """Batched insert by already-encoded keys (WAL wrapper hot path:
-        the durable layer encodes once for the log record and applies
-        the same list here, instead of re-encoding every key)."""
         index = self.store.index
-        new = len({full for full, _ in encoded if full not in index})
+        encoded = [(self._encode(k), v) for k, v in batch_pairs(keys, values)]
         if self.store._index_is_batch:
             index.insert_many(encoded)
         else:
             for full, value in encoded:
                 index.insert(full, value)
-        if new:
-            with self._count_lock:
-                self._count += new
 
     def __contains__(self, key) -> bool:
         return self._encode(key) in self.store.index
 
     def delete(self, key) -> bool:
-        if self.store.index.delete(self._encode(key)):
-            with self._count_lock:
-                self._count -= 1
-            return True
-        return False
+        return self.store.index.delete(self._encode(key))
 
     def delete_range(self, low, high) -> int:
         """Delete every key with low <= key < high; returns the count.
@@ -225,35 +203,11 @@ class Namespace:
             return 0
         index = self.store.index
         if self.store._index_is_batch:
-            removed = index.delete_range(lo, hi)
-        else:
-            # scan_range handles scan-only indexes by paging; re-encode
-            # the decoded keys rather than duplicating that logic here.
-            doomed = [
-                self._encode(k) for k, _ in self.scan_range(low, high)
-            ]
-            removed = sum(1 for full in doomed if index.delete(full))
-        if removed:
-            with self._count_lock:
-                self._count -= removed
-        return removed
-
-    def _resync_count(self) -> int:
-        """Recount this namespace's live keys from the index.
-
-        Recovery layers (snapshot load into a pre-populated store, WAL
-        replay applying encoded keys directly) can outdate the view
-        counter; this restores it from the authoritative index.
-        """
-        index = self.store.index
-        end = self._base + self._span
-        if self.store._index_has_count_range:
-            n = index.count_range(self._base, end)
-        else:
-            n = sum(1 for _ in self.items())
-        with self._count_lock:
-            self._count = n
-        return n
+            return index.delete_range(lo, hi)
+        # scan_range handles scan-only indexes by paging; re-encode
+        # the decoded keys rather than duplicating that logic here.
+        doomed = [self._encode(k) for k, _ in self.scan_range(low, high)]
+        return sum(1 for full in doomed if index.delete(full))
 
     def scan(self, start_key, count: int) -> List[Tuple[Any, Any]]:
         """Up to ``count`` pairs with key >= start_key, decoded, in order.

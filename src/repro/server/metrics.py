@@ -56,6 +56,9 @@ class ServerMetrics:
             op: 0 for op in COALESCED_OPS
         }
         self.batch_size_max: Dict[str, int] = {op: 0 for op in COALESCED_OPS}
+        #: GETs answered from a write pending in the same epoch: they
+        #: count in ``requests_total`` but never reached ``get_many``.
+        self.forwarded_reads_total = 0
         self._lock = threading.Lock()
 
     # -- recording ------------------------------------------------------
@@ -67,23 +70,20 @@ class ServerMetrics:
             hist.record(ns)
 
     def record_requests(self, op_name: str, samples_ns) -> None:
-        """Bulk form for coalesced runs: one call per batch, not per op."""
-        self.requests_total[op_name] = (
-            self.requests_total.get(op_name, 0) + len(samples_ns)
-        )
-        hist = self.latency.get(op_name)
-        if hist is not None:
-            hist.record_many(samples_ns)
+        """The requests one coalesced store call served (one call per
+        kind per epoch); more than one request makes it a batch."""
+        size = len(samples_ns)
+        self.requests_total[op_name] += size
+        self.latency[op_name].record_many(samples_ns)
+        if size > 1:
+            self.batches_total[op_name] += 1
+            self.batched_requests_total[op_name] += size
+            if size > self.batch_size_max[op_name]:
+                self.batch_size_max[op_name] = size
 
     def record_error(self, code: int) -> None:
         name = frame.ERR_NAMES.get(code, str(code))
         self.errors_total[name] = self.errors_total.get(name, 0) + 1
-
-    def record_batch(self, op_name: str, size: int) -> None:
-        self.batches_total[op_name] += 1
-        self.batched_requests_total[op_name] += size
-        if size > self.batch_size_max[op_name]:
-            self.batch_size_max[op_name] = size
 
     # -- reading --------------------------------------------------------
 
@@ -101,6 +101,7 @@ class ServerMetrics:
                 "batches_total": dict(self.batches_total),
                 "batched_requests_total": dict(self.batched_requests_total),
                 "batch_size_max": dict(self.batch_size_max),
+                "forwarded_reads_total": self.forwarded_reads_total,
             }
 
     def mean_batch_size(self, op_name: str) -> float:
@@ -130,6 +131,10 @@ class ServerMetrics:
         for gauge, help_text in (
             ("connections_open", "Currently open client connections."),
             ("connections_total", "Client connections ever accepted."),
+            (
+                "forwarded_reads_total",
+                "GETs answered from a write pending in the same epoch.",
+            ),
         ):
             name = f"{prefix}_{gauge}"
             kind = "counter" if gauge.endswith("_total") else "gauge"

@@ -5,24 +5,28 @@ One :class:`IndexServer` exposes a :class:`~repro.kvstore.KVStore` (or
 :class:`~repro.api.IndexProtocol` index, wrapped) over the framed
 binary protocol of :mod:`repro.server.frame`.
 
-The performance mechanism is *pipelining with read coalescing*.  Every
-data frame from every connection lands in one server-wide arrival
-queue; a drain task scheduled for the next event-loop tick walks the
-queue **in arrival order**, grouping maximal runs of consecutive
-same-namespace point gets into one ``get_many`` call (and runs of
-point inserts into one ``insert_many``, which on a durable store is a
-single WAL record and one group-committed fsync).  Because grouping
-never reorders the queue, per-connection request order is preserved
-exactly; read-heavy traffic (YCSB-B/C) forms long get runs across
-connections and collapses into a few fused-column ``get_many`` probes
-per tick, while each connection's replies for a tick leave in one
-socket write instead of one write per request.
+The performance mechanism is *pipelining with epoch coalescing*.
+Every data frame from every connection lands in one server-wide
+arrival queue; a drain task scheduled for the next event-loop tick
+walks the queue **in arrival order**, cutting it into *epochs*: maximal
+runs of consecutive same-namespace point ops, gets and inserts mixed.
+An epoch is served as one ``get_many`` then one ``insert_many`` (on a
+durable store a single WAL record and one group-committed fsync; on a
+sharded index one scatter RPC per shard and kind).  A get whose key was
+written earlier in its epoch is answered from that pending write, every
+other get reads pre-epoch state, and replies are laid out by arrival
+position, so the reply bytes are those of one-at-a-time execution and
+per-connection request order is preserved exactly.  Read-heavy traffic
+(YCSB-B/C) and mixed traffic (YCSB-A) alike collapse into two store
+calls per tick, while each connection's replies for a tick leave in
+one socket write instead of one write per request.
 
 The coalescer's state machine::
 
     IDLE --first frame enqueued--> SCHEDULED (drain task created)
     SCHEDULED --tick (+max_delay)--> DRAINING
-    DRAINING: group runs (<= max_batch) -> execute -> buffer replies
+    DRAINING: pop an epoch (<= max_batch) -> get_many, insert_many
+              -> buffer replies in arrival order
               -> one write+drain per connection -> queue empty?
                  yes -> IDLE     no (frames arrived mid-drain) -> DRAINING
 
@@ -38,7 +42,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter_ns as _now
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.kvstore import KVStore
 from repro.server import frame
@@ -58,10 +62,11 @@ class ServerConfig:
     ``port``/``admin_port`` of 0 bind ephemeral ports (read the bound
     ones back from ``server.port``/``server.admin_port`` after
     ``start``).  ``admin_port=None`` disables the admin endpoint.
-    ``max_delay`` is the seconds a scheduled drain lingers before
-    running, trading latency for bigger batches; 0 still yields one
-    event-loop tick so every connection that is already readable gets
-    to enqueue into the batch.
+    ``max_batch`` bounds an epoch (gets plus inserts).  ``max_delay`` is
+    the seconds a scheduled drain lingers before running, trading
+    latency for bigger batches; 0 still yields one event-loop tick so
+    every connection that is already readable gets to enqueue into the
+    batch.
     """
 
     host: str = "127.0.0.1"
@@ -334,70 +339,135 @@ class IndexServer:
                 )
 
     def _drain_once(self, replies: Dict[_Connection, bytearray]) -> None:
-        """Serve the queued requests, grouping maximal coalescable runs.
+        """Serve the queued requests, one epoch of point ops at a time.
 
-        Processes the queue snapshot sequentially -- arrival order is
-        the execution order -- but a run of consecutive OP_GETs on one
-        namespace becomes a single ``get_many`` and a run of OP_INSERTs
-        a single ``insert_many`` (bounded by ``max_batch``).
+        Processes the queue snapshot in arrival order.  An *epoch* is
+        the maximal run of consecutive OP_GET / OP_INSERT requests on
+        one namespace (bounded by ``max_batch``); any other request
+        closes the epoch before it and is served alone.
         """
         queue = self._queue
         max_batch = self.config.max_batch
+        OP_GET, OP_INSERT = frame.OP_GET, frame.OP_INSERT
         while queue:
-            conn, request_id, opcode, args, t0 = queue.popleft()
-            if opcode == frame.OP_GET or opcode == frame.OP_INSERT:
-                run: List[_Entry] = [(conn, request_id, opcode, args, t0)]
-                ns_id = args[0]
-                while (
-                    queue
-                    and len(run) < max_batch
-                    and queue[0][2] == opcode
-                    and queue[0][3][0] == ns_id
-                ):
-                    run.append(queue.popleft())
-                self._serve_run(opcode, ns_id, run, replies)
-            else:
-                self._serve_single(
-                    conn, request_id, opcode, args, t0, replies
-                )
+            entry = queue.popleft()
+            opcode = entry[2]
+            if opcode != OP_GET and opcode != OP_INSERT:
+                self._serve_single(*entry, replies)
+                continue
+            epoch: List[_Entry] = [entry]
+            ns_id = entry[3][0]
+            mixed = False  # does the epoch hold both kinds?
+            while queue and len(epoch) < max_batch:
+                nxt = queue[0]
+                op = nxt[2]
+                if (op != OP_GET and op != OP_INSERT) or nxt[3][0] != ns_id:
+                    break
+                if op != opcode:
+                    mixed = True
+                epoch.append(queue.popleft())
+            self._serve_epoch(ns_id, epoch, mixed, replies)
 
-    def _serve_run(
+    def _serve_epoch(
         self,
-        opcode: int,
         ns_id: int,
-        run: List[_Entry],
+        epoch: List[_Entry],
+        mixed: bool,
         replies: Dict[_Connection, bytearray],
     ) -> None:
+        """One ``get_many`` then one ``insert_many`` for a whole epoch.
+
+        Reply bytes equal arrival-order execution: a GET whose key was
+        written earlier in the epoch is *forwarded* the latest such
+        value, every other GET reads pre-epoch state (no earlier write
+        of the epoch touches its key), and ``insert_many`` is
+        last-write-wins.  A pure run (``mixed`` false) skips the split.
+        """
         metrics = self.metrics
-        op_name = "get" if opcode == frame.OP_GET else "insert"
-        try:
-            ns = self._ns(ns_id)
-            if opcode == frame.OP_GET:
-                values = ns.get_many([entry[3][1] for entry in run])
-                payloads = [frame.encode_value(v) for v in values]
-            else:
-                ns.insert_many(
-                    [entry[3][1] for entry in run],
-                    [entry[3][2] for entry in run],
-                )
-                payloads = [b""] * len(run)
-        except Exception:  # noqa: BLE001 -- op failure, not server
-            # One bad request must not poison the whole coalesced run:
-            # requests from other connections land in the same batch.
-            # Re-execute the run per-request (matching the naive path)
-            # so only the offender gets an error reply.  Inserts that
-            # already applied before a partial insert_many failure are
-            # overwrites, so re-running them is idempotent.
-            for conn, request_id, op, args, t0 in run:
-                self._serve_single(conn, request_id, op, args, t0, replies)
-            return
-        if len(run) > 1:
-            metrics.record_batch(op_name, len(run))
-        done = _now()
-        metrics.record_requests(op_name, [done - e[4] for e in run])
+        encode_value = frame.encode_value
+        OP_GET = frame.OP_GET
+        forwarded = 0
+        r_keys: List[int] = []
+        w_keys: List[int] = []
+        w_vals: List[Any] = []
+        if mixed:
+            payloads = [b""] * len(epoch)  # an INSERT's OK reply is empty
+            pending: Dict[int, Any] = {}  # key -> latest value written
+            reads: Sequence[int] = []  # positions of the GETs the store serves
+            for i, (_, _, op, args, _) in enumerate(epoch):
+                key = args[1]
+                if op != OP_GET:
+                    pending[key] = args[2]
+                    w_keys.append(key)
+                    w_vals.append(args[2])
+                elif key in pending:
+                    payloads[i] = encode_value(pending[key])
+                    forwarded += 1
+                else:
+                    reads.append(i)
+                    r_keys.append(key)
+        elif epoch[0][2] == OP_GET:
+            reads = range(len(epoch))  # payloads: the values, in order
+            r_keys = [e[3][1] for e in epoch]
+        else:
+            payloads = [b""] * len(epoch)
+            reads = ()
+            w_keys = [e[3][1] for e in epoch]
+            w_vals = [e[3][2] for e in epoch]
         encode_into = frame.encode_frame_into
         OP_OK = frame.OP_OK
-        for (conn, request_id, _, _, _), payload in zip(run, payloads):
+        # One bad request must not poison the epoch (requests of other
+        # connections share it): the fallbacks re-serve per request, as
+        # the naive path would, so only the offender gets an error.
+        try:
+            ns = self._ns(ns_id)
+            if r_keys:
+                values = ns.get_many(r_keys)
+                if mixed:
+                    for i, value in zip(reads, values):
+                        payloads[i] = encode_value(value)
+                else:
+                    payloads = [encode_value(v) for v in values]
+        except Exception:  # noqa: BLE001 -- op failure, not server
+            # Nothing is written yet: re-serve the whole epoch.
+            for entry in epoch:
+                self._serve_single(*entry, replies)
+            return
+        if w_keys:
+            try:
+                ns.insert_many(w_keys, w_vals)
+            except Exception:  # noqa: BLE001
+                # The reads already taken stand (they must not see a
+                # write that follows them); the INSERTs and forwarded
+                # GETs re-run in arrival order, which is idempotent for
+                # whatever part of the batch had applied (overwrites).
+                done = _now()
+                taken = set(reads)
+                for i, entry in enumerate(epoch):
+                    if i in taken:
+                        buf = replies.setdefault(entry[0], bytearray())
+                        encode_into(buf, entry[1], OP_OK, payloads[i])
+                    else:
+                        self._serve_single(*entry, replies)
+                if taken:
+                    metrics.record_requests(
+                        "get", [done - epoch[i][4] for i in reads]
+                    )
+                return
+        done = _now()
+        if mixed:
+            metrics.record_requests(
+                "get", [done - e[4] for e in epoch if e[2] == OP_GET]
+            )
+            metrics.record_requests(
+                "insert", [done - e[4] for e in epoch if e[2] != OP_GET]
+            )
+            metrics.forwarded_reads_total += forwarded
+        else:
+            metrics.record_requests(
+                "insert" if w_keys else "get", [done - e[4] for e in epoch]
+            )
+        for (conn, request_id, _, _, _), payload in zip(epoch, payloads):
             buf = replies.get(conn)
             if buf is None:
                 buf = replies[conn] = bytearray()

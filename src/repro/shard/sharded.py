@@ -418,13 +418,13 @@ class ShardedIndex:
 
     # -- batch operations -----------------------------------------------
 
-    def _partition(
-        self, keys: Sequence[int]
-    ) -> List[Tuple[int, np.ndarray]]:
+    def _partition(self, keys: Sequence[int]) -> List[Tuple[int, List[int]]]:
         """``[(shard, positions)]`` for the non-empty shards, one
-        vectorized routing pass."""
+        vectorized routing pass (a lone key routes as a point op)."""
+        if len(keys) == 1:
+            return [(self.router.shard_of(keys[0]), [0])]
         try:
-            arr = np.asarray(list(keys), dtype=np.uint64)
+            arr = np.asarray(keys, dtype=np.uint64)
         except OverflowError:
             bad = next(k for k in keys if not 0 <= k < 1 << 64)
             raise ValueError(
@@ -435,8 +435,21 @@ class ShardedIndex:
         for s in range(self.n_shards):
             pos = np.flatnonzero(shards == s)
             if pos.size:
-                out.append((s, pos))
+                out.append((s, pos.tolist()))
         return out
+
+    def _scatter_pairs(
+        self, op: str, ks: List[int], vs: List[Any]
+    ) -> None:
+        """Send each shard its slice of a key/value batch as one ``op``."""
+        requests = []
+        for shard, pos in self._partition(ks):
+            requests.append(
+                (shard, op, ([ks[i] for i in pos], [vs[i] for i in pos]))
+            )
+            self._note_mutation(shard, n=len(pos))
+        if requests:
+            self._scatter(requests)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[Any]]:
         keys = list(keys)
@@ -444,45 +457,29 @@ class ShardedIndex:
             return []
         out: List[Optional[Any]] = [None] * len(keys)
         remote: List[Tuple[int, str, tuple]] = []
-        remote_pos: List[np.ndarray] = []
+        remote_pos: List[List[int]] = []
         for shard, pos in self._partition(keys):
-            sub = [keys[int(i)] for i in pos]
+            sub = [keys[i] for i in pos]
             col = self._column_for_read(shard)
             if col is not None:
                 for i, v in zip(pos, col.get_many(sub)):
-                    out[int(i)] = v
+                    out[i] = v
             else:
                 remote.append((shard, "get_many", (sub,)))
                 remote_pos.append(pos)
-        for (_, _, _), pos, vals in zip(
-            remote, remote_pos, self._scatter(remote) if remote else []
-        ):
-            for i, v in zip(pos, vals):
-                out[int(i)] = v
+        if remote:
+            for pos, vals in zip(remote_pos, self._scatter(remote)):
+                for i, v in zip(pos, vals):
+                    out[i] = v
         return out
 
     def insert_many(
         self, keys: Sequence[int], values: Optional[Sequence[Any]] = None
     ) -> None:
         pairs = batch_pairs(keys, values)
-        if not pairs:
-            return
-        ks = [k for k, _ in pairs]
-        vs = [v for _, v in pairs]
-        requests = []
-        for shard, pos in self._partition(ks):
-            requests.append(
-                (
-                    shard,
-                    "insert_many",
-                    (
-                        [ks[int(i)] for i in pos],
-                        [vs[int(i)] for i in pos],
-                    ),
-                )
-            )
-            self._note_mutation(shard, n=int(pos.size))
-        self._scatter(requests)
+        self._scatter_pairs(
+            "insert_many", [k for k, _ in pairs], [v for _, v in pairs]
+        )
 
     def bulk_load(self, keys: Sequence[int], values: Sequence[Any]) -> None:
         """Partitioned bulk load; publishes every column afterwards so
@@ -491,21 +488,7 @@ class ShardedIndex:
         vs = list(values)
         if len(ks) != len(vs):
             raise ValueError(f"bulk_load: {len(ks)} keys but {len(vs)} values")
-        requests = []
-        for shard, pos in self._partition(ks):
-            requests.append(
-                (
-                    shard,
-                    "bulk_load",
-                    (
-                        [ks[int(i)] for i in pos],
-                        [vs[int(i)] for i in pos],
-                    ),
-                )
-            )
-            self._note_mutation(shard, n=int(pos.size))
-        if requests:
-            self._scatter(requests)
+        self._scatter_pairs("bulk_load", ks, vs)
         if self._serve_columns:
             self.refresh_columns()
 

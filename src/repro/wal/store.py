@@ -18,9 +18,9 @@ back at open time via ``codecs={'name': codec}`` -- the same contract
 the snapshot layer has always had.
 
 Replay applies records straight to the inner index (records carry the
-full namespace-prefixed integer key), then resyncs each namespace's
-live-key counter from the index, so the recovered store is
-indistinguishable from one that never crashed.
+full namespace-prefixed integer key); namespace views keep no state of
+their own, so the recovered store is indistinguishable from one that
+never crashed.
 """
 
 from __future__ import annotations
@@ -216,8 +216,6 @@ class DurableKVStore:
                     "alone cannot rebuild the store"
                 )
             raise
-        for name in self._kv.namespaces():
-            self._kv.namespace(name)._resync_count()
         m = self.metrics
         m.replays_total += 1
         m.records_replayed_total += n
@@ -381,6 +379,7 @@ class DurableNamespace:
     def __init__(self, store: DurableKVStore, inner):
         self._store = store
         self._ns = inner
+        self._index = inner.store.index
 
     @property
     def name(self) -> str:
@@ -398,7 +397,7 @@ class DurableNamespace:
             self._store.wal.append(
                 rec.OP_INSERT, rec.encode_insert(full, value)
             )
-            self._ns._insert_full(full, value)
+            self._index.insert(full, value)
 
     def insert_many(self, keys, values=None) -> None:
         pairs = batch_pairs(keys, values)
@@ -416,7 +415,11 @@ class DurableNamespace:
                 rec.encode_batch2(keys, values),
                 ops=len(keys),
             )
-            self._ns._insert_many_full(list(zip(keys, values)))
+            if self._ns.store._index_is_batch:
+                self._index.insert_many(keys, values)
+            else:
+                for full, value in zip(keys, values):
+                    self._index.insert(full, value)
 
     def delete(self, key) -> bool:
         full = self._ns._encode(key)

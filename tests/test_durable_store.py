@@ -33,6 +33,38 @@ def test_roundtrip_after_clean_close(tmp_path):
         assert [k for k, _ in ns.scan(0, 5)] == [0, 1, 2, 3, 4]
 
 
+def test_len_is_exact_across_recovery(tmp_path):
+    """Two namespaces on one index, duplicates, overwrites and both
+    kinds of delete: ``len`` agrees with a dict before and after WAL
+    replay and after a checkpoint + replay."""
+    oracle = {"a": {}, "b": {}}
+
+    def check(store):
+        for name, want in oracle.items():
+            assert len(store.namespace(name)) == len(want)
+        assert len(store) == sum(len(want) for want in oracle.values())
+
+    with _reopen(tmp_path) as store:
+        a, b = store.namespace("a"), store.namespace("b")
+        a.insert_many([(k, k) for k in range(50)] + [(1, "dup"), (1, "dup2")])
+        oracle["a"].update({k: k for k in range(50)})
+        b.insert(1, "b1")
+        b.insert(1, "b1 again")
+        oracle["b"][1] = "b1 again"
+        assert a.delete(2) and a.delete_range(40, 45) == 5
+        for k in (2, 40, 41, 42, 43, 44):
+            del oracle["a"][k]
+        check(store)
+    with _reopen(tmp_path) as store:
+        check(store)
+        store.checkpoint()
+        store.namespace("b").insert_many([5, 6, 5], ["x", "y", "z"])
+        oracle["b"].update({5: "z", 6: "y"})
+        check(store)
+    with _reopen(tmp_path) as store:
+        check(store)
+
+
 def test_insert_many_is_one_wal_record(tmp_path):
     """A whole batch costs one LSN (one columnar OP_BATCH2 record) and
     replays identically, updates included."""

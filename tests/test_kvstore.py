@@ -130,6 +130,29 @@ class TestKVStore:
         assert all(v.startswith("a") for _, v in a.scan(0, 1000))
         assert [k for k, _ in a.items()] == list(range(100))
 
+    def test_len_is_counted_from_the_index(self):
+        """``len(namespace)`` is the live-key count of its span, exact
+        through every kind of write and whoever made it."""
+        store = KVStore(CFG)
+        a, b = store.namespace("a"), store.namespace("b")
+        oracle = {}
+        for k in range(20):
+            a.insert(k, k)
+            oracle[k] = k
+        a.insert(3, "again")
+        a.insert_many([(5, "x"), (40, 1), (40, 2), (41, 3)])
+        oracle.update({5: "x", 40: 2, 41: 3})
+        assert len(a) == len(oracle) == 22
+        assert a.delete(0) and not a.delete(0)
+        assert a.delete_range(10, 15) == 5
+        assert len(a) == 16 and len(b) == 0
+        b.insert_many(list(range(7)), list(range(7)))
+        assert (len(a), len(b), len(store)) == (16, 7, 23)
+        # A write that bypasses the view (WAL replay, snapshot load,
+        # another process's view of a shared index) is counted too.
+        store.index.insert(a._encode(1000), "direct")
+        assert len(a) == 17
+
     def test_namespace_reopen_same_object(self):
         store = KVStore(CFG)
         a1 = store.namespace("a")
@@ -217,6 +240,10 @@ class TestKVStore:
         ns.insert(1, "x")
         assert ns.get(1) == "x"
         assert [k for k, _ in ns.items()] == [1]
+        # No count_range on this index: len() counts items().
+        ns.insert(1, "y")
+        store.namespace("m").insert(1, "other")
+        assert len(ns) == 1
 
 
 class TestNamespaceProtocolAPI:

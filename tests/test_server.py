@@ -11,14 +11,16 @@ preserved) while actually batching under pipelined load.
 
 import asyncio
 import random
+import socket
 import urllib.request
 
 import pytest
 
-from repro.api import BatchOpsProtocol, IndexProtocol
+from repro.api import BatchOpsProtocol, IndexProtocol, batch_pairs
 from repro.core import DyTIS
 from repro.kvstore import KVStore
 from repro.obs import parse_prometheus
+from repro.shard import ShardedIndex
 from repro.server import (
     AsyncRemoteIndex,
     RemoteError,
@@ -204,6 +206,13 @@ class TestCoalescing:
                 return [frame.decode_value(p) for p in good]
 
             assert self._pipeline(st, go) == list(range(20))
+            # The fallback records every re-served request exactly once:
+            # the counters equal the replies sent (20 + 1 GETs, one an
+            # error reply; 20 INSERTs).
+            m = st.server.metrics
+            assert m.requests_total["get"] == 21
+            assert m.requests_total["insert"] == 20
+            assert m.latency["get"].count == 21
 
     def test_multi_connection_batching(self):
         with ServerThread(config=ServerConfig(coalesce=True)) as st:
@@ -229,6 +238,218 @@ class TestCoalescing:
                     await c.close()
 
             st.run(go())
+
+
+class _Wire:
+    """A raw pipelining connection: a burst leaves in one send and the
+    replies come back as the bytes the server wrote."""
+
+    def __init__(self, st, namespace="e"):
+        self.sock = socket.create_connection((st.host, st.port), timeout=10)
+        self.decoder = frame.FrameDecoder()
+        self.rid = 0
+        self.send([(frame.OP_NS_OPEN, frame.encode_ns_open(namespace))])
+        self.ns_id = frame.decode_ns_id(self.recv(1)[1][0][2])
+
+    def send(self, requests):
+        buf = bytearray()
+        for opcode, payload in requests:
+            self.rid += 1
+            buf += frame.encode_frame(self.rid, opcode, payload)
+        self.sock.sendall(buf)
+
+    def recv(self, n):
+        raw, frames = bytearray(), []
+        while len(frames) < n:
+            data = self.sock.recv(65536)
+            assert data, "server hung up"
+            raw += data
+            frames += self.decoder.feed(data)
+        assert len(frames) == n
+        return bytes(raw), frames
+
+    def get(self, key):
+        return frame.OP_GET, frame.encode_key(self.ns_id, key)
+
+    def insert(self, key, value):
+        return frame.OP_INSERT, frame.encode_key_value(self.ns_id, key, value)
+
+    def burst(self, requests):
+        """Send, then the (opcode, payload) of every reply, in order."""
+        first = self.rid + 1
+        self.send(requests)
+        frames = self.recv(len(requests))[1]
+        assert [f[0] for f in frames] == list(
+            range(first, first + len(requests))
+        )
+        return [(op, payload) for _, op, payload in frames]
+
+    def close(self):
+        self.sock.close()
+
+
+_BAD_KEY = 2**63  # outside the default namespace codec's key range
+_OK_EMPTY = (frame.OP_OK, b"")
+
+
+def _ok(value):
+    return frame.OP_OK, frame.encode_value(value)
+
+
+class TestEpochs:
+    """A drain's GETs and INSERTs share one ``get_many`` and one
+    ``insert_many``; the replies must not show it."""
+
+    def test_read_before_write_and_failed_insert(self):
+        """``insert_many`` raising keeps the reads already taken (a GET
+        before the write still sees the old value) and errors only the
+        offender; a forwarded GET re-runs behind its write."""
+        with ServerThread(config=ServerConfig(coalesce=True)) as st:
+            w = _Wire(st)
+            assert w.burst([w.insert(7, "old")]) == [_OK_EMPTY]
+            got = w.burst(
+                [w.get(7), w.insert(7, "new"), w.insert(_BAD_KEY, "x")]
+            )
+            assert got[:2] == [_ok("old"), _OK_EMPTY]
+            assert got[2][0] == frame.OP_ERR
+            assert frame.decode_err(got[2][1])[0] == frame.ERR_OP_FAILED
+            got = w.burst(
+                [w.insert(7, "newer"), w.get(7), w.insert(_BAD_KEY, "x")]
+            )
+            assert got[:2] == [_OK_EMPTY, _ok("newer")]
+            assert got[2][0] == frame.OP_ERR
+            w.close()
+            m = st.server.metrics
+            assert m.requests_total["get"] == 2
+            assert m.requests_total["insert"] == 5
+            assert m.forwarded_reads_total == 0  # the forward never stood
+
+    def test_forward_waits_for_its_write(self):
+        """A forwarded reply leaves only once ``insert_many`` succeeded:
+        if the write it read from is refused, the GET re-runs and sees
+        what is actually stored."""
+
+        class Picky(DyTIS):
+            def insert(self, key, value):
+                if value == "poison":
+                    raise ValueError("refused")
+                super().insert(key, value)
+
+            def insert_many(self, keys, values=None):
+                for key, value in batch_pairs(keys, values):
+                    self.insert(key, value)
+
+        with ServerThread(index=Picky(), config=ServerConfig()) as st:
+            w = _Wire(st)
+            assert w.burst([w.insert(7, "old")]) == [_OK_EMPTY]
+            got = w.burst([w.insert(7, "poison"), w.get(7)])
+            assert got[0][0] == frame.OP_ERR
+            assert got[1] == _ok("old")
+            w.close()
+            assert st.server.metrics.forwarded_reads_total == 0
+
+    def test_reads_forward_the_latest_pending_write(self):
+        with ServerThread(config=ServerConfig(coalesce=True)) as st:
+            w = _Wire(st)
+            got = w.burst(
+                [w.insert(7, "v1"), w.get(7), w.insert(7, "v2"), w.get(7)]
+            )
+            assert got == [_OK_EMPTY, _ok("v1"), _OK_EMPTY, _ok("v2")]
+            assert w.burst([w.get(7)]) == [_ok("v2")]
+            w.close()
+            m = st.server.metrics
+            assert m.forwarded_reads_total == 2
+            assert m.requests_total["get"] == 3
+            # One store call per kind: the epoch's two INSERTs were one
+            # batch, its two (forwarded) GETs one more.
+            assert m.batches_total == {"get": 1, "insert": 1}
+
+    @pytest.mark.parametrize("backend", ["kvstore", "durable", "sharded"])
+    def test_differential_vs_naive_and_oracle(self, backend, tmp_path):
+        """Random GET/INSERT bursts over a 4-key hot set, two
+        connections: the coalescing server, the naive server and a dict
+        applied in arrival order must agree byte for byte."""
+
+        def make_store(tag):
+            if backend == "durable":
+                return DurableKVStore(tmp_path / tag, fsync="never")
+            if backend == "sharded":
+                return KVStore(index=ShardedIndex(2, mode="hash"))
+            return KVStore()
+
+        transcripts = []
+        for coalesce in (True, False):
+            with ServerThread(
+                make_store(f"c{coalesce}"),
+                config=ServerConfig(coalesce=coalesce),
+            ) as st:
+                transcripts.append(self._drive(st))
+                if coalesce:
+                    m = st.server.metrics
+                    assert m.forwarded_reads_total > 0
+                    assert m.mean_batch_size("insert") > 2
+        assert transcripts[0] == transcripts[1]
+
+    @staticmethod
+    def _drive(st):
+        rng = random.Random(15)
+        hot = [3, 1 << 40, (1 << 55) + 9, 77]
+        wires = [_Wire(st), _Wire(st)]
+        oracle = {}
+        raw = [bytearray(), bytearray()]
+
+        def make_burst(w, keys):
+            requests, expect = [], []
+            for _ in range(rng.randrange(1, 48)):
+                key, roll = rng.choice(keys), rng.random()
+                if roll < 0.03:
+                    requests.append(w.insert(_BAD_KEY, 0))
+                    expect.append(None)  # an error reply
+                elif roll < 0.06:
+                    requests.append(
+                        (frame.OP_DELETE, frame.encode_key(w.ns_id, key))
+                    )
+                    removed = oracle.pop(key, None) is not None
+                    expect.append((frame.OP_OK, frame.encode_bool(removed)))
+                elif roll < 0.5:
+                    requests.append(w.get(key))
+                    expect.append(_ok(oracle.get(key)))
+                else:
+                    value = [w.rid, len(requests)]
+                    oracle[key] = value
+                    requests.append(w.insert(key, value))
+                    expect.append(_OK_EMPTY)
+            return requests, expect
+
+        def collect(i, n, expect):
+            data, frames = wires[i].recv(n)
+            raw[i] += data
+            for (_, op, payload), want in zip(frames, expect):
+                if want is None:
+                    assert op == frame.OP_ERR
+                else:
+                    assert (op, payload) == want
+
+        for round_ in range(60):
+            if round_ % 2:
+                # Both connections in one drain, each on its own half of
+                # the hot set so either interleaving has one outcome.
+                bursts = [
+                    make_burst(wires[0], hot[:2]),
+                    make_burst(wires[1], hot[2:]),
+                ]
+                for w, (requests, _) in zip(wires, bursts):
+                    w.send(requests)
+                for i, (requests, expect) in enumerate(bursts):
+                    collect(i, len(requests), expect)
+            else:
+                i = (round_ // 2) % 2
+                requests, expect = make_burst(wires[i], hot)
+                wires[i].send(requests)
+                collect(i, len(requests), expect)
+        for w in wires:
+            w.close()
+        return bytes(raw[0]), bytes(raw[1])
 
 
 class TestDurableShutdown:
@@ -313,6 +534,7 @@ class TestAdminEndpoint:
         assert samples[("dytis_server_connections_open", ())] >= 1
         hist = "dytis_server_op_latency_ns_count"
         assert samples[(hist, (("op", "get"),))] >= 1
+        assert samples[("dytis_server_forwarded_reads_total", ())] == 0
 
     def test_healthz_and_404(self, server):
         url = f"http://{server.host}:{server.admin_port}"

@@ -174,7 +174,7 @@ def build_segment(
     )
     counts = count_pieces(seg_local, domain_bits, piece_bits)
     remap = PiecewiseRemap(
-        domain_bits, proportional_allocs(counts.tolist(), n_buckets)
+        domain_bits, proportional_allocs(counts, n_buckets)
     )
     bidx = remap.bucket_indices(seg_local)
     per_bucket_counts = np.bincount(bidx, minlength=remap.n_buckets)

@@ -193,7 +193,7 @@ class ConcurrentDyTIS:
         if self._obs is not None:
             return self._get_observed(key)
         d = self._d
-        d._check_key(key)
+        key = d._check_key(key)
         ti = d._table_index(key)
         lock = self._eh_locks[ti]
         with lock.read():
@@ -208,7 +208,7 @@ class ConcurrentDyTIS:
         """``get`` recording latency + probes into the table's shard."""
         d = self._d
         t0 = time.perf_counter_ns()
-        d._check_key(key)
+        key = d._check_key(key)
         ti = d._table_index(key)
         shard = self._shards[ti]
         found = False
@@ -261,7 +261,7 @@ class ConcurrentDyTIS:
 
     def _insert_impl(self, key: int, value: Any) -> int:
         d = self._d
-        d._check_key(key)
+        key = d._check_key(key)
         ti = d._table_index(key)
         lock = self._eh_locks[ti]
         local = key & d._local_mask
@@ -305,7 +305,7 @@ class ConcurrentDyTIS:
 
     def _delete_impl(self, key: int) -> bool:
         d = self._d
-        d._check_key(key)
+        key = d._check_key(key)
         ti = d._table_index(key)
         with self._eh_locks[ti].read():
             table = d._tables[ti]
@@ -345,7 +345,7 @@ class ConcurrentDyTIS:
         metadata fast path this materialises batches, trading speed for
         the consistency model every other concurrent read uses.
         """
-        self._d._check_key(low)
+        low = self._d._check_key(low)
         count = 0
         cursor = low
         while cursor < high:
@@ -367,7 +367,7 @@ class ConcurrentDyTIS:
         prefix-at-a-time view, like the paper's one-segment-at-a-time
         scan locking.
         """
-        self._d._check_key(low)
+        low = self._d._check_key(low)
         out: List[Tuple[int, Any]] = []
         cursor = low
         while cursor < high:
@@ -400,7 +400,7 @@ class ConcurrentDyTIS:
         self, start_key: int, count: int, hops: Optional[List[int]] = None
     ) -> List[Tuple[int, Any]]:
         d = self._d
-        d._check_key(start_key)
+        start_key = d._check_key(start_key)
         out: List[Tuple[int, Any]] = []
         segments_visited = 0
         table_idx = d._table_index(start_key)

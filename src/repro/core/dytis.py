@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from operator import index as _as_int
 from time import perf_counter_ns as _now
 from typing import Any, Iterator, List, Optional, Tuple
 
@@ -33,7 +34,7 @@ from repro.core.segment import (
     Segment,
     build_fitting,
     count_pieces,
-    layout_fits,
+    fit_counts,
     plan_remap,
     plan_split,
 )
@@ -92,16 +93,11 @@ class _EHTable:
         self.dir: List[Segment] = [root]
 
     def dir_index(self, local_key: int, eh_key_bits: int) -> int:
-        if self.global_depth == 0:
-            return 0
+        # GD == 0 shifts the whole local key out: slot 0, no branch.
         return local_key >> (eh_key_bits - self.global_depth)
 
     def segment_for(self, local_key: int, eh_key_bits: int) -> Segment:
         return self.dir[self.dir_index(local_key, eh_key_bits)]
-
-    def span_start(self, index: int, local_depth: int) -> int:
-        span = 1 << (self.global_depth - local_depth)
-        return (index // span) * span
 
     def unique_segments(self) -> Iterator[Segment]:
         prev = None
@@ -178,25 +174,33 @@ class DyTIS:
 
     # -- key plumbing ------------------------------------------------------
 
-    def _check_key(self, key: int) -> None:
+    def _check_key(self, key: int) -> int:
+        """``key`` as a plain ``int`` inside the key domain.
+
+        The scalar API's boundary: the engines do exact Python-int
+        arithmetic on keys, so anything with ``__index__`` (NumPy
+        integer scalars, ``bool`` as 0/1) is normalised once here;
+        floats have none and raise ``TypeError``.
+        """
+        if type(key) is not int:
+            key = _as_int(key)
         if not 0 <= key < self._key_limit:
             raise ValueError(
                 f"key {key} outside [0, 2^{self.config.key_bits})"
             )
+        return key
 
     def _table_index(self, key: int) -> int:
         return key >> self._m
 
-    def _table(self, key: int, create: bool) -> Optional[_EHTable]:
-        i = self._table_index(key)
-        table = self._tables[i]
-        if table is None and create:
-            table = _EHTable(self._m, self.config.bucket_capacity, self._storage)
-            self._tables[i] = table
-            # A new root segment exists that the fused column has no
-            # slot region for: structural change, invalidate wholesale.
-            self._mut_epoch += 1
-        return table
+    def _segment(self, key: int) -> Optional[Segment]:
+        """The segment owning checked ``key``, or None (no EH table)."""
+        table = self._tables[key >> self._m]
+        if table is None:
+            return None
+        return table.dir[
+            (key & self._local_mask) >> (self._m - table.global_depth)
+        ]
 
     def _note_write(self, seg: Segment) -> None:
         """Record a segment-local mutation (keys and/or values changed).
@@ -211,32 +215,42 @@ class DyTIS:
             self._fused_dirty[id(seg)] = seg
 
     # -- point operations ------------------------------------------------------
+    #
+    # ``get`` and ``insert`` run flat: key check, table and directory
+    # lookup (for ``insert`` also the remap arithmetic and
+    # ``_note_write``) are inlined, leaving one Python frame (insert) or
+    # two (get) between the method and the engine's C ``bisect``.
 
     def get(self, key: int) -> Optional[Any]:
         """Value stored under ``key``, or None ('not exist')."""
         if self._obs is not None:
             return self._get_observed(key)
-        self._check_key(key)
-        table = self._table(key, create=False)
+        if type(key) is not int:
+            key = _as_int(key)
+        if not 0 <= key < self._key_limit:
+            self._check_key(key)  # raises ValueError
+        m = self._m
+        table = self._tables[key >> m]
         if table is None:
             return None
-        return table.segment_for(key & self._local_mask, self._m).get(key)
+        return table.dir[
+            (key & self._local_mask) >> (m - table.global_depth)
+        ].get(key)
 
     def _get_observed(self, key: int) -> Optional[Any]:
         """``get`` with latency + probe-depth recording (same semantics)."""
         obs = self._obs
         t0 = _now()
-        self._check_key(key)
+        key = self._check_key(key)
         probes = obs.probes
         m = self._m
-        table = self._table(key, create=False)
-        if table is None:
+        seg = self._segment(key)
+        if seg is None:
             # No segment exists for this key span; attribute the miss to
             # the whole table's span so absent-table traffic still shows.
             probes.note_get((key >> m) << m, 0, False)
             self._rec_get(_now() - t0)
             return None
-        seg = table.segment_for(key & self._local_mask, m)
         # Span-start key of the probed segment: the lowest key the
         # segment can hold.  Stable across rebuilds of the same region,
         # so shard scrapes merge by summation.
@@ -251,39 +265,64 @@ class DyTIS:
         return value
 
     def __contains__(self, key: int) -> bool:
-        self._check_key(key)
-        table = self._table(key, create=False)
-        if table is None:
-            return False
-        return table.segment_for(key & self._local_mask, self._m).contains(key)
+        key = self._check_key(key)
+        seg = self._segment(key)
+        return seg is not None and seg.contains(key)
 
     def insert(self, key: int, value: Any) -> None:
-        """Insert ``key`` or update its value in place (Algorithm 1)."""
+        """Insert ``key`` or update its value in place (Algorithm 1).
+
+        One body, traced or not (``rec`` brackets it with two clock
+        reads).  The routing is :meth:`Segment.insert` inlined -- that
+        stays the definition ``ConcurrentDyTIS`` uses -- around the
+        engine-agnostic ``store.insert(bucket, key, value)``.
+        """
         rec = self._rec_insert
         if rec is not None:
             t0 = _now()
-            self._insert_impl(key, value)
-            rec(_now() - t0)
-            return
-        self._insert_impl(key, value)
-
-    def _insert_impl(self, key: int, value: Any) -> None:
-        self._check_key(key)
-        table = self._table(key, create=True)
+        if type(key) is not int:
+            key = _as_int(key)
+        if not 0 <= key < self._key_limit:
+            self._check_key(key)  # raises ValueError
+        m = self._m
+        table = self._tables[key >> m]
+        if table is None:
+            table = self._new_table(key >> m)
         local = key & self._local_mask
         while True:
-            seg = table.segment_for(local, self._m)
-            result = seg.insert(key, value)
+            seg = table.dir[local >> (m - table.global_depth)]
+            remap = seg.remap
+            lk = key & seg._mask
+            shift = remap._shift
+            i = lk >> shift
+            cum = remap._cum
+            b = cum[i] + ((remap.allocs[i] * (lk & ((1 << shift) - 1))) >> shift)
+            if b >= cum[-1]:  # trailing zero-allocation sub-ranges
+                b = cum[-1] - 1
+            result = seg.store.insert(b, key, value)
+            if result == "full":
+                self._handle_full(table, seg, local)
+                continue
             if result == "inserted":
+                seg.total_keys += 1
+                seg.piece_counts[i] += 1
                 self._size += 1
-                self._note_write(seg)
-                return
-            if result == "updated":
-                # Value-only write: the fused value refs for this
-                # segment are patched, never rebuilt.
-                self._note_write(seg)
-                return
-            self._handle_full(table, seg, local)
+            # "updated" is a value-only write: the fused value refs for
+            # this segment are patched, never rebuilt.
+            self._gen += 1
+            if self._fused is not None:
+                self._fused_dirty[id(seg)] = seg
+            break
+        if rec is not None:
+            rec(_now() - t0)
+
+    def _new_table(self, ti: int) -> _EHTable:
+        table = _EHTable(self._m, self.config.bucket_capacity, self._storage)
+        self._tables[ti] = table
+        # A new root segment exists that the fused column has no slot
+        # region for: structural change, invalidate wholesale.
+        self._mut_epoch += 1
+        return table
 
     def delete(self, key: int) -> bool:
         """Remove ``key``; return whether it was present (paper §3.3).
@@ -295,24 +334,18 @@ class DyTIS:
         rec = self._rec_delete
         if rec is not None:
             t0 = _now()
-            found = self._delete_impl(key)
+        key = self._check_key(key)
+        seg = self._segment(key)
+        found = seg is not None and seg.delete(key)
+        if found:
+            self._size -= 1
+            self._note_write(seg)
+            self._maybe_merge_after_delete(
+                self._tables[key >> self._m], seg, key & self._local_mask
+            )
+        if rec is not None:
             rec(_now() - t0)
-            return found
-        return self._delete_impl(key)
-
-    def _delete_impl(self, key: int) -> bool:
-        self._check_key(key)
-        table = self._table(key, create=False)
-        if table is None:
-            return False
-        local = key & self._local_mask
-        seg = table.segment_for(local, self._m)
-        if not seg.delete(key):
-            return False
-        self._size -= 1
-        self._note_write(seg)
-        self._maybe_merge_after_delete(table, seg, local)
-        return True
+        return found
 
     def _maybe_merge_after_delete(
         self, table: _EHTable, seg: Segment, local: int
@@ -341,7 +374,7 @@ class DyTIS:
         """
         if self._obs is not None:
             return self._scan_observed(start_key, count)
-        self._check_key(start_key)
+        start_key = self._check_key(start_key)
         if count <= 0:
             return []
         if self._columnar:
@@ -358,7 +391,7 @@ class DyTIS:
         """``scan`` with latency + sibling-hop recording (same semantics)."""
         obs = self._obs
         t0 = _now()
-        self._check_key(start_key)
+        start_key = self._check_key(start_key)
         out: List[Tuple[int, Any]] = []
         if count > 0:
             probes = obs.probes
@@ -374,7 +407,7 @@ class DyTIS:
         A closed-open range variant of :meth:`scan` for callers that
         know the end key instead of a count.
         """
-        self._check_key(low)
+        low, high = self._check_key(low), _as_int(high)
         if high <= low:
             return []
         obs = self._obs
@@ -491,10 +524,9 @@ class DyTIS:
         from 'stored None' directly, instead of running ``get`` and
         ``__contains__`` back to back (two full traversals for misses).
         """
-        self._check_key(key)
-        table = self._table(key, create=False)
-        if table is not None:
-            seg = table.segment_for(key & self._local_mask, self._m)
+        key = self._check_key(key)
+        seg = self._segment(key)
+        if seg is not None:
             found, value = seg.probe(key)
             if found:
                 return value
@@ -515,7 +547,7 @@ class DyTIS:
         *segments* touched plus the two boundary segments' buckets --
         far cheaper than materialising the scan.
         """
-        self._check_key(low)
+        low, high = self._check_key(low), _as_int(high)
         if high <= low:
             return 0
         fl = self._fused_live
@@ -571,7 +603,7 @@ class DyTIS:
         live-compacted fused column -- two binary searches, no pair
         materialisation.
         """
-        self._check_key(low)
+        low, high = self._check_key(low), _as_int(high)
         if high <= low:
             return 0
         if self._columnar and self._obs is None:
@@ -1413,7 +1445,7 @@ class DyTIS:
             # of spilling one key at a time).  Keys the splice already
             # applied that re-enter the loop degrade to in-place
             # updates, so replaying the tail is idempotent.
-            self._insert_impl(key_list[bail], vals[bail])
+            self.insert(key_list[bail], vals[bail])
             i = bail + 1
 
     # -- Algorithm 1 ------------------------------------------------------------
@@ -1474,29 +1506,32 @@ class DyTIS:
         self,
         table: _EHTable,
         old: Segment,
-        start: int,
-        span: int,
+        local: int,
         replacements: List[Segment],
     ) -> None:
         """Replace ``old``'s directory span by ``replacements`` and relink.
 
-        ``replacements`` divide the span evenly and are chained in key
-        order; the predecessor segment's sibling pointer is redirected
-        (paper §3.4: sibling updates accompany directory updates).
-        Rewiring changes the segment set, so the fused read column's
-        structural epoch advances here -- the one choke point every
-        split/expansion/remapping/merge goes through.
+        ``local`` is any table-local key ``old`` owns.  ``replacements``
+        divide the span evenly and are chained in key order; the
+        predecessor segment's sibling pointer is redirected (paper
+        §3.4: sibling updates accompany directory updates).  Rewiring
+        changes the segment set, so the fused read column's structural
+        epoch advances here -- the one choke point every
+        split/expansion/remapping/merge-down goes through.
         """
         self._mut_epoch += 1
+        directory = table.dir
+        gd = table.global_depth
+        span = 1 << (gd - old.local_depth)
+        start = (local >> (self._m - gd)) & -span
         per = span // len(replacements)
         for j, seg in enumerate(replacements):
-            for i in range(start + j * per, start + (j + 1) * per):
-                table.dir[i] = seg
+            directory[start + j * per : start + (j + 1) * per] = [seg] * per
         for a, b in zip(replacements, replacements[1:]):
             a.sibling = b
         replacements[-1].sibling = old.sibling
         if start > 0:
-            prev = table.dir[start - 1]
+            prev = directory[start - 1]
             if prev.sibling is old:
                 prev.sibling = replacements[0]
 
@@ -1531,10 +1566,11 @@ class DyTIS:
         ld = seg.local_depth
         require(ld < table.global_depth, "split requires LD < GD")
         cap_child = self._cap(ld + 1)
-        left_remap, right_remap = plan_split(seg, cap_child)
-        keys, values = seg.collect()
-        mid = 1 << (seg.domain_bits - 1)
-        split_at = int(np.searchsorted(seg.local_keys_array(keys), mid))
+        keys, values, local_keys = seg.snapshot()
+        split_at = int(
+            local_keys.searchsorted(np.uint64(1 << (seg.domain_bits - 1)))
+        )
+        left_remap, right_remap = plan_split(seg, split_at, cap_child)
         cfg = self.config
         left = build_fitting(
             ld + 1, left_remap, cfg.bucket_capacity,
@@ -1546,10 +1582,7 @@ class DyTIS:
             keys[split_at:], values[split_at:],
             cap_child, cfg.max_piece_bits, storage=self._storage,
         )
-        idx = table.dir_index(local, self._m)
-        start = table.span_start(idx, ld)
-        span = 1 << (table.global_depth - ld)
-        self._wire(table, seg, start, span, [left, right])
+        self._wire(table, seg, local, [left, right])
         self.stats.splits += 1
         self.stats.keys_moved += len(keys)
         dt = time.perf_counter() - t0
@@ -1577,10 +1610,7 @@ class DyTIS:
             ld, new_remap, cfg.bucket_capacity, keys, values,
             self._cap(ld), cfg.max_piece_bits, storage=self._storage,
         )
-        idx = table.dir_index(local, self._m)
-        start = table.span_start(idx, ld)
-        span = 1 << (table.global_depth - ld)
-        self._wire(table, seg, start, span, [new_seg])
+        self._wire(table, seg, local, [new_seg])
         self.stats.expansions += 1
         self.stats.keys_moved += len(keys)
         dt = time.perf_counter() - t0
@@ -1600,8 +1630,10 @@ class DyTIS:
         t0 = time.perf_counter()
         cfg = self.config
         ld = seg.local_depth
+        keys, values, local_keys = seg.snapshot()
         plan = plan_remap(
             seg,
+            local_keys,
             local,
             cap=self._cap(ld),
             util_threshold=cfg.util_threshold,
@@ -1610,14 +1642,12 @@ class DyTIS:
         if plan is None:
             self.stats.remap_failures += 1
             return False
-        keys, values = seg.collect()
+        remap, counts, piece_counts = plan
         new_seg = Segment.build(
-            ld, plan, cfg.bucket_capacity, keys, values, self._storage
+            ld, remap, cfg.bucket_capacity, keys, values, self._storage,
+            counts, piece_counts,
         )
-        idx = table.dir_index(local, self._m)
-        start = table.span_start(idx, ld)
-        span = 1 << (table.global_depth - ld)
-        self._wire(table, seg, start, span, [new_seg])
+        self._wire(table, seg, local, [new_seg])
         self.stats.remappings += 1
         self.stats.keys_moved += len(keys)
         dt = time.perf_counter() - t0
@@ -1641,22 +1671,19 @@ class DyTIS:
         )
         if target >= seg.n_buckets:
             return
-        keys, values = seg.collect()
-        local_keys = seg.local_keys_array(keys)
-        piece_bits = seg.remap.piece_bits
-        counts = count_pieces(local_keys, seg.domain_bits, piece_bits)
-        allocs = proportional_allocs(counts.tolist(), target)
-        candidate = PiecewiseRemap(seg.domain_bits, allocs)
-        if not layout_fits(candidate, local_keys, cfg.bucket_capacity):
+        keys, values, local_keys = seg.snapshot()
+        counts = count_pieces(local_keys, seg.domain_bits, seg.remap.piece_bits)
+        candidate = PiecewiseRemap(
+            seg.domain_bits, proportional_allocs(counts, target)
+        )
+        fit = fit_counts(candidate, local_keys, cfg.bucket_capacity)
+        if fit is None:
             return  # keep the larger layout; merging is best-effort
         new_seg = Segment.build(
             seg.local_depth, candidate, cfg.bucket_capacity, keys, values,
-            self._storage,
+            self._storage, fit, counts,
         )
-        idx = table.dir_index(local, self._m)
-        start = table.span_start(idx, seg.local_depth)
-        span = 1 << (table.global_depth - seg.local_depth)
-        self._wire(table, seg, start, span, [new_seg])
+        self._wire(table, seg, local, [new_seg])
         self.stats.merges += 1
         self.stats.keys_moved += len(keys)
         if self._obs is not None:
@@ -1683,9 +1710,8 @@ class DyTIS:
         if ld < 1 or ld > table.global_depth:
             return
         gd = table.global_depth
-        idx = table.dir_index(local, self._m)
-        start = table.span_start(idx, ld)
         span = 1 << (gd - ld)
+        start = table.dir_index(local, self._m) & -span
         buddy_start = start ^ span
         buddy = table.dir[buddy_start]
         if buddy is seg or buddy.local_depth != ld:
@@ -1720,7 +1746,7 @@ class DyTIS:
                     & np.uint64((1 << domain_bits) - 1),
                     domain_bits,
                     min(2, domain_bits),
-                ).tolist(),
+                ),
                 target,
             ),
         )

@@ -374,7 +374,7 @@ class MaintenanceController:
             self._futile[span] = signature
             self.metrics.deferred_total += 1
             return None
-        index._wire(table, old, start, 1 << (gd - ld), [fresh])
+        index._wire(table, old, local_span, [fresh])
         index._gen += 1
         self.metrics.segment_rebuilds_total += 1
         self.metrics.keys_moved_total += len(keys)

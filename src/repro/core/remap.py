@@ -34,6 +34,7 @@ class PiecewiseRemap:
         "allocs",
         "_cum",
         "_shift",
+        "_alloc_bits",
         "_allocs_np",
         "_cum_np",
     )
@@ -47,19 +48,37 @@ class PiecewiseRemap:
         piece_bits = n_pieces.bit_length() - 1
         if piece_bits > domain_bits:
             raise ValueError("more sub-ranges than distinct keys in domain")
-        arr = np.asarray(allocs, dtype=np.int64)
-        if arr.size and int(arr.min()) < 0:
-            raise ValueError("bucket allocations must be non-negative")
-        cum = np.concatenate([[0], np.cumsum(arr)])
-        if int(cum[-1]) < 1:
-            raise ValueError("segment must own at least one bucket")
         self.domain_bits = domain_bits
         self.piece_bits = piece_bits
-        self.allocs = arr.tolist()
         self._shift = domain_bits - piece_bits  # log2 of sub-range width
-        self._cum = cum.tolist()
-        self._allocs_np = arr.astype(np.uint64)
-        self._cum_np = cum[:-1].astype(np.uint64)
+        if n_pieces == 1:
+            # One sub-range is one line (every segment below L_start,
+            # most split children): plain ints, no lookup arrays.
+            total = max_alloc = int(allocs[0])
+            self.allocs, self._cum = [total], [0, total]
+            self._allocs_np = self._cum_np = None
+        else:
+            # The scalar path indexes the two lists, the vectorised
+            # path uint64 views over the same two int64 buffers.  An
+            # ndarray passed in is adopted, not copied (planners hand
+            # over the fresh array ``proportional_allocs`` returned).
+            arr = np.asarray(allocs, dtype=np.int64)
+            self._allocs_np = arr.view(np.uint64)
+            # Through the view a negative allocation reads >= 2^63:
+            # one reduction is both the sign check and the maximum.
+            max_alloc = int(self._allocs_np.max())
+            cum = np.zeros(n_pieces + 1, dtype=np.int64)
+            arr.cumsum(out=cum[1:])
+            total = int(cum[-1])
+            self.allocs, self._cum = arr.tolist(), cum.tolist()
+            self._cum_np = cum[:-1].view(np.uint64)
+        if max_alloc < 0 or max_alloc >> 63:
+            raise ValueError("bucket allocations must be non-negative")
+        if total < 1:
+            raise ValueError("segment must own at least one bucket")
+        #: Bit length of the largest allocation: picks the exact
+        #: arithmetic ``bucket_indices`` can afford.
+        self._alloc_bits = max_alloc.bit_length()
 
     @property
     def n_pieces(self) -> int:
@@ -100,15 +119,17 @@ class PiecewiseRemap:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         shift = self._shift
-        pieces = (local_keys >> np.uint64(shift)).astype(np.int64)
-        max_alloc = max(self.allocs)
-        if max_alloc.bit_length() + shift < 64:
+        if self.piece_bits:
+            # Sub-range and bucket numbers are far below 2^63: the
+            # uint64 results are reinterpreted as int64, not converted.
+            pieces = (local_keys >> np.uint64(shift)).view(np.int64)
+            a, base = self._allocs_np[pieces], self._cum_np[pieces]
+        else:
+            a, base = np.uint64(self.allocs[0]), np.uint64(0)
+        if self._alloc_bits + shift < 64:
             offsets = local_keys & np.uint64((1 << shift) - 1)
-            b = self._cum_np[pieces] + (
-                (self._allocs_np[pieces] * offsets) >> np.uint64(shift)
-            )
-            b = b.astype(np.int64)
-        elif shift >= 32 and max_alloc.bit_length() <= 25:
+            b = (base + ((a * offsets) >> np.uint64(shift))).view(np.int64)
+        elif shift >= 32 and self._alloc_bits <= 25:
             # 64-bit domains: ``alloc * offset`` would overflow uint64,
             # but splitting the offset into 32-bit halves keeps every
             # intermediate below 2**64 while staying exact:
@@ -117,23 +138,21 @@ class PiecewiseRemap:
             #   (a*off) >> s = q + ((r << 32) + a*lo) >> s
             # with a < 2**25, hi < 2**(s-32), lo < 2**32, r < 2**(s-32).
             offsets = local_keys & np.uint64((1 << shift) - 1)
-            a = self._allocs_np[pieces]
             hi = offsets >> np.uint64(32)
             lo = offsets & np.uint64(0xFFFFFFFF)
             t1 = a * hi
             q = t1 >> np.uint64(shift - 32)
             r = t1 & np.uint64((1 << (shift - 32)) - 1)
             rem = (r << np.uint64(32)) + a * lo
-            b = (
-                self._cum_np[pieces] + q + (rem >> np.uint64(shift))
-            ).astype(np.int64)
+            b = (base + q + (rem >> np.uint64(shift))).view(np.int64)
         else:
-            b = np.fromiter(
+            return np.fromiter(
                 (self.bucket_of(int(k)) for k in local_keys),
                 dtype=np.int64,
                 count=n,
             )
-        return np.minimum(b, self._cum[-1] - 1)
+        # Only trailing zero-allocation sub-ranges can map past the end.
+        return b if self.allocs[-1] else np.minimum(b, self._cum[-1] - 1)
 
     def piece_span(self, i: int) -> range:
         """Bucket indices owned by sub-range ``i``."""
@@ -229,8 +248,11 @@ def _ensure_nonempty(allocs: List[int]) -> List[int]:
 
 def proportional_allocs(
     piece_counts: Sequence[int], n_buckets: int
-) -> List[int]:
+) -> np.ndarray:
     """Distribute ``n_buckets`` over sub-ranges proportionally to counts.
+
+    Takes a sequence or an integer array and returns a fresh ``int64``
+    array, which :class:`PiecewiseRemap` adopts without a copy.
 
     Largest-remainder apportionment (vectorised -- this runs on every
     remapping plan); sub-ranges holding keys get priority for the
@@ -244,7 +266,7 @@ def proportional_allocs(
     if total == 0:
         base = np.full(n, n_buckets // n, dtype=np.int64)
         base[: n_buckets - int(base.sum())] += 1
-        return base.tolist()
+        return base
     quotas = counts * (n_buckets / total)
     allocs = quotas.astype(np.int64)
     remaining = n_buckets - int(allocs.sum())
@@ -252,7 +274,6 @@ def proportional_allocs(
         # Rank by remainder, breaking ties toward non-empty zero-alloc
         # sub-ranges so they get their reserve bucket first.
         fractional = quotas - allocs
-        fractional[(counts > 0) & (allocs == 0)] += 1.0
-        order = np.argsort(-fractional)
-        allocs[order[:remaining]] += 1
-    return allocs.tolist()
+        fractional += (counts > 0) & (allocs == 0)
+        allocs[(-fractional).argsort()[:remaining]] += 1
+    return allocs

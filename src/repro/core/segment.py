@@ -340,12 +340,13 @@ class Segment:
         """Resident bytes of this segment's key/value storage."""
         return self.store.memory_bytes()
 
-    def local_keys_array(self, keys: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Segment-local keys as an ascending uint64 array (planner input)."""
-        if keys is None:
-            keys, _ = self.collect()
-        arr = np.asarray(keys, dtype=np.uint64)
-        return arr & np.uint64(self._mask)
+    def snapshot(self) -> Tuple[np.ndarray, List[Any], np.ndarray]:
+        """The one read a structure operation takes: ``(keys, values,
+        local_keys)`` -- ascending ``uint64`` full keys, parallel values,
+        and the keys masked to the segment-local domain (planner input)."""
+        keys, values = self.store.collect()
+        keys = np.asarray(keys, dtype=np.uint64)
+        return keys, values, keys & np.uint64(self._mask)
 
     # -- construction ----------------------------------------------------------
 
@@ -358,32 +359,39 @@ class Segment:
         keys: Sequence[int],
         values: Sequence[Any],
         storage: str = "lists",
+        counts: Optional[np.ndarray] = None,
+        piece_counts: Optional[np.ndarray] = None,
     ) -> "Segment":
         """Build a segment from ascending ``keys`` and parallel ``values``.
 
-        Vectorised: one pass computes every key's bucket, a bincount
-        checks capacity, and the storage fills buckets by slice (``keys``
-        may be a list or a ``uint64`` array; the columnar engine copies
-        an array without boxing a single key).  Raises
-        :class:`SegmentOverflow` when some bucket would exceed capacity
-        under ``remap``; callers pre-check with :func:`layout_fits` or
-        use :func:`build_fitting`.
+        ``counts`` (keys per bucket) and ``piece_counts`` (keys per
+        sub-range) are what a planner computed for exactly these keys
+        under ``remap``; given them the build routes nothing and only
+        lays the keys out by slice, otherwise one vectorised pass
+        computes them.  Either way the capacity check runs here
+        (:class:`SegmentOverflow`; callers pre-check with
+        :func:`fit_counts` or use :func:`build_fitting`) and the storage
+        refuses counts that do not add up to ``len(keys)``.
         """
         seg = cls(local_depth, remap, bucket_capacity, storage)
         n = len(keys)
         if n == 0:
             return seg
-        lk = np.asarray(keys, dtype=np.uint64) & np.uint64(seg._mask)
-        idx = remap.bucket_indices(lk)
-        counts = np.bincount(idx, minlength=remap.n_buckets)
-        if counts.max(initial=0) > bucket_capacity:
+        single = not remap.piece_bits  # one sub-range: its histogram is [n]
+        if counts is None or (piece_counts is None and not single):
+            lk = np.asarray(keys, dtype=np.uint64) & np.uint64(seg._mask)
+            if counts is None:
+                counts = np.bincount(
+                    remap.bucket_indices(lk), minlength=remap.n_buckets
+                )
+            if piece_counts is None and not single:
+                piece_counts = count_pieces(
+                    lk, remap.domain_bits, remap.piece_bits
+                )
+        if int(counts.max()) > bucket_capacity:
             raise SegmentOverflow(int(counts.argmax()))
         seg.store.fill_sorted(counts, keys, values)
-        shift = remap.domain_bits - remap.piece_bits
-        pc = np.bincount(
-            (lk >> np.uint64(shift)).astype(np.int64), minlength=remap.n_pieces
-        )
-        seg.piece_counts = pc.tolist()
+        seg.piece_counts = [n] if single else piece_counts.tolist()
         seg.total_keys = n
         return seg
 
@@ -416,17 +424,27 @@ class Segment:
 # -- planners ---------------------------------------------------------------
 
 
-def layout_fits(
+def fit_counts(
     remap: PiecewiseRemap,
     local_keys: np.ndarray,
     bucket_capacity: int,
     extra_key: Optional[int] = None,
-) -> bool:
-    """Would ``local_keys`` (plus ``extra_key``) fit under ``remap``?"""
-    counts = np.bincount(remap.bucket_indices(local_keys), minlength=remap.n_buckets)
-    if extra_key is not None:
-        counts[remap.bucket_of(extra_key)] += 1
-    return int(counts.max(initial=0)) <= bucket_capacity
+) -> Optional[np.ndarray]:
+    """Keys per bucket of ``local_keys`` under ``remap``, or None when
+    some bucket would overflow (counting the pending ``extra_key``,
+    which the returned counts leave out).  The counts prove the layout
+    fits; :meth:`Segment.build` takes them instead of routing again."""
+    counts = np.bincount(
+        remap.bucket_indices(local_keys), minlength=remap.n_buckets
+    )
+    if int(counts.max()) > bucket_capacity:
+        return None
+    if (
+        extra_key is not None
+        and counts[remap.bucket_of(extra_key)] >= bucket_capacity
+    ):
+        return None
+    return counts
 
 
 def count_pieces(
@@ -435,29 +453,26 @@ def count_pieces(
     """Histogram segment-local keys over 2^piece_bits equal sub-ranges."""
     shift = np.uint64(domain_bits - piece_bits)
     return np.bincount(
-        (local_keys >> shift).astype(np.int64), minlength=1 << piece_bits
+        (local_keys >> shift).view(np.int64), minlength=1 << piece_bits
     )
-
-
-def _aggregate(finest: np.ndarray, from_bits: int, to_bits: int) -> np.ndarray:
-    """Coarsen a 2^from_bits histogram down to 2^to_bits sub-ranges."""
-    if from_bits == to_bits:
-        return finest
-    return finest.reshape(1 << to_bits, -1).sum(axis=1)
 
 
 def plan_remap(
     segment: Segment,
+    local_keys: np.ndarray,
     insert_key: int,
     cap: int,
     util_threshold: float,
     max_piece_bits: int,
-) -> Optional[PiecewiseRemap]:
+) -> Optional[Tuple[PiecewiseRemap, np.ndarray, np.ndarray]]:
     """Compute the remapped layout for ``segment`` (paper §3.3 Remapping).
 
-    Returns a :class:`PiecewiseRemap` under which all current keys plus
-    ``insert_key`` fit, or None when no layout within the segment-size
-    cap ``cap`` works (remapping *fails* and Algorithm 1 escalates).
+    Returns ``(remap, counts, piece_counts)`` -- a layout under which
+    ``local_keys`` (the segment's :meth:`Segment.snapshot`) plus
+    ``insert_key`` fit, with the per-bucket and per-sub-range counts
+    that prove it, ready for :meth:`Segment.build` -- or None when no
+    layout within the segment-size cap ``cap`` works (remapping *fails*
+    and Algorithm 1 escalates).
 
     Procedure:
       1. refine sub-ranges (halving widths) until the sub-range that
@@ -471,21 +486,13 @@ def plan_remap(
          sub-range's share; geometric growth of the total is the
          same policy at whole-segment granularity).
     """
-    local_keys = segment.local_keys_array()
     insert_local = segment.local_key(insert_key)
     domain_bits = segment.domain_bits
     capacity = segment.bucket_capacity
     n_buckets = segment.n_buckets
     max_bits = min(max_piece_bits, domain_bits)
 
-    finest = count_pieces(local_keys, domain_bits, max_bits)
     piece_bits = min(segment.remap.piece_bits, max_bits)
-
-    def counts_at(bits: int) -> np.ndarray:
-        return _aggregate(finest, max_bits, bits)
-
-    def target_piece(bits: int) -> int:
-        return insert_local >> (domain_bits - bits) if bits else 0
 
     # Step 1: refine until the target sub-range's utilization clears U_t.
     # Stop early once the target sub-range is small enough that a single
@@ -493,46 +500,54 @@ def plan_remap(
     # cannot sharpen the CDF further, it only fragments the allocation.
     min_target_keys = max(1.0, capacity * util_threshold)
     while piece_bits < max_bits:
-        counts = counts_at(piece_bits)
-        allocs = proportional_allocs(counts.tolist(), n_buckets)
-        t = target_piece(piece_bits)
-        if (int(counts[t]) + 1) / (max(allocs[t], 1) * capacity) > util_threshold:
+        counts = count_pieces(local_keys, domain_bits, piece_bits)
+        allocs = proportional_allocs(counts, n_buckets)
+        t = insert_local >> (domain_bits - piece_bits)
+        target_keys = int(counts[t]) + 1
+        if target_keys / (max(int(allocs[t]), 1) * capacity) > util_threshold:
             break
-        if int(counts[t]) + 1 <= min_target_keys:
+        if target_keys <= min_target_keys:
             break
         piece_bits += 1
-    counts = counts_at(piece_bits)
+    else:
+        counts = count_pieces(local_keys, domain_bits, piece_bits)
+        allocs = proportional_allocs(counts, n_buckets)
 
     # Steps 2-3: try the re-apportioned layout, growing B on overflow.
     while True:
-        allocs = proportional_allocs(counts.tolist(), n_buckets)
         candidate = PiecewiseRemap(domain_bits, allocs)
-        if layout_fits(candidate, local_keys, capacity, insert_local):
-            return candidate
-        if piece_bits < max_bits and int(counts.max(initial=0)) + 1 > capacity:
+        fit = fit_counts(candidate, local_keys, capacity, insert_local)
+        if fit is not None:
+            return candidate, fit, counts
+        if piece_bits < max_bits and int(counts.max()) + 1 > capacity:
             # Some sub-range (counting the pending insert) overfills even
             # a dedicated bucket: the CDF is too coarse there, and
             # refining is free (same B).
             piece_bits += 1
-            counts = counts_at(piece_bits)
-            continue
-        # Otherwise overflow means too few buckets: grow by the target
-        # sub-range's share (the paper doubles the target's allocation).
-        if n_buckets >= cap:
+            counts = count_pieces(local_keys, domain_bits, piece_bits)
+        elif n_buckets >= cap:
             return None
-        growth = max(allocs[target_piece(piece_bits)], 1, n_buckets // 8)
-        n_buckets = min(cap, n_buckets + growth)
+        else:
+            # Otherwise overflow means too few buckets: grow by the
+            # target sub-range's share (the paper doubles the target's
+            # allocation).
+            t = insert_local >> (domain_bits - piece_bits)
+            n_buckets = min(
+                cap, n_buckets + max(int(allocs[t]), 1, n_buckets // 8)
+            )
+        allocs = proportional_allocs(counts, n_buckets)
 
 
 def plan_split(
-    segment: Segment, cap_child: int
+    segment: Segment, left_count: int, cap_child: int
 ) -> Tuple[PiecewiseRemap, PiecewiseRemap]:
     """Child remaps for splitting ``segment`` (paper §3.3 Split).
 
     Children keep the parent's per-sub-range slopes with doubled
     allocations ('compute the size that accommodates the keys of the
     sub-range, then double it'), clamped to the child-depth cap.  A
-    single-sub-range parent sizes children directly from key counts.
+    single-sub-range parent sizes children directly from key counts:
+    ``left_count`` keys fall below the domain midpoint.
     """
     remap = segment.remap
     cap_child = max(cap_child, 1)
@@ -540,10 +555,6 @@ def plan_split(
         left, right = remap.halves()
         return _clamp_total(left, cap_child), _clamp_total(right, cap_child)
     # Single sub-range: size children to 2 * ceil(count / capacity).
-    mid = 1 << (segment.domain_bits - 1)
-    local_keys = segment.local_keys_array()
-    left_count = int(np.searchsorted(local_keys, mid))
-    right_count = segment.total_keys - left_count
     child_bits = segment.domain_bits - 1
     capacity = segment.bucket_capacity
 
@@ -551,7 +562,7 @@ def plan_split(
         size = max(1, 2 * -(-count // capacity))
         return PiecewiseRemap(child_bits, [min(size, cap_child)])
 
-    return child(left_count), child(right_count)
+    return child(left_count), child(segment.total_keys - left_count)
 
 
 def _clamp_total(remap: PiecewiseRemap, cap: int) -> PiecewiseRemap:
@@ -592,29 +603,42 @@ def build_fitting(
     callers (split, expansion, bulk load) leave it ``None`` and keep
     the always-succeeds contract.
     """
-    domain_bits = initial_remap.domain_bits
-    mask = np.uint64((1 << domain_bits) - 1)
-    local_keys = np.asarray(keys, dtype=np.uint64) & mask
-    if layout_fits(initial_remap, local_keys, bucket_capacity):
+    if initial_remap.n_buckets == 1 and len(keys) <= bucket_capacity:
+        # One bucket holds the whole run (every build below L_start):
+        # nothing to route, the count is the fit.
         return Segment.build(
-            local_depth, initial_remap, bucket_capacity, keys, values, storage
+            local_depth, initial_remap, bucket_capacity, keys, values,
+            storage, np.array([len(keys)]),
         )
+    domain_bits = initial_remap.domain_bits
+    local_keys = np.asarray(keys, dtype=np.uint64) & np.uint64(
+        (1 << domain_bits) - 1
+    )
     max_bits = min(max_piece_bits, domain_bits)
     piece_bits = min(initial_remap.piece_bits, max_bits)
     n_buckets = initial_remap.n_buckets
-    finest = count_pieces(local_keys, domain_bits, max_bits)
+    candidate, pieces = initial_remap, None
     while True:
-        counts = _aggregate(finest, max_bits, piece_bits)
-        allocs = proportional_allocs(counts.tolist(), n_buckets)
-        candidate = PiecewiseRemap(domain_bits, allocs)
-        if layout_fits(candidate, local_keys, bucket_capacity):
+        fit = fit_counts(candidate, local_keys, bucket_capacity)
+        if fit is not None:
             return Segment.build(
-                local_depth, candidate, bucket_capacity, keys, values, storage
+                local_depth, candidate, bucket_capacity, keys, values,
+                storage, fit, pieces,
             )
-        if piece_bits < max_bits and int(counts.max(initial=0)) > bucket_capacity:
-            piece_bits += 1
-            continue
-        # Grow; past the cap this is the safety valve (see docstring).
-        n_buckets += max(1, n_buckets // 4)
-        if max_total_buckets is not None and n_buckets > max_total_buckets:
-            return None
+        # The first miss re-apportions the initial size and granularity;
+        # later ones refine a sub-range that overfills even a dedicated
+        # bucket, else grow (past the cap: the safety valve, see above).
+        if pieces is not None:
+            if piece_bits < max_bits and int(pieces.max()) > bucket_capacity:
+                piece_bits += 1
+            else:
+                n_buckets += max(1, n_buckets // 4)
+                if (
+                    max_total_buckets is not None
+                    and n_buckets > max_total_buckets
+                ):
+                    return None
+        pieces = count_pieces(local_keys, domain_bits, piece_bits)
+        candidate = PiecewiseRemap(
+            domain_bits, proportional_allocs(pieces, n_buckets)
+        )

@@ -41,6 +41,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -199,6 +200,9 @@ class ListStorage:
             bucket.keys = keys[lo : lo + c]
             bucket.values = values[lo : lo + c]
             lo += c
+        require(
+            lo == len(keys), "bucket counts do not describe the keys being filled"
+        )
 
     def find_many(self, bidx, qkeys, out: list, out_idx: Sequence[int]) -> None:
         """Batched probes: write found values to ``out[out_idx[i]]``.
@@ -711,57 +715,55 @@ class ColumnarStorage:
 
     # -- batch operations ---------------------------------------------------
 
+    def _live_mask(self, counts: np.ndarray) -> np.ndarray:
+        """Boolean mask over the key column: True on each bucket's
+        first ``counts[b]`` slots."""
+        return (
+            np.arange(self.capacity, dtype=np.int64)[None, :] < counts[:, None]
+        ).ravel()
+
     def collect(self) -> Tuple[np.ndarray, List[Any]]:
         """All keys (ascending ``uint64`` array) and values (flat list).
 
-        One vectorised mask-gather for the keys; values concatenate by
-        whole-bucket list extends -- no per-key Python round-trip.
+        One vectorised mask-gather for the keys, one C-level chain over
+        the per-bucket lists for the values -- no per-key or per-bucket
+        Python round-trip.
         """
-        counts_np = np.asarray(self.counts, dtype=np.int64)
-        total = int(counts_np.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.uint64), []
-        mask = (
-            np.arange(self.capacity, dtype=np.int64)[None, :] < counts_np[:, None]
-        ).ravel()
-        keys = self.keys[mask]
-        values: List[Any] = []
-        for b, cnt in enumerate(self.counts):
-            if cnt:
-                values.extend(self.values[b])
-        return keys, values
+        if self.n_buckets == 1:
+            return self.keys[: self.counts[0]].copy(), list(self.values[0])
+        keys = self.keys[self._live_mask(self._counts_array())]
+        return keys, list(chain.from_iterable(self.values))
 
     def fill_sorted(self, counts, keys, values) -> None:
-        """Fill fresh spans by slice copies from ascending ``keys``/``values``."""
-        if not isinstance(keys, np.ndarray):
-            keys = np.asarray(keys, dtype=np.uint64)
-        elif keys.dtype != np.uint64:
-            keys = keys.astype(np.uint64)
+        """Fill a fresh storage by slice from ascending ``keys``/``values``.
+
+        ``counts[b]`` keys go to bucket ``b`` and must add up to
+        ``len(keys)``.  The keys land with one masked scatter; every
+        slot starts as MAX padding, so one reverse running minimum then
+        gives each slack slot the next live key (MAX past the last),
+        which is the column-wide sorted invariant.
+        """
+        keys = np.asarray(keys, dtype=np.uint64)
         if not isinstance(values, list):
             values = list(values)
-        cap = self.capacity
+        n = int(keys.size)
+        mismatch = "bucket counts do not describe the keys being filled"
+        if self.n_buckets == 1:
+            # One span: one slice, and the tail is MAX already.
+            require(len(counts) == 1 and counts[0] == n, mismatch)
+            self.keys[:n] = keys
+            self.values[0], self.counts[0], self._counts_np = values[:], n, None
+            return
+        counts = np.asarray(counts, dtype=np.int64)
+        ends = counts.cumsum().tolist()
+        require(counts.size == self.n_buckets and ends[-1] == n, mismatch)
         keys_np = self.keys
-        lo = 0
-        for b, c in enumerate(counts.tolist() if isinstance(counts, np.ndarray) else counts):
-            if not c:
-                continue
-            off = b * cap
-            keys_np[off : off + c] = keys[lo : lo + c]
-            self.values[b] = values[lo : lo + c]
-            self.counts[b] = c
-            lo += c
-        self._counts_np = None
-        # Padding sweep: every slack slot takes the next live key (MAX
-        # past the last), restoring the column-wide sorted invariant.
-        nxt = _MAX_KEY
-        karr = self._karr
-        for b in range(self.n_buckets - 1, -1, -1):
-            off = b * cap
-            c = self.counts[b]
-            if c < cap:
-                keys_np[off + c : off + cap] = nxt
-            if c:
-                nxt = karr[off]
+        keys_np[self._live_mask(counts)] = keys
+        rev = keys_np[::-1]
+        np.minimum.accumulate(rev, out=rev)
+        self.values = [values[a:b] for a, b in zip([0] + ends, ends)]
+        self.counts = counts.tolist()
+        self._counts_np = counts
 
     def _counts_array(self) -> np.ndarray:
         ca = self._counts_np

@@ -88,6 +88,18 @@ class TestConcurrentOperations:
         assert cindex.delete(5)
         assert not cindex.delete(5)
 
+    def test_numpy_scalar_keys_are_stored_as_ints(self, cindex):
+        import numpy as np
+
+        for k in np.arange(0, 700, 7, dtype=np.uint64):
+            cindex.insert(k, int(k))
+        cindex.check_invariants()
+        assert cindex.get(np.uint64(35)) == 35
+        assert cindex.delete(np.int64(42)) and not cindex.delete(42)
+        got = cindex.scan(np.uint32(35), 3)
+        assert got == [(35, 35), (49, 49), (56, 56)]
+        assert all(type(k) is int for k, _ in cindex.items())
+
     def test_scan_single_thread(self, cindex):
         for k in range(100):
             cindex.insert(k * 7, k)

@@ -1,5 +1,6 @@
 """Tests for DyTIS's extended public API (scan_range, dict-style, bulk)."""
 
+import numpy as np
 import pytest
 
 from repro.core import DyTIS
@@ -79,3 +80,70 @@ class TestInsertMany:
             b.insert(k, k)
         assert len(a) == len(b)
         assert list(a.items()) == list(b.items())
+
+
+class TestScalarKeyTypes:
+    """The scalar API takes anything with ``__index__`` and stores ``int``.
+
+    Iterating a NumPy key array yields NumPy scalars; before the keys
+    were normalised at the boundary one of them raised ``IndexError``
+    half-way through a columnar insert (key slot written, value list
+    not), after which ``get`` returned a neighbour's value and
+    ``check_invariants`` still passed, and on the list engine the NumPy
+    object itself was stored as the key.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32])
+    def test_numpy_scalars_match_dict_oracle(self, small_config, dtype):
+        idx = DyTIS(small_config)
+        rng = np.random.default_rng(7)
+        keys = rng.integers(0, 1 << 31, size=400).astype(dtype)
+        oracle = {}
+        for i, k in enumerate(keys):  # NumPy scalars, not ints
+            idx.insert(k, i)
+            oracle[int(k)] = i
+            idx[k] = i  # __setitem__ is the same path
+        idx.check_invariants()
+        assert len(idx) == len(oracle)
+        assert list(idx.items()) == sorted(oracle.items())
+        assert all(type(k) is int for k in idx.keys())
+        ref = sorted(oracle)
+        lo, hi = dtype(ref[50]), dtype(ref[90])
+        for k in keys[:50]:
+            assert idx.get(k) == oracle[int(k)]
+            assert k in idx and idx[k] == oracle[int(k)]
+        assert [k for k, _ in idx.scan(lo, 5)] == ref[50:55]
+        assert [k for k, _ in idx.scan_range(lo, hi)] == ref[50:90]
+        assert idx.count_range(lo, hi) == 40
+        assert idx.delete_range(lo, hi) == 40
+        assert idx.delete(dtype(ref[0])) and not idx.delete(dtype(ref[0]))
+        idx.check_invariants()
+        assert [k for k, _ in idx.items()] == ref[1:50] + ref[90:]
+
+    def test_issue_reproducer(self, small_config):
+        idx = DyTIS(small_config)
+        for k in (10, 20, 30):
+            idx.insert(k, k)
+        idx.insert(np.uint64(5), 1)
+        idx.check_invariants()
+        assert idx.get(20) == 20
+        assert idx.scan(np.uint64(20), 2) == [(20, 20), (30, 30)]
+        assert list(idx.items()) == [(5, 1), (10, 10), (20, 20), (30, 30)]
+
+    def test_bool_is_zero_or_one_and_floats_are_rejected(self, small_config):
+        idx = DyTIS(small_config)
+        idx.insert(True, "one")  # bool is an int subclass: True == 1
+        assert idx.get(1) == "one" and list(idx.keys()) == [1]
+        assert type(next(iter(idx))) is int
+        for call in (
+            lambda: idx.insert(2.0, "x"),
+            lambda: idx.get(1.0),
+            lambda: idx.delete(np.float64(1.0)),
+            lambda: idx.scan(1.5, 3),
+            lambda: 1.0 in idx,
+        ):
+            with pytest.raises(TypeError):
+                call()
+        with pytest.raises(ValueError):
+            idx.insert(np.int64(-1), "x")
+        assert len(idx) == 1

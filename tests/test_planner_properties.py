@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from repro.core.remap import PiecewiseRemap
 from repro.core.segment import (
     Segment,
+    SegmentOverflow,
     build_fitting,
-    layout_fits,
+    fit_counts,
     plan_remap,
     plan_split,
 )
@@ -42,23 +43,27 @@ def _segment_holding(keys):
 def test_plan_remap_result_always_fits(keys, insert_key, cap):
     assume(insert_key not in set(keys))
     seg = _segment_holding(keys)
+    lk = seg.snapshot()[2]
     plan = plan_remap(
-        seg, insert_key, cap=cap, util_threshold=0.6, max_piece_bits=8
+        seg, lk, insert_key, cap=cap, util_threshold=0.6, max_piece_bits=8
     )
     if plan is None:
         return  # failure is legal; Algorithm 1 escalates
-    assert plan.n_buckets <= max(cap, seg.n_buckets)
-    lk = seg.local_keys_array()
-    assert layout_fits(plan, lk, CAPACITY, extra_key=insert_key)
+    remap, counts, _ = plan
+    assert remap.n_buckets <= max(cap, seg.n_buckets)
+    fit = fit_counts(remap, lk, CAPACITY, extra_key=insert_key)
+    assert fit is not None and fit.tolist() == counts.tolist()
 
 
 @given(_keys)
 @settings(max_examples=200, deadline=None)
 def test_plan_split_partitions_all_keys(keys):
     seg = _segment_holding(keys)
-    left, right = plan_split(seg, cap_child=1 << 12)
-    assert left.domain_bits == right.domain_bits == seg.domain_bits - 1
     mid = 1 << (seg.domain_bits - 1)
+    left, right = plan_split(
+        seg, sum(1 for k in keys if k < mid), cap_child=1 << 12
+    )
+    assert left.domain_bits == right.domain_bits == seg.domain_bits - 1
     left_keys = [k for k in keys if k < mid]
     right_keys = [k for k in keys if k >= mid]
     built_left = build_fitting(
@@ -96,3 +101,48 @@ def test_segment_rebuild_roundtrip(keys):
     rebuilt = Segment.build(seg.local_depth, seg.remap, CAPACITY, ks, vs)
     assert list(rebuilt.items()) == list(seg.items())
     rebuilt.check_invariants()
+
+
+def _padded_keys(seg):
+    """A segment's whole key column, slack slots included."""
+    store = seg.store
+    if store.kind == "columnar":
+        return store.keys.tolist()
+    return [list(store.bucket_keys(b)) for b in range(store.n_buckets)]
+
+
+@pytest.mark.parametrize("storage", ["lists", "columnar"])
+@given(_keys, st.integers(0, (1 << DOMAIN_BITS) - 1), st.integers(1, 64))
+@settings(max_examples=100, deadline=None)
+def test_build_from_carried_counts_equals_build_from_scratch(
+    storage, keys, insert_key, cap
+):
+    """The counts a planner proved its layout with build the same
+    segment -- keys, values, counts, piece counts, padding -- as the
+    build routing every key itself; counts over capacity still raise."""
+    assume(insert_key not in set(keys))
+    seg = _segment_holding(keys)
+    ks, vs, lk = seg.snapshot()
+    plan = plan_remap(
+        seg, lk, insert_key, cap=cap, util_threshold=0.6, max_piece_bits=8
+    )
+    if plan is None:
+        return
+    remap, counts, piece_counts = plan
+    carried = Segment.build(
+        3, remap, CAPACITY, ks, vs, storage, counts, piece_counts
+    )
+    scratch = Segment.build(3, remap, CAPACITY, ks, vs, storage)
+    carried.check_invariants()
+    assert list(carried.items()) == list(scratch.items()) == list(seg.items())
+    assert carried.piece_counts == scratch.piece_counts
+    assert carried.total_keys == scratch.total_keys == len(keys)
+    assert [carried.store.bucket_len(b) for b in range(remap.n_buckets)] == [
+        scratch.store.bucket_len(b) for b in range(remap.n_buckets)
+    ] == counts.tolist()
+    assert _padded_keys(carried) == _padded_keys(scratch)
+
+    over = counts.copy()
+    over[int(counts.argmax())] = CAPACITY + 1
+    with pytest.raises(SegmentOverflow):
+        Segment.build(3, remap, CAPACITY, ks, vs, storage, over, piece_counts)

@@ -178,7 +178,7 @@ class TestProportionalAllocs:
 
     def test_proportionality(self):
         allocs = proportional_allocs([10, 30, 10, 30], 8)
-        assert allocs == [1, 3, 1, 3]
+        assert allocs.tolist() == [1, 3, 1, 3]
 
     def test_empty_pieces_get_nothing_when_scarce(self):
         allocs = proportional_allocs([100, 0, 0, 0], 2)

@@ -9,7 +9,7 @@ from repro.core.segment import (
     SegmentOverflow,
     build_fitting,
     count_pieces,
-    layout_fits,
+    fit_counts,
     plan_remap,
     plan_split,
 )
@@ -92,6 +92,18 @@ class TestBuild:
         with pytest.raises(SegmentOverflow):
             Segment.build(2, remap, 4, list(range(5)), list(range(5)))
 
+    def test_build_rejects_counts_that_do_not_describe_the_keys(self):
+        from repro.core.invariants import InvariantViolation
+
+        remap = PiecewiseRemap(6, [2, 2])
+        keys = list(range(0, 64, 8))
+        for storage in ("lists", "columnar"):
+            with pytest.raises(InvariantViolation):
+                Segment.build(
+                    2, remap, 16, keys, keys, storage,
+                    counts=np.array([2, 2, 2, 1]),
+                )
+
     def test_build_empty(self):
         seg = Segment.build(2, PiecewiseRemap(6, [1]), 4, [], [])
         assert seg.total_keys == 0
@@ -102,18 +114,20 @@ class TestLayoutFits:
     def test_fits(self):
         remap = PiecewiseRemap(6, [2, 2])
         keys = np.array([0, 20, 40, 60], dtype=np.uint64)
-        assert layout_fits(remap, keys, bucket_capacity=2)
+        assert fit_counts(remap, keys, bucket_capacity=2).tolist() == [1, 1, 1, 1]
 
     def test_overflow_detected(self):
         remap = PiecewiseRemap(6, [1])
         keys = np.arange(5, dtype=np.uint64)
-        assert not layout_fits(remap, keys, bucket_capacity=4)
+        assert fit_counts(remap, keys, bucket_capacity=4) is None
 
     def test_extra_key_counted(self):
         remap = PiecewiseRemap(6, [1])
         keys = np.arange(4, dtype=np.uint64)
-        assert layout_fits(remap, keys, 4)
-        assert not layout_fits(remap, keys, 4, extra_key=10)
+        # The returned counts leave the pending key out.
+        assert fit_counts(remap, keys, 5, extra_key=10).tolist() == [4]
+        assert fit_counts(remap, keys, 4) is not None
+        assert fit_counts(remap, keys, 4, extra_key=10) is None
 
 
 class TestCountPieces:
@@ -133,18 +147,20 @@ class TestPlanRemap:
         seg2 = make_segment(domain_bits=8, allocs=(4,), capacity=4)
         for k in [0, 1, 2, 3]:
             seg2.insert(k, k)
-        plan = plan_remap(seg2, insert_key=4, cap=8,
+        lk = seg2.snapshot()[2]
+        plan = plan_remap(seg2, lk, insert_key=4, cap=8,
                           util_threshold=0.6, max_piece_bits=6)
         assert plan is not None
-        lk = seg2.local_keys_array()
-        assert layout_fits(plan, lk, 4, extra_key=4)
+        remap, counts, piece_counts = plan
+        assert fit_counts(remap, lk, 4, extra_key=4).tolist() == counts.tolist()
+        assert int(piece_counts.sum()) == 4
 
     def test_returns_none_when_cap_blocks(self):
         seg = make_segment(domain_bits=3, allocs=(1,), capacity=2, local_depth=3)
         seg.insert(0, 0)
         seg.insert(1, 1)
         # cap equal to current size and keys too clustered to re-spread.
-        plan = plan_remap(seg, insert_key=2, cap=1,
+        plan = plan_remap(seg, seg.snapshot()[2], insert_key=2, cap=1,
                           util_threshold=0.6, max_piece_bits=1)
         assert plan is None
 
@@ -154,17 +170,18 @@ class TestPlanRemap:
         seg = make_segment(domain_bits=10, allocs=(2,), capacity=4)
         for k in range(0, 4):
             assert seg.insert(k, k) == "inserted"
-        plan = plan_remap(seg, insert_key=8, cap=16,
+        lk = seg.snapshot()[2]
+        plan = plan_remap(seg, lk, insert_key=8, cap=16,
                           util_threshold=0.6, max_piece_bits=8)
         assert plan is not None
-        assert plan.n_buckets <= 16
-        assert layout_fits(plan, seg.local_keys_array(), 4, extra_key=8)
+        assert plan[0].n_buckets <= 16
+        assert fit_counts(plan[0], lk, 4, extra_key=8) is not None
 
 
 class TestPlanSplit:
     def test_paper_sizing_multi_piece(self):
         seg = make_segment(domain_bits=8, allocs=(1, 3), capacity=4)
-        left, right = plan_split(seg, cap_child=64)
+        left, right = plan_split(seg, 0, cap_child=64)
         # Children keep slopes with doubled allocations (paper example).
         assert left.n_buckets == 2
         assert right.n_buckets == 6
@@ -176,13 +193,13 @@ class TestPlanSplit:
         # insert lands in a non-full bucket.
         for k in (0, 1, 2, 3, 64, 65, 66, 67):
             assert seg.insert(k, k) == "inserted"
-        left, right = plan_split(seg, cap_child=64)
+        left, right = plan_split(seg, 8, cap_child=64)
         assert left.n_buckets == 4  # 2 * ceil(8/4)
         assert right.n_buckets == 1
 
     def test_cap_clamps_children(self):
         seg = make_segment(domain_bits=8, allocs=(8, 8), capacity=4)
-        left, right = plan_split(seg, cap_child=4)
+        left, right = plan_split(seg, 0, cap_child=4)
         assert left.n_buckets <= 4 and right.n_buckets <= 4
 
 

@@ -23,6 +23,7 @@ from repro.api.protocol import (
     BatchOpsProtocol,
     IndexProtocol,
     RangeOpsMixin,
+    batch_columns,
     batch_pairs,
     is_batch_index,
     is_index,
@@ -33,6 +34,7 @@ __all__ = [
     "BatchOpsProtocol",
     "IndexProtocol",
     "RangeOpsMixin",
+    "batch_columns",
     "batch_pairs",
     "is_batch_index",
     "is_index",

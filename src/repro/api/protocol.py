@@ -108,24 +108,35 @@ def is_batch_index(obj: Any) -> bool:
     return isinstance(obj, BatchOpsProtocol)
 
 
-def batch_pairs(keys, values=None) -> List[Tuple[int, Any]]:
-    """Normalise the two accepted ``insert_many`` shapes to pairs.
+def batch_columns(keys, values=None) -> Tuple[List[int], List[Any]]:
+    """Normalise the two accepted ``insert_many`` shapes to two columns.
 
     ``insert_many(keys, values)`` (two parallel sequences, the typed
-    contract) and ``insert_many(pairs)`` (one iterable of ``(key,
-    value)`` tuples, the pre-protocol form) both funnel through here,
-    so every implementation supports both without duplicating the
-    dispatch.
+    contract) passes through -- lists are handed on, not copied -- and
+    ``insert_many(pairs)`` (one iterable of ``(key, value)`` tuples,
+    the pre-protocol form) is unzipped.  Implementations that forward
+    a batch as columns (WAL ``BATCH2`` record, shard pipes, columnar
+    engine) use this, so a batch is not re-zipped at every layer.
     """
     if values is None:
-        return list(keys)
-    keys = list(keys)
-    values = list(values)
+        pairs = list(keys)
+        return [k for k, _ in pairs], [v for _, v in pairs]
+    if type(keys) is not list:
+        keys = list(keys)
+    if type(values) is not list:
+        values = list(values)
     if len(keys) != len(values):
         raise ValueError(
             f"insert_many: {len(keys)} keys but {len(values)} values"
         )
-    return list(zip(keys, values))
+    return keys, values
+
+
+def batch_pairs(keys, values=None) -> List[Tuple[int, Any]]:
+    """:func:`batch_columns` for implementations that loop over pairs."""
+    if values is None:
+        return list(keys)
+    return list(zip(*batch_columns(keys, values)))
 
 
 class BatchOpsMixin:

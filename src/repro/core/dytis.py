@@ -25,7 +25,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api.protocol import batch_pairs
+from repro.api.protocol import batch_columns
 from repro.core import bulkload
 from repro.core.config import DyTISConfig
 from repro.core.invariants import require
@@ -1222,24 +1222,22 @@ class DyTIS:
         key and invalidates the cached routing state, so structural
         behaviour is identical to sequential insertion.
         """
-        pairs = batch_pairs(keys, values)
-        if not pairs:
+        keys, values = batch_columns(keys, values)
+        n = len(keys)
+        if not n:
             return
-        n = len(pairs)
         try:
-            arr = np.fromiter((p[0] for p in pairs), dtype=np.uint64, count=n)
+            arr = np.fromiter(keys, dtype=np.uint64, count=n)
         except (OverflowError, TypeError, ValueError):
+            arr = None
+        if arr is None or int(arr.max()) >= self._key_limit:
             # Out-of-domain keys: let the scalar path raise with
             # sequential semantics (prior pairs applied).
-            for key, value in pairs:
-                self.insert(key, value)
-            return
-        if int(arr.max()) >= self._key_limit:
-            for key, value in pairs:
+            for key, value in zip(keys, values):
                 self.insert(key, value)
             return
         sk, src, _ = self._sorted_batch(arr)
-        vals = [pairs[i][1] for i in src.tolist()]
+        vals = [values[i] for i in src.tolist()]
         if self._columnar:
             self._insert_many_columnar(sk, vals)
             return

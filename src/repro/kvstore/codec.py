@@ -39,7 +39,15 @@ def dump_value(value: Any) -> bytes:
 
 
 def load_value(data: bytes) -> Any:
-    """Inverse of :func:`dump_value`."""
+    """Inverse of :func:`dump_value`.
+
+    Mirrors its int fast path: all-digit bytes with no leading zero are
+    exactly what ``str(int)`` emits for a non-negative int, and exactly
+    the digit strings JSON accepts (``"007"`` is not JSON), so the fast
+    path decodes nothing ``json.loads`` would refuse.
+    """
+    if data.isdigit() and (data[0] != 0x30 or len(data) == 1):
+        return int(data)
     return json.loads(data.decode("utf-8"))
 
 

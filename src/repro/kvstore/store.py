@@ -13,7 +13,7 @@ import threading
 import warnings
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.api import batch_pairs, is_batch_index
+from repro.api import batch_columns, is_batch_index
 from repro.core import ConcurrentDyTIS, DyTIS, DyTISConfig
 from repro.kvstore.codec import CodecError, KeyCodec, UintCodec
 
@@ -50,6 +50,9 @@ class KVStore:
         # with the five core methods, so the namespaces keep loop
         # fallbacks for minimal (e.g. scan-only) indexes.
         self._index_is_batch = is_batch_index(self._index)
+        # A process fleet serves an epoch's reads and writes in one
+        # message per shard; in-process indexes have no such call.
+        self._index_read_write = getattr(self._index, "read_write_many", None)
         self._index_has_scan_range = hasattr(self._index, "scan_range")
         self._index_has_count_range = hasattr(self._index, "count_range")
         self._namespaces: dict = {}
@@ -111,6 +114,8 @@ class Namespace:
         self.codec = codec
         self._base = ns_id << store._payload_bits
         self._span = 1 << store._payload_bits
+        if store._index_read_write is not None:
+            self.read_write_many = self._read_write_many
 
     def _encode(self, key) -> int:
         return self._base | self.codec.encode(key)
@@ -174,15 +179,27 @@ class Namespace:
 
         Accepts ``(keys, values)`` parallel sequences (the typed
         contract) or one iterable of pairs (the legacy form) and hands
-        the encoded batch to the index's ``insert_many``.
+        the encoded key column and the value column to the index's
+        ``insert_many``.
         """
         index = self.store.index
-        encoded = [(self._encode(k), v) for k, v in batch_pairs(keys, values)]
+        keys, values = batch_columns(keys, values)
+        encoded = [self._encode(k) for k in keys]
         if self.store._index_is_batch:
-            index.insert_many(encoded)
+            index.insert_many(encoded, values)
         else:
-            for full, value in encoded:
+            for full, value in zip(encoded, values):
                 index.insert(full, value)
+
+    def _read_write_many(self, read_keys, keys, values) -> List[Any]:
+        """``index.read_write_many`` over the encoded key columns (a
+        bad key raises before anything is sent).  Bound as
+        ``read_write_many`` only over an index that has the call -- a
+        fleet -- which is how the server finds out."""
+        encode = self._encode
+        return self.store._index_read_write(
+            [encode(k) for k in read_keys], [encode(k) for k in keys], values
+        )
 
     def __contains__(self, key) -> bool:
         return self._encode(key) in self.store.index

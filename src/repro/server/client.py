@@ -69,7 +69,14 @@ class RemoteIndex:
             data = self._sock.recv(65536)
             if not data:
                 raise ConnectionError("server closed the connection")
-            frames = self._decoder.feed(data)
+            try:
+                frames = self._decoder.feed(data)
+            except frame.FrameError as exc:
+                # Replies ahead of the damage stand; the stream is dead.
+                frames = exc.frames
+                self.close()
+                if not frames:
+                    raise ConnectionError(str(exc)) from None
             if frames:
                 break
         if len(frames) != 1:
@@ -232,13 +239,22 @@ class AsyncRemoteIndex:
         return client
 
     async def _read_loop(self) -> None:
+        feed = self._decoder.feed
+        pop = self._pending.pop
+        closed: Exception = ConnectionError("server closed the connection")
         try:
             while True:
                 data = await self._reader.read(65536)
                 if not data:
                     break
-                for rid, op, payload in self._decoder.feed(data):
-                    fut = self._pending.pop(rid, None)
+                damage = None
+                try:
+                    frames = feed(data)
+                except frame.FrameError as exc:
+                    # Replies ahead of the damage stand; the rest fail.
+                    frames, damage = exc.frames, exc
+                for rid, op, payload in frames:
+                    fut = pop(rid, None)
                     if fut is None or fut.done():
                         continue
                     if op == frame.OP_ERR:
@@ -247,12 +263,12 @@ class AsyncRemoteIndex:
                         )
                     else:
                         fut.set_result(payload)
-        except (frame.FrameError, ConnectionResetError) as exc:
-            self._fail_pending(ConnectionError(str(exc)))
-            return
-        except asyncio.CancelledError:
-            raise
-        self._fail_pending(ConnectionError("server closed the connection"))
+                if damage is not None:
+                    closed = ConnectionError(str(damage))
+                    break
+        except ConnectionResetError as exc:
+            closed = ConnectionError(str(exc))
+        self._fail_pending(closed)
 
     def _fail_pending(self, exc: Exception) -> None:
         for fut in self._pending.values():
@@ -280,7 +296,7 @@ class AsyncRemoteIndex:
         self._next_id += 1
         fut = self._loop.create_future()
         self._pending[request_id] = fut
-        buf += frame.encode_frame(request_id, opcode, payload)
+        frame.encode_frame_into(buf, request_id, opcode, payload)
         return fut
 
     def send_buffer(self, buf: bytearray) -> None:

@@ -37,9 +37,11 @@ from repro.kvstore.codec import dump_value, load_value
 MAX_FRAME_LEN = 16 * 1024 * 1024
 
 _LEN = struct.Struct("<I")
-_HEAD = struct.Struct("<IQB")  # crc32, request_id, opcode
+_LEN_CRC = struct.Struct("<II")  # frame_len, crc32
+_HEADER = struct.Struct("<IIQB")  # frame_len, crc32, request_id, opcode
+_RID_OP = struct.Struct("<QB")
 #: Minimum legal frame_len: crc + request_id + opcode, empty payload.
-_MIN_FRAME_LEN = _HEAD.size
+_MIN_FRAME_LEN = _HEADER.size - _LEN.size
 
 # -- request opcodes --------------------------------------------------------
 OP_PING = 1
@@ -99,7 +101,12 @@ ERR_NAMES = {
 
 
 class FrameError(ValueError):
-    """The byte stream does not contain a structurally valid frame."""
+    """The byte stream does not contain a structurally valid frame;
+    ``frames`` are the valid ones that preceded the damage."""
+
+    def __init__(self, message: str, frames: Sequence["Frame"] = ()):
+        super().__init__(message)
+        self.frames = list(frames)
 
 
 class PayloadError(ValueError):
@@ -111,23 +118,18 @@ class PayloadError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-_RID_OP = struct.Struct("<QB")
-
-
 def encode_frame(request_id: int, opcode: int, payload: bytes = b"") -> bytes:
     """One wire frame; the inverse of what :class:`FrameDecoder` yields."""
     body = _RID_OP.pack(request_id, opcode) + payload
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return _LEN.pack(_MIN_FRAME_LEN + len(payload)) + _LEN.pack(crc) + body
+    return _LEN_CRC.pack(_MIN_FRAME_LEN + len(payload), zlib.crc32(body)) + body
 
 
 def encode_frame_into(
     buf: bytearray, request_id: int, opcode: int, payload: bytes = b""
 ) -> None:
-    """Append one frame to ``buf``: the reply-batching hot path."""
+    """Append one frame to ``buf``: the clients' burst-batching path."""
     body = _RID_OP.pack(request_id, opcode) + payload
-    buf += _LEN.pack(_MIN_FRAME_LEN + len(payload))
-    buf += _LEN.pack(zlib.crc32(body) & 0xFFFFFFFF)
+    buf += _LEN_CRC.pack(_MIN_FRAME_LEN + len(payload), zlib.crc32(body))
     buf += body
 
 
@@ -138,13 +140,21 @@ class FrameDecoder:
     """Incremental frame parser over an arbitrary-chunked byte stream.
 
     ``feed`` returns every complete frame in arrival order and buffers
-    the tail; it raises :class:`FrameError` on the first structurally
-    invalid frame (absurd length, CRC mismatch), after which the
-    stream must be abandoned -- there is no trustworthy resync point.
+    the tail.  A read that starts on a frame boundary -- the common
+    case -- is parsed in place from the ``bytes`` the socket returned:
+    per frame one header unpack, one body slice (what the CRC covers)
+    and the payload cut from it (two small copies beat a ``memoryview``
+    slice at point-op sizes).  On the first structurally invalid frame
+    (absurd length, CRC mismatch) it raises :class:`FrameError`
+    carrying the valid frames decoded before it from this buffer --
+    they must be served however TCP segmented the stream -- after
+    which the stream must be abandoned: there is no trustworthy resync
+    point.
     """
 
     def __init__(self) -> None:
-        self._buf = bytearray()
+        self._buf = bytearray()  # an incomplete frame, across reads
+        self._need = 0  # bytes it takes before the parse can progress
 
     @property
     def pending_bytes(self) -> int:
@@ -152,31 +162,43 @@ class FrameDecoder:
         return len(self._buf)
 
     def feed(self, data: bytes) -> List[Frame]:
-        self._buf.extend(data)
+        pending = self._buf
+        if pending:
+            pending += data
+            if len(pending) < self._need:
+                return []
+            data = bytes(pending)
+            pending.clear()
         frames: List[Frame] = []
-        buf = self._buf
+        append = frames.append
+        unpack_from = _HEADER.unpack_from
+        crc32 = zlib.crc32
+        min_len, max_len = _MIN_FRAME_LEN, MAX_FRAME_LEN
+        n = len(data)
         offset = 0
-        n = len(buf)
-        while True:
-            if offset + _LEN.size > n:
-                break
-            (frame_len,) = _LEN.unpack_from(buf, offset)
-            if not _MIN_FRAME_LEN <= frame_len <= MAX_FRAME_LEN:
+        need = _LEN.size
+        while offset + 4 <= n:
+            if offset + 17 <= n:
+                frame_len, crc, request_id, opcode = unpack_from(data, offset)
+            else:  # the length prefix alone can already be absurd
+                (frame_len,) = _LEN.unpack_from(data, offset)
+            if not min_len <= frame_len <= max_len:
                 raise FrameError(
-                    f"frame length {frame_len} outside "
-                    f"[{_MIN_FRAME_LEN}, {MAX_FRAME_LEN}]"
+                    f"frame length {frame_len} outside [{min_len}, {max_len}]",
+                    frames,
                 )
-            end = offset + _LEN.size + frame_len
+            end = offset + 4 + frame_len
             if end > n:
+                need = 4 + frame_len
                 break
-            crc, request_id, opcode = _HEAD.unpack_from(buf, offset + _LEN.size)
-            body_start = offset + _LEN.size + _LEN.size
-            if zlib.crc32(buf[body_start:end]) & 0xFFFFFFFF != crc:
-                raise FrameError("frame checksum mismatch")
-            payload = bytes(buf[offset + _LEN.size + _HEAD.size : end])
-            frames.append((request_id, opcode, payload))
+            body = data[offset + 8 : end]  # what the CRC covers
+            if crc32(body) != crc:
+                raise FrameError("frame checksum mismatch", frames)
+            append((request_id, opcode, body[9:]))
             offset = end
-        del buf[:offset]
+        if offset < n:
+            pending += data[offset:]
+            self._need = need
         return frames
 
 

@@ -6,28 +6,28 @@ One :class:`IndexServer` exposes a :class:`~repro.kvstore.KVStore` (or
 binary protocol of :mod:`repro.server.frame`.
 
 The performance mechanism is *pipelining with epoch coalescing*.
-Every data frame from every connection lands in one server-wide
-arrival queue; a drain task scheduled for the next event-loop tick
-walks the queue **in arrival order**, cutting it into *epochs*: maximal
-runs of consecutive same-namespace point ops, gets and inserts mixed.
-An epoch is served as one ``get_many`` then one ``insert_many`` (on a
-durable store a single WAL record and one group-committed fsync; on a
-sharded index one scatter RPC per shard and kind).  A get whose key was
-written earlier in its epoch is answered from that pending write, every
-other get reads pre-epoch state, and replies are laid out by arrival
-position, so the reply bytes are those of one-at-a-time execution and
-per-connection request order is preserved exactly.  Read-heavy traffic
-(YCSB-B/C) and mixed traffic (YCSB-A) alike collapse into two store
-calls per tick, while each connection's replies for a tick leave in
-one socket write instead of one write per request.
+Each readable buffer is decoded and queued in one pass; every data
+frame from every connection lands in one server-wide arrival queue; a
+drain task scheduled for the next event-loop tick walks the queue **in
+arrival order**, cutting it into *epochs*: maximal runs of consecutive
+same-namespace point ops, gets and inserts mixed.  An epoch is served
+as one ``get_many`` then one ``insert_many`` (on a durable store a
+single WAL record and one group-committed fsync) -- or, on a sharded
+index, as one ``read_write_many``: one message per touched shard.  A
+get whose key was written earlier in its epoch is answered from that
+pending write, every other get reads pre-epoch state, and replies are
+laid out by arrival position, so the reply bytes are those of
+one-at-a-time execution and per-connection request order is preserved
+exactly.  Each connection's replies for a tick leave in one socket
+write instead of one write per request.
 
 The coalescer's state machine::
 
-    IDLE --first frame enqueued--> SCHEDULED (drain task created)
+    IDLE --first burst enqueued--> SCHEDULED (drain task created)
     SCHEDULED --tick (+max_delay)--> DRAINING
-    DRAINING: pop an epoch (<= max_batch) -> get_many, insert_many
-              -> buffer replies in arrival order
-              -> one write+drain per connection -> queue empty?
+    DRAINING: pop an epoch (<= max_batch) -> one or two store calls
+              -> collect reply frames in arrival order
+              -> one joined write per connection -> queue empty?
                  yes -> IDLE     no (frames arrived mid-drain) -> DRAINING
 
 ``coalesce=False`` gives the naive one-request-per-call server: each
@@ -48,7 +48,7 @@ from repro.kvstore import KVStore
 from repro.server import frame
 from repro.server.metrics import ServerMetrics
 
-_NS_KEY_UNPACK = frame._NS_KEY.unpack
+_NS_KEY = frame._NS_KEY  # the 12-byte head of every point-op payload
 
 #: Per-read timeout and header-line cap for the admin HTTP endpoint.
 _ADMIN_READ_TIMEOUT = 5.0
@@ -92,6 +92,8 @@ class _Connection:
 
 #: One queued request: (conn, request_id, opcode, decoded args, t_enqueue_ns).
 _Entry = Tuple[_Connection, int, int, Any, int]
+#: A drain round's encoded reply frames, per connection, in order.
+_Replies = Dict[_Connection, List[bytes]]
 
 
 class IndexServer:
@@ -237,32 +239,40 @@ class IndexServer:
 
     async def _serve_connection(self, conn: _Connection) -> None:
         coalesce = self.config.coalesce
+        feed = conn.decoder.feed
         while True:
             data = await conn.reader.read(65536)
             if not data:
                 return
+            damage = None
             try:
-                frames = conn.decoder.feed(data)
+                frames = feed(data)
             except frame.FrameError as exc:
+                # The frames ahead of the damage arrived intact and are
+                # served, whichever way TCP cut the stream into reads.
+                frames, damage = exc.frames, exc
+            if coalesce:
+                self._enqueue_burst(conn, frames)
+            else:
+                for request_id, opcode, payload in frames:
+                    await self._handle_naive(conn, request_id, opcode, payload)
+            if damage is not None:
                 # A corrupt stream has no reliable frame boundaries
-                # left: one structured error reply, then hang up.
+                # left: answer what is queued (so the error is this
+                # connection's last reply), one structured error, hang up.
                 self.metrics.record_error(frame.ERR_BAD_FRAME)
+                flushes = self._answer_queue() if coalesce else []
                 conn.writer.write(
                     frame.encode_frame(
                         0,
                         frame.OP_ERR,
-                        frame.encode_err(frame.ERR_BAD_FRAME, str(exc)),
+                        frame.encode_err(frame.ERR_BAD_FRAME, str(damage)),
                     )
                 )
-                await conn.writer.drain()
+                await asyncio.gather(
+                    *flushes, conn.writer.drain(), return_exceptions=True
+                )
                 return
-            if coalesce:
-                t0 = _now()
-                for request_id, opcode, payload in frames:
-                    self._enqueue(conn, request_id, opcode, payload, t0)
-            else:
-                for request_id, opcode, payload in frames:
-                    await self._handle_naive(conn, request_id, opcode, payload)
 
     # -- naive (one-request-per-call) path ------------------------------
 
@@ -279,36 +289,46 @@ class IndexServer:
 
     # -- coalescing path ------------------------------------------------
 
-    def _enqueue(
-        self,
-        conn: _Connection,
-        request_id: int,
-        opcode: int,
-        payload: bytes,
-        t0: int,
-    ) -> None:
-        """Parse eagerly, queue in arrival order, schedule the drain."""
-        try:
-            if self._shutting_down:
-                raise _RequestError(
-                    frame.ERR_SHUTTING_DOWN, "server is shutting down"
-                )
-            # Fast path for the coalescer's bread and butter: a point
-            # get is a fixed 12-byte payload, no dispatch needed.
-            if opcode == frame.OP_GET and len(payload) == 12:
-                args = _NS_KEY_UNPACK(payload)
+    def _enqueue_burst(self, conn: _Connection, frames: List[frame.Frame]) -> None:
+        """Queue one readable buffer's requests in arrival order and
+        schedule the drain.  Point ops are parsed right here, in the
+        pass that queues them; every other opcode and a GET of the
+        wrong size go through :meth:`_parse`.  A request that does not
+        parse, or arrives during shutdown, is answered at once and
+        never queued.
+        """
+        t0 = _now()
+        push = self._queue.append
+        OP_GET, OP_INSERT = frame.OP_GET, frame.OP_INSERT
+        unpack = _NS_KEY.unpack_from
+        decode_key_value = frame.decode_key_value
+        shutting_down = self._shutting_down
+        for request_id, opcode, payload in frames:
+            try:
+                if shutting_down:
+                    raise _RequestError(
+                        frame.ERR_SHUTTING_DOWN, "server is shutting down"
+                    )
+                if opcode == OP_GET and len(payload) == 12:
+                    args = unpack(payload)
+                elif opcode == OP_INSERT:
+                    args = decode_key_value(payload)
+                else:
+                    args = self._parse(opcode, payload)
+            except frame.PayloadError as exc:
+                code, msg = frame.ERR_BAD_PAYLOAD, str(exc)
+            except _RequestError as exc:
+                code, msg = exc.code, exc.msg
             else:
-                args = self._parse(opcode, payload)
-        except _RequestError as exc:
-            self.metrics.record_error(exc.code)
+                push((conn, request_id, opcode, args, t0))
+                continue
+            self.metrics.record_error(code)
             conn.writer.write(
                 frame.encode_frame(
-                    request_id, frame.OP_ERR, frame.encode_err(exc.code, exc.msg)
+                    request_id, frame.OP_ERR, frame.encode_err(code, msg)
                 )
             )
-            return
-        self._queue.append((conn, request_id, opcode, args, t0))
-        if self._drain_task is None:
+        if self._queue and self._drain_task is None:
             self._drain_task = asyncio.get_event_loop().create_task(
                 self._drain_loop()
             )
@@ -320,13 +340,7 @@ class IndexServer:
             # to the batch; max_delay lingers longer for bigger runs.
             await asyncio.sleep(self.config.max_delay)
             while self._queue:
-                replies: Dict[_Connection, bytearray] = {}
-                self._drain_once(replies)
-                flushes = []
-                for conn, buf in replies.items():
-                    if conn.alive:
-                        conn.writer.write(bytes(buf))
-                        flushes.append(conn.writer.drain())
+                flushes = self._answer_queue()
                 if flushes:
                     await asyncio.gather(*flushes, return_exceptions=True)
         finally:
@@ -338,7 +352,19 @@ class IndexServer:
                     self._drain_loop()
                 )
 
-    def _drain_once(self, replies: Dict[_Connection, bytearray]) -> None:
+    def _answer_queue(self) -> list:
+        """Serve everything queued and hand each connection its replies
+        as one write; returns the writers' flushes, to be awaited."""
+        replies: _Replies = {}
+        self._drain_once(replies)
+        flushes = []
+        for conn, chunks in replies.items():
+            if conn.alive:
+                conn.writer.write(b"".join(chunks))
+                flushes.append(conn.writer.drain())
+        return flushes
+
+    def _drain_once(self, replies: _Replies) -> None:
         """Serve the queued requests, one epoch of point ops at a time.
 
         Processes the queue snapshot in arrival order.  An *epoch* is
@@ -373,7 +399,7 @@ class IndexServer:
         ns_id: int,
         epoch: List[_Entry],
         mixed: bool,
-        replies: Dict[_Connection, bytearray],
+        replies: _Replies,
     ) -> None:
         """One ``get_many`` then one ``insert_many`` for a whole epoch.
 
@@ -414,24 +440,44 @@ class IndexServer:
             reads = ()
             w_keys = [e[3][1] for e in epoch]
             w_vals = [e[3][2] for e in epoch]
-        encode_into = frame.encode_frame_into
+        encode_frame = frame.encode_frame
         OP_OK = frame.OP_OK
         # One bad request must not poison the epoch (requests of other
         # connections share it): the fallbacks re-serve per request, as
         # the naive path would, so only the offender gets an error.
+        merged = None
+        values: Sequence[Any] = ()
         try:
             ns = self._ns(ns_id)
-            if r_keys:
+            if mixed:
+                # A fleet serves both sides in one message per shard.
+                merged = getattr(ns, "read_write_many", None)
+            if merged is not None:
+                values = merged(r_keys, w_keys, w_vals)
+                w_keys = []  # applied: nothing left for insert_many
+            elif r_keys:
                 values = ns.get_many(r_keys)
-                if mixed:
-                    for i, value in zip(reads, values):
-                        payloads[i] = encode_value(value)
-                else:
-                    payloads = [encode_value(v) for v in values]
-        except Exception:  # noqa: BLE001 -- op failure, not server
-            # Nothing is written yet: re-serve the whole epoch.
-            for entry in epoch:
-                self._serve_single(*entry, replies)
+            if mixed:
+                for i, value in zip(reads, values):
+                    payloads[i] = encode_value(value)
+            elif r_keys:
+                payloads = [encode_value(v) for v in values]
+        except Exception as exc:  # noqa: BLE001 -- op failure, not server
+            if merged is None or isinstance(exc, ValueError):
+                # No read of this epoch can have missed a write: with
+                # reads to serve, the merged call raises ValueError only
+                # before it sends (anything later is a ShardError).
+                # Re-serve the whole epoch.
+                for entry in epoch:
+                    self._serve_single(*entry, replies)
+            else:
+                # A shard failed after the scatter: healthy shards may
+                # hold this epoch's writes, and a re-served GET could
+                # observe a write that arrived after it.
+                for entry in epoch:
+                    self._reply_error(
+                        entry, frame.ERR_OP_FAILED, repr(exc), replies
+                    )
             return
         if w_keys:
             try:
@@ -445,8 +491,9 @@ class IndexServer:
                 taken = set(reads)
                 for i, entry in enumerate(epoch):
                     if i in taken:
-                        buf = replies.setdefault(entry[0], bytearray())
-                        encode_into(buf, entry[1], OP_OK, payloads[i])
+                        replies.setdefault(entry[0], []).append(
+                            encode_frame(entry[1], OP_OK, payloads[i])
+                        )
                     else:
                         self._serve_single(*entry, replies)
                 if taken:
@@ -468,10 +515,10 @@ class IndexServer:
                 "insert" if w_keys else "get", [done - e[4] for e in epoch]
             )
         for (conn, request_id, _, _, _), payload in zip(epoch, payloads):
-            buf = replies.get(conn)
-            if buf is None:
-                buf = replies[conn] = bytearray()
-            encode_into(buf, request_id, OP_OK, payload)
+            chunks = replies.get(conn)
+            if chunks is None:
+                chunks = replies[conn] = []
+            chunks.append(encode_frame(request_id, OP_OK, payload))
 
     def _serve_single(
         self,
@@ -480,30 +527,40 @@ class IndexServer:
         opcode: int,
         args: Any,
         t0: int,
-        replies: Dict[_Connection, bytearray],
+        replies: _Replies,
     ) -> None:
-        metrics = self.metrics
         try:
             reply_op, payload = self._execute_parsed(opcode, args)
-        except _RequestError as exc:
-            metrics.record_error(exc.code)
-            reply_op, payload = (
-                frame.OP_ERR,
-                frame.encode_err(exc.code, exc.msg),
-            )
         except Exception as exc:  # noqa: BLE001
-            metrics.record_error(frame.ERR_OP_FAILED)
-            reply_op, payload = (
-                frame.OP_ERR,
-                frame.encode_err(frame.ERR_OP_FAILED, repr(exc)),
-            )
-        # Record error replies too, so requests_total and the latency
-        # histograms count the same population as the naive path.
+            if isinstance(exc, _RequestError):
+                code, msg = exc.code, exc.msg
+            else:
+                code, msg = frame.ERR_OP_FAILED, repr(exc)
+            entry = (conn, request_id, opcode, args, t0)
+            self._reply_error(entry, code, msg, replies)
+            return
         name = frame.OP_NAMES.get(opcode)
         if name is not None:
-            metrics.record_request(name, _now() - t0)
-        replies.setdefault(conn, bytearray()).extend(
+            self.metrics.record_request(name, _now() - t0)
+        replies.setdefault(conn, []).append(
             frame.encode_frame(request_id, reply_op, payload)
+        )
+
+    def _reply_error(
+        self, entry: _Entry, code: int, msg: str, replies: _Replies
+    ) -> None:
+        """Answer a queued request with an error.  Error replies are
+        recorded too, so requests_total and the latency histograms
+        count the same population as the naive path."""
+        conn, request_id, opcode, _, t0 = entry
+        self.metrics.record_error(code)
+        name = frame.OP_NAMES.get(opcode)
+        if name is not None:
+            self.metrics.record_request(name, _now() - t0)
+        replies.setdefault(conn, []).append(
+            frame.encode_frame(
+                request_id, frame.OP_ERR, frame.encode_err(code, msg)
+            )
         )
 
     # -- request parsing and execution ----------------------------------

@@ -23,6 +23,7 @@ import struct
 import zlib
 from typing import Any, List, Optional, Tuple
 
+from repro.api.protocol import batch_columns
 from repro.core import DyTIS, DyTISConfig
 from repro.wal import record as rec
 from repro.wal.faultfs import OsFS, join
@@ -222,15 +223,13 @@ class DurableShardIndex:
         self.index.insert(key, value)
 
     def insert_many(self, keys, values=None) -> None:
-        from repro.api.protocol import batch_pairs
-
-        pairs = batch_pairs(keys, values)
-        if not pairs:
+        keys, values = batch_columns(keys, values)
+        if not keys:
             return
-        ks = [k for k, _ in pairs]
-        vs = [v for _, v in pairs]
-        self.wal.append(rec.OP_BATCH2, rec.encode_batch2(ks, vs), ops=len(ks))
-        self.index.insert_many(ks, vs)
+        self.wal.append(
+            rec.OP_BATCH2, rec.encode_batch2(keys, values), ops=len(keys)
+        )
+        self.index.insert_many(keys, values)
 
     def bulk_load(self, keys, values) -> None:
         keys = list(keys)

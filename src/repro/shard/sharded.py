@@ -14,7 +14,10 @@ Request flow:
 - **Point writes** route to the owning worker over its control pipe.
 - **Batch ops** scatter: one vectorized routing pass partitions the
   key column by shard, each shard gets one RPC with its slice, and the
-  router restores caller order from the partition's index arrays.
+  router restores caller order from the partition's index arrays.  A
+  mixed epoch (:meth:`ShardedIndex.read_write_many`: reads, then
+  writes) is still one message per touched shard; ``get_many`` and
+  ``insert_many`` are its one-sided cases.
 - **Range ops** consult :meth:`ShardRouter.range_plan`: ordered plans
   concatenate per-shard results; unordered plans heap-merge by key.
 - **Point reads** try the shard's published shared-memory column
@@ -37,11 +40,12 @@ from __future__ import annotations
 import heapq
 import multiprocessing as mp
 import weakref
+from bisect import bisect_left
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.protocol import batch_pairs
+from repro.api.protocol import batch_columns
 from repro.core import DyTISConfig
 from repro.shard import metrics as shard_metrics
 from repro.shard.routing import ShardRouter
@@ -420,16 +424,22 @@ class ShardedIndex:
 
     def _partition(self, keys: Sequence[int]) -> List[Tuple[int, List[int]]]:
         """``[(shard, positions)]`` for the non-empty shards, one
-        vectorized routing pass (a lone key routes as a point op)."""
+        vectorized routing pass (a lone key routes as a point op);
+        ``ValueError`` for a key outside the key space, like
+        :meth:`ShardRouter.shard_of`, before any pipe is written."""
         if len(keys) == 1:
             return [(self.router.shard_of(keys[0]), [0])]
+        key_bits = self.router.key_bits
         try:
             arr = np.asarray(keys, dtype=np.uint64)
+            in_range = (
+                key_bits == 64 or not arr.size or int(arr.max()) >> key_bits == 0
+            )
         except OverflowError:
-            bad = next(k for k in keys if not 0 <= k < 1 << 64)
-            raise ValueError(
-                f"key {bad} outside [0, 2^{self.router.key_bits})"
-            ) from None
+            in_range = False
+        if not in_range:
+            bad = next(k for k in keys if not 0 <= k < 1 << key_bits)
+            raise ValueError(f"key {bad} outside [0, 2^{key_bits})")
         shards = self.router.route_array(arr)
         out = []
         for s in range(self.n_shards):
@@ -438,48 +448,74 @@ class ShardedIndex:
                 out.append((s, pos.tolist()))
         return out
 
-    def _scatter_pairs(
-        self, op: str, ks: List[int], vs: List[Any]
-    ) -> None:
-        """Send each shard its slice of a key/value batch as one ``op``."""
-        requests = []
-        for shard, pos in self._partition(ks):
-            requests.append(
-                (shard, op, ([ks[i] for i in pos], [vs[i] for i in pos]))
-            )
-            self._note_mutation(shard, n=len(pos))
-        if requests:
-            self._scatter(requests)
+    def read_write_many(
+        self,
+        read_keys: Sequence[int],
+        keys: Sequence[int],
+        values: Sequence[Any],
+    ) -> List[Optional[Any]]:
+        """The values of ``read_keys`` as of before the call, then
+        ``insert_many(keys, values)``: a mixed epoch as one routing
+        pass and one message (one worker activation) per touched shard.
+        A shard whose published column is exact serves its reads
+        in-process and is sent its writes only.
 
-    def get_many(self, keys: Sequence[int]) -> List[Optional[Any]]:
-        keys = list(keys)
-        if not keys:
-            return []
-        out: List[Optional[Any]] = [None] * len(keys)
-        remote: List[Tuple[int, str, tuple]] = []
+        A length mismatch or an out-of-range key raises ``ValueError``
+        before anything is sent: nothing was applied.  A
+        :class:`ShardError` comes after the scatter: healthy shards may
+        have applied their writes, so replayed reads could see them.
+        That holds for a worker's own error too when the call has both
+        sides; the one-sided cases keep its builtin type
+        (:func:`_raise_remote`), as ``get_many``/``insert_many`` always
+        have.
+        """
+        if len(keys) != len(values):
+            raise ValueError(
+                f"insert_many: {len(keys)} keys but {len(values)} values"
+            )
+        both = [*read_keys]
+        n_reads = len(both)
+        both += keys
+        out: List[Optional[Any]] = [None] * n_reads
+        requests: List[Tuple[int, str, tuple]] = []
         remote_pos: List[List[int]] = []
-        for shard, pos in self._partition(keys):
-            sub = [keys[i] for i in pos]
-            col = self._column_for_read(shard)
+        for shard, pos in self._partition(both):
+            cut = bisect_left(pos, n_reads)  # reads | writes, both ascending
+            reads, writes = pos[:cut], pos[cut:]
+            sub = [both[i] for i in reads]
+            col = self._column_for_read(shard) if reads else None
             if col is not None:
-                for i, v in zip(pos, col.get_many(sub)):
+                for i, v in zip(reads, col.get_many(sub)):
                     out[i] = v
-            else:
-                remote.append((shard, "get_many", (sub,)))
-                remote_pos.append(pos)
-        if remote:
-            for pos, vals in zip(remote_pos, self._scatter(remote)):
-                for i, v in zip(pos, vals):
+                reads = sub = []
+                if not writes:
+                    continue
+            w_keys = [both[i] for i in writes]
+            w_vals = [values[i - n_reads] for i in writes]
+            requests.append((shard, "read_write_many", (sub, w_keys, w_vals)))
+            remote_pos.append(reads)
+            if writes:
+                self._note_mutation(shard, n=len(writes))
+        if requests:
+            try:
+                results = self._scatter(requests)
+            except Exception as exc:
+                if isinstance(exc, ShardError) or not (n_reads and keys):
+                    raise
+                # Phase, not type, is what the caller acts on.
+                raise ShardError(f"after the scatter: {exc!r}") from exc
+            for pos, found in zip(remote_pos, results):
+                for i, v in zip(pos, found):
                     out[i] = v
         return out
+
+    def get_many(self, keys: Sequence[int]) -> List[Optional[Any]]:
+        return self.read_write_many(keys, (), ())
 
     def insert_many(
         self, keys: Sequence[int], values: Optional[Sequence[Any]] = None
     ) -> None:
-        pairs = batch_pairs(keys, values)
-        self._scatter_pairs(
-            "insert_many", [k for k, _ in pairs], [v for _, v in pairs]
-        )
+        self.read_write_many((), *batch_columns(keys, values))
 
     def bulk_load(self, keys: Sequence[int], values: Sequence[Any]) -> None:
         """Partitioned bulk load; publishes every column afterwards so
@@ -488,7 +524,14 @@ class ShardedIndex:
         vs = list(values)
         if len(ks) != len(vs):
             raise ValueError(f"bulk_load: {len(ks)} keys but {len(vs)} values")
-        self._scatter_pairs("bulk_load", ks, vs)
+        requests = []
+        for shard, pos in self._partition(ks):
+            requests.append(
+                (shard, "bulk_load", ([ks[i] for i in pos], [vs[i] for i in pos]))
+            )
+            self._note_mutation(shard, n=len(pos))
+        if requests:
+            self._scatter(requests)
         if self._serve_columns:
             self.refresh_columns()
 

@@ -132,11 +132,18 @@ def worker_main(conn, spec: ShardSpec) -> None:
             obs = Observability()
         return shard_metrics.dump_worker_metrics(obs, counters)
 
+    def _read_write_many(read_keys, keys, values):
+        """A shard's slice of an epoch: the reads (pre-write state),
+        then the writes as one batch (one ``BATCH2`` WAL record)."""
+        found = index.get_many(read_keys) if read_keys else []
+        if keys:
+            index.insert_many(keys, values)
+        return found
+
     handlers = {
         "get": lambda key: index.get(key),
-        "get_many": lambda keys: index.get_many(keys),
         "insert": lambda key, value: index.insert(key, value),
-        "insert_many": lambda keys, values: index.insert_many(keys, values),
+        "read_write_many": _read_write_many,
         "bulk_load": lambda keys, values: index.bulk_load(keys, values),
         "delete": lambda key: index.delete(key),
         "delete_range": lambda low, high: index.delete_range(low, high),

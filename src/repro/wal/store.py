@@ -29,7 +29,7 @@ import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.api import batch_pairs, is_batch_index
+from repro.api import batch_columns, is_batch_index
 from repro.kvstore import KVStore, SnapshotCorruptError, load_snapshot_bytes
 from repro.kvstore.codec import KeyCodec
 from repro.kvstore.snapshot import read_snapshot_header
@@ -400,15 +400,14 @@ class DurableNamespace:
             self._index.insert(full, value)
 
     def insert_many(self, keys, values=None) -> None:
-        pairs = batch_pairs(keys, values)
-        if not pairs:
+        keys, values = batch_columns(keys, values)
+        if not keys:
             return
         # Encode once: the same full keys feed the log record and the
         # in-memory apply.  One columnar OP_BATCH2 record covers the
         # whole batch (keys packed as one u64 column), so the durable
         # batch path costs a single append + a single index splice.
-        keys = [self._ns._encode(k) for k, _ in pairs]
-        values = [v for _, v in pairs]
+        keys = [self._ns._encode(k) for k in keys]
         with self._store._lock:
             self._store.wal.append(
                 rec.OP_BATCH2,

@@ -166,3 +166,70 @@ def test_composite_with_empty_string_component():
     codec = CompositeCodec(StringCodec(max_length=2), UintCodec(8))
     key = ("", 255)
     assert codec.decode(codec.encode(key)) == key
+
+
+# -- the value codec -----------------------------------------------------------
+
+import json  # noqa: E402
+
+from repro.kvstore.codec import dump_value, load_value  # noqa: E402
+from repro.server import frame  # noqa: E402
+from repro.wal import record as rec  # noqa: E402
+
+_json_values = st.recursive(
+    st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=6),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@given(_json_values)
+@settings(max_examples=300, deadline=None)
+def test_load_value_inverts_dump_value(value):
+    raw = dump_value(value)
+    got = load_value(raw)
+    assert got == value and type(got) is type(value)
+    # Every decoder built on it inherits the round trip.
+    assert frame.decode_value(frame.encode_value(value)) == value
+    assert frame.decode_key_value(frame.encode_key_value(3, 9, value)) == (3, 9, value)
+    assert frame.decode_batch(frame.encode_batch(1, [5, 6], [value, 0])) == (
+        1, [5, 6], [value, 0]
+    )
+    assert rec.decode_batch2(rec.encode_batch2([7], [value])) == ([7], [value])
+
+
+_digitish = st.text(alphabet="0123456789-+. eE", max_size=6).map(str.encode)
+
+
+@given(st.one_of(_digitish, st.binary(max_size=6)))
+@settings(max_examples=500, deadline=None)
+def test_load_value_is_exactly_as_strict_as_json(raw):
+    """The int fast path accepts nothing ``json.loads`` rejects (and
+    decodes to the same value): ``007``, ``+1``, the empty string and
+    stray bytes all still fail."""
+    try:
+        want = json.loads(raw.decode("utf-8"))
+    except ValueError:
+        with pytest.raises(ValueError):
+            load_value(raw)
+    else:
+        got = load_value(raw)
+        assert got == want and type(got) is type(want)
+
+
+def test_load_value_fast_path_edges():
+    assert load_value(b"0") == 0 and load_value(b"10") == 10
+    assert load_value(b"-7") == -7 and load_value(b"1.5") == 1.5
+    for bad in (b"007", b"00", b"", b"1 2", b"\xb2"):
+        with pytest.raises(ValueError):
+            load_value(bad)
+    with pytest.raises(frame.PayloadError):
+        frame.decode_value(b"007")

@@ -18,7 +18,7 @@ segment size').
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import index as _as_int
 from time import perf_counter_ns as _now
 from typing import Any, Iterator, List, Optional, Tuple
@@ -218,8 +218,9 @@ class DyTIS:
     #
     # ``get`` and ``insert`` run flat: key check, table and directory
     # lookup (for ``insert`` also the remap arithmetic and
-    # ``_note_write``) are inlined, leaving one Python frame (insert) or
-    # two (get) between the method and the engine's C ``bisect``.
+    # ``_note_write``, for a columnar ``get`` the live-prefix hit
+    # check) are inlined, leaving one Python frame (insert) or none
+    # (get) between the method and the engine's C ``bisect``.
 
     def get(self, key: int) -> Optional[Any]:
         """Value stored under ``key``, or None ('not exist')."""
@@ -233,9 +234,23 @@ class DyTIS:
         table = self._tables[key >> m]
         if table is None:
             return None
-        return table.dir[
-            (key & self._local_mask) >> (m - table.global_depth)
-        ].get(key)
+        seg = table.dir[(key & self._local_mask) >> (m - table.global_depth)]
+        store = seg.store
+        if not self._columnar:
+            return store.get(seg.remap.bucket_of(key & seg._mask), key)
+        # ``ColumnarStorage.probe_key``'s first step inlined: the last
+        # slot <= key is a hit when it lies in its bucket's live prefix.
+        karr = store._karr
+        pos = bisect_right(karr, key) - 1
+        if pos < 0 or karr[pos] != key:
+            return None
+        cap = store.capacity
+        b = pos // cap
+        i = pos - b * cap
+        if i < store.counts[b]:
+            return store.values[b][i]
+        # Padding equal to ``key``: the store walks back over it.
+        return store.probe_key(key)[1]
 
     def _get_observed(self, key: int) -> Optional[Any]:
         """``get`` with latency + probe-depth recording (same semantics)."""

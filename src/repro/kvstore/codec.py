@@ -74,11 +74,14 @@ class UintCodec(KeyCodec):
         self._limit = 1 << bits
 
     def encode(self, key: int) -> int:
+        # A plain in-range int answers on the first test.
+        if type(key) is int and 0 <= key < self._limit:
+            return key
         if not isinstance(key, int) or isinstance(key, bool):
             raise CodecError(f"expected int, got {type(key).__name__}")
         if not 0 <= key < self._limit:
             raise CodecError(f"{key} out of range [0, 2^{self.bits})")
-        return key
+        return key  # an in-range int subclass
 
     def decode(self, value: int) -> int:
         return value

@@ -3,7 +3,9 @@
 An in-memory store still needs a way off the machine: snapshots dump
 every namespace's records to a JSONL file and restore them into a fresh
 store.  Values must be JSON-serialisable (the usual embedded-store
-contract); keys round-trip through each namespace's codec.
+contract); keys are stored codec-*encoded*, so the writer streams them
+straight from the index (``scan_range`` over each namespace's span) and
+the v2 loader hands each namespace's column to one ``insert_many``.
 
 Format (version 2): a header line carrying the format version, the
 namespace table, the record count, and a CRC32 over the entire body,
@@ -55,15 +57,17 @@ def dump_snapshot_bytes(
     fields are ignored on load, so they never break older readers.
     """
     lines = []
+    dumps = json.dumps
     for name in store.namespaces():
         ns = store.namespace(name)
-        for key, value in ns.items():
-            record = {
-                "ns": name,
-                "key": ns.codec.encode(key),
-                "value": value,
-            }
-            lines.append(json.dumps(record) + "\n")
+        base = ns._base
+        # Streamed from the index (encoded key = index key - base);
+        # each line is what ``json.dumps`` of the record dict emits
+        # (``str(int)`` is its int encoding, as in ``dump_value``).
+        prefix = f'{{"ns": {dumps(name)}, "key": '
+        for full, value in ns._full_items():
+            text = str(value) if type(value) is int else dumps(value)
+            lines.append(f'{prefix}{full - base}, "value": {text}}}\n')
     body = "".join(lines).encode("utf-8")
     header = {
         "version": _FORMAT_VERSION,
@@ -143,31 +147,41 @@ def load_snapshot_bytes(store: KVStore, data: bytes, source: str = "snapshot") -
                 f"loading: {missing}"
             )
 
-    records = []
+    # One (encoded keys, values) column pair per namespace, file order.
+    columns: Dict[str, tuple] = {}
+    count = 0
     for lineno, line in enumerate(body.splitlines(), 2 if version else 1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-            records.append((record["ns"], record["key"], record["value"]))
+            keys, values = columns.setdefault(record["ns"], ([], []))
+            keys.append(record["key"])
+            values.append(record["value"])
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise SnapshotCorruptError(
                 f"{source}: bad record on line {lineno}: {exc}"
             ) from None
-    if version >= 2 and header.get("records") != len(records):
+        count += 1
+    if version >= 2 and header.get("records") != count:
         raise SnapshotCorruptError(
             f"{source}: header promises {header.get('records')} records, "
-            f"body holds {len(records)}"
+            f"body holds {count}"
         )
 
-    for ns_name, key, value in records:
+    for ns_name, (keys, values) in columns.items():
         if ns_name not in store.namespaces():
             raise SnapshotError(
                 f"open namespace {ns_name!r} (with its codec) before loading"
             )
         ns = store.namespace(ns_name)
-        ns.insert(ns.codec.decode(key), value)
-    return len(records)
+        if version >= 2:
+            # Verified, and written grouped and key-ordered: one batch.
+            ns._insert_encoded(keys, values)
+        else:
+            for key, value in zip(keys, values):
+                ns.insert(ns.codec.decode(key), value)
+    return count
 
 
 def save_snapshot(store: KVStore, path: Union[str, Path]) -> int:

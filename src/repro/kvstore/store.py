@@ -114,6 +114,9 @@ class Namespace:
         self.codec = codec
         self._base = ns_id << store._payload_bits
         self._span = 1 << store._payload_bits
+        # The scalar read's two callees, bound once (``get`` below).
+        self._encode_key = codec.encode
+        self._index_get = store.index.get
         if store._index_read_write is not None:
             self.read_write_many = self._read_write_many
 
@@ -158,7 +161,7 @@ class Namespace:
         self.insert(key, value)
 
     def get(self, key, default: Any = None) -> Any:
-        found = self.store.index.get(self._encode(key))
+        found = self._index_get(self._base | self._encode_key(key))
         return default if found is None else found
 
     def get_many(self, keys) -> List[Any]:
@@ -182,14 +185,28 @@ class Namespace:
         the encoded key column and the value column to the index's
         ``insert_many``.
         """
-        index = self.store.index
         keys, values = batch_columns(keys, values)
-        encoded = [self._encode(k) for k in keys]
+        self._insert_full([self._encode(k) for k in keys], values)
+
+    def _insert_full(self, full_keys, values) -> None:
+        """Upsert columns of already-prefixed index keys."""
+        index = self.store.index
         if self.store._index_is_batch:
-            index.insert_many(encoded, values)
+            index.insert_many(full_keys, values)
         else:
-            for full, value in zip(encoded, values):
+            for full, value in zip(full_keys, values):
                 index.insert(full, value)
+
+    def _insert_encoded(self, encoded, values) -> None:
+        """Upsert columns of codec-*encoded* keys (a snapshot's), after
+        checking that every one fits this namespace's span."""
+        span = self._span
+        if not all(type(k) is int and 0 <= k < span for k in encoded):
+            raise CodecError(
+                f"encoded key outside namespace {self.name!r}'s span"
+            )
+        base = self._base
+        self._insert_full([base | k for k in encoded], values)
 
     def _read_write_many(self, read_keys, keys, values) -> List[Any]:
         """``index.read_write_many`` over the encoded key columns (a
@@ -285,21 +302,24 @@ class Namespace:
             return index.count_range(lo, hi)
         return len(self.scan_range(low, high))
 
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        """Every pair of this namespace in ascending key order."""
+    def _full_items(self) -> List[Tuple[int, Any]]:
+        """Every ``(prefixed index key, value)`` pair, ascending."""
         index = self.store.index
         if self.store._index_has_scan_range:
-            pairs = index.scan_range(self._base, self._base + self._span)
-        else:
-            pairs = []
-            cursor = self._base
-            end = self._base + self._span
-            while True:
-                batch = index.scan(cursor, 1024)
-                live = [(k, v) for k, v in batch if k < end]
-                pairs.extend(live)
-                if len(live) < len(batch) or not batch:
-                    break
-                cursor = batch[-1][0] + 1
-        for full, value in pairs:
+            return index.scan_range(self._base, self._base + self._span)
+        pairs = []
+        cursor = self._base
+        end = self._base + self._span
+        while True:
+            batch = index.scan(cursor, 1024)
+            live = [(k, v) for k, v in batch if k < end]
+            pairs.extend(live)
+            if len(live) < len(batch) or not batch:
+                break
+            cursor = batch[-1][0] + 1
+        return pairs
+
+    def items(self) -> Iterator[Tuple[Any, Any]]:
+        """Every pair of this namespace in ascending key order."""
+        for full, value in self._full_items():
             yield self.codec.decode(full - self._base), value

@@ -143,7 +143,7 @@ def scan_sealed_segments(
     names = segment_files(fs, wal_dir)
     headed: List[Tuple[int, str, int]] = []  # (seqno, name, base_lsn)
     for name in names:
-        buf = fs.read_bytes(join(wal_dir, name))
+        buf = fs.read_bytes(join(wal_dir, name), rec.SEGMENT_HEADER_SIZE)
         try:
             _, base_lsn = rec.decode_segment_header(buf)
         except rec.WalFormatError:

@@ -12,7 +12,9 @@ replay, never to wrong data.
 
 The protocol, in crash-safe order:
 
-1. serialise the store with the current last LSN in the header,
+0. sync the WAL, then take its last LSN (a checkpoint stamped above the
+   log's durable tail would outlive records the log then re-issues),
+1. serialise the store with that LSN in the header,
 2. ``write_atomic`` the new checkpoint file,
 3. drop older checkpoint files,
 4. rotate the WAL and truncate segments wholly at or below the LSN.

@@ -53,9 +53,8 @@ class OsAppendHandle:
 
     def __init__(self, path: str):
         self._f = open(path, "ab", buffering=1 << 16)
-
-    def append(self, data: bytes) -> None:
-        self._f.write(data)
+        #: ``append(data)`` *is* the buffered file's ``write``.
+        self.append = self._f.write
 
     def flush(self) -> None:
         """Hand buffered bytes to the OS without forcing them to media."""
@@ -86,9 +85,10 @@ class OsFS:
     def listdir(self, path: str) -> List[str]:
         return sorted(os.listdir(path))
 
-    def read_bytes(self, path: str) -> bytes:
+    def read_bytes(self, path: str, size: int = -1) -> bytes:
+        """The file's bytes, or only its first ``size`` (a header read)."""
         with open(path, "rb") as f:
-            return f.read()
+            return f.read(size)
 
     def file_size(self, path: str) -> int:
         return os.path.getsize(path)
@@ -274,13 +274,14 @@ class SimFS:
         }
         return sorted(names)
 
-    def read_bytes(self, path: str) -> bytes:
+    def read_bytes(self, path: str, size: int = -1) -> bytes:
         if self.crashed:
             raise SimulatedCrash("filesystem already crashed")
         if path not in self._files:
             raise FileNotFoundError(path)
         f = self._files[path]
-        return bytes(f.durable) + bytes(f.volatile)
+        data = bytes(f.durable) + bytes(f.volatile)
+        return data if size < 0 else data[:size]
 
     def file_size(self, path: str) -> int:
         return len(self.read_bytes(path))

@@ -11,7 +11,8 @@ Opening an existing directory never appends to the old tail segment:
 its last records may be torn from a crash, and a valid record appended
 after garbage would be unreachable (replay stops at the first bad
 record).  Instead the log scans the tail for the last valid LSN and
-starts a *new* segment at ``last + 1`` -- crash-safe and O(tail), not
+starts a *new* segment at ``last + 1`` (or past the caller's recovered
+``checkpoint_lsn``, if that is higher) -- crash-safe and O(tail), not
 O(log).
 
 ``replay`` yields every record after a caller-supplied LSN across all
@@ -24,7 +25,9 @@ durable history is missing, which must never be papered over.
 
 from __future__ import annotations
 
+from time import monotonic as _clock  # the one clock the log reads
 from typing import Iterator, List, Optional, Tuple
+from zlib import crc32 as _crc32
 
 from repro.wal import record as rec
 from repro.wal.faultfs import (
@@ -35,9 +38,11 @@ from repro.wal.faultfs import (
     segment_seqno,
 )
 from repro.wal.metrics import WalMetrics
-from repro.wal.policy import FsyncPolicy, monotonic, parse_policy
+from repro.wal.policy import FsyncPolicy, parse_policy
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
+_RECORD_BODY = rec._RECORD_BODY
+_RECORD_HEADER_SIZE = rec.RECORD_HEADER_SIZE
 
 
 class RecoveryError(RuntimeError):
@@ -62,13 +67,18 @@ class WriteAheadLog:
         metrics: Optional[WalMetrics] = None,
         on_seal=None,
         retention_pin=None,
+        checkpoint_lsn: int = 0,
     ):
         if segment_size < rec.SEGMENT_HEADER_SIZE + rec.RECORD_HEADER_SIZE:
             raise ValueError("segment_size too small for even one record")
         self.directory = str(directory)
         self.fs = fs if fs is not None else OsFS()
         self.policy: FsyncPolicy = parse_policy(policy)
-        self._policy_timed = getattr(self.policy, "max_interval", None) is not None
+        # The policy as data: sync after this many pending records
+        # and/or seconds (None = no such threshold; no interval, no
+        # clock read in ``append``).
+        self._sync_records = self.policy.max_records
+        self._sync_interval = self.policy.max_interval
         self.segment_size = segment_size
         self.metrics = metrics if metrics is not None else WalMetrics()
         #: Called as ``on_seal(name, seqno, base_lsn, last_lsn)`` when a
@@ -84,15 +94,18 @@ class WriteAheadLog:
         self._handle = None
         self._segment_bytes = 0
         self._pending = 0  # records appended since the last fsync
-        self._last_sync = monotonic()
+        self._last_sync = _clock()
         self._closed = False
 
         last_lsn, next_seqno = self._scan_existing()
-        self.last_lsn = last_lsn  # highest LSN ever acknowledged
-        self.durable_lsn = last_lsn  # highest LSN known fsync-durable
-        self._live_segments = len(segment_files(self.fs, self.directory))
+        # Never restart below a checkpoint the caller recovered: LSNs
+        # at or under it are ones replay skips.
+        last_lsn = max(last_lsn, checkpoint_lsn)
+        m = self.metrics
+        self.last_lsn = m.last_lsn = last_lsn  # highest LSN ever acknowledged
+        self.durable_lsn = m.durable_lsn = last_lsn  # highest known fsync-durable
+        m.live_segments = len(segment_files(self.fs, self.directory))
         self._open_segment(next_seqno, base_lsn=last_lsn + 1)
-        self._update_gauges()
 
     # -- startup --------------------------------------------------------
 
@@ -112,11 +125,14 @@ class WriteAheadLog:
             return 0, 1
         next_seqno = segment_seqno(names[-1]) + 1
         for name in reversed(names):
-            buf = self.fs.read_bytes(join(self.directory, name))
+            path = join(self.directory, name)
             try:
-                _, base_lsn = rec.decode_segment_header(buf)
+                _, base_lsn = rec.decode_segment_header(
+                    self.fs.read_bytes(path, rec.SEGMENT_HEADER_SIZE)
+                )
             except rec.WalFormatError:
                 continue
+            buf = self.fs.read_bytes(path)  # the one segment read whole
             records, _ = rec.decode_records(
                 buf, rec.SEGMENT_HEADER_SIZE, prev_lsn=base_lsn - 1
             )
@@ -138,7 +154,7 @@ class WriteAheadLog:
         self._segment_bytes = len(header)
         self._seqno = seqno
         self._base_lsn = base_lsn
-        self._live_segments += 1
+        self.metrics.live_segments += 1
         self.metrics.bytes_written_total += len(header)
 
     # -- appending ------------------------------------------------------
@@ -152,37 +168,44 @@ class WriteAheadLog:
         if self._closed:
             raise ValueError("log is closed")
         lsn = self.last_lsn + 1
-        data = rec.encode_record(lsn, op, payload)
-        if self._segment_bytes + len(data) > self.segment_size:
+        # ``rec.encode_record`` inlined (it stays the format's
+        # definition): the CRC covers lsn | op | length | payload.
+        size = len(payload)
+        body = _RECORD_BODY.pack(lsn, op, size) + payload
+        size += _RECORD_HEADER_SIZE
+        end = self._segment_bytes + size
+        if end > self.segment_size:
             self._rotate(next_base_lsn=lsn)
-        self._handle.append(data)
-        self._segment_bytes += len(data)
+            end = self._segment_bytes + size
+        self._handle.append(_crc32(body).to_bytes(4, "little") + body)
+        self._segment_bytes = end
         self.last_lsn = lsn
-        self._pending += 1
+        pending = self._pending = self._pending + 1
         m = self.metrics
         m.appends_total += 1
         m.ops_logged_total += ops
-        m.bytes_written_total += len(data)
-        # Clock reads cost as much as the rest of the append path;
-        # only interval-based policies need one.
-        now = monotonic() if self._policy_timed else 0.0
-        if self.policy.should_sync(self._pending, now, self._last_sync):
+        m.bytes_written_total += size
+        m.last_lsn = lsn
+        records = self._sync_records
+        interval = self._sync_interval
+        if (records is not None and pending >= records) or (
+            interval is not None and _clock() - self._last_sync >= interval
+        ):
             self.sync()
-        self._update_gauges()
         return lsn
 
     def sync(self) -> None:
         """fsync the active segment; everything appended so far is durable."""
         if self._pending == 0 and self.durable_lsn == self.last_lsn:
             return
-        t0 = monotonic()
+        t0 = _clock()
         self._handle.sync()
-        self.metrics.fsyncs_total += 1
-        self.metrics.fsync_ns_total += int((monotonic() - t0) * 1e9)
-        self.durable_lsn = self.last_lsn
+        now = self._last_sync = _clock()
+        m = self.metrics
+        m.fsyncs_total += 1
+        m.fsync_ns_total += int((now - t0) * 1e9)
+        self.durable_lsn = m.durable_lsn = self.last_lsn
         self._pending = 0
-        self._last_sync = monotonic()
-        self._update_gauges()
 
     def rotate(self) -> None:
         """Seal the active segment and start a fresh one at the next LSN
@@ -227,7 +250,8 @@ class WriteAheadLog:
         records -- the expected post-crash state) and raises
         :class:`RecoveryError` when damage hides acknowledged durable
         history: a gap before the first retained segment, a bad segment
-        header, or a broken record followed by further segments.
+        header, or a broken record followed by further segments.  A gap
+        between segments is legal only at or below ``after_lsn``.
         """
         names = segment_files(self.fs, self.directory)
         prev_lsn: Optional[int] = None
@@ -252,6 +276,11 @@ class WriteAheadLog:
                         f"LSN {after_lsn + 1}: segments were truncated "
                         f"past the requested point"
                     )
+                prev_lsn = base_lsn - 1
+            elif prev_lsn + 1 < base_lsn <= after_lsn + 1:
+                # A gap wholly at or below the replay point (a log
+                # reopened at a checkpoint LSN its durable tail never
+                # reached): the checkpoint covers what is missing.
                 prev_lsn = base_lsn - 1
             elif base_lsn != prev_lsn + 1:
                 raise RecoveryError(
@@ -297,7 +326,9 @@ class WriteAheadLog:
         names = segment_files(self.fs, self.directory)
         bases = []
         for name in names:
-            buf = self.fs.read_bytes(join(self.directory, name))
+            buf = self.fs.read_bytes(
+                join(self.directory, name), rec.SEGMENT_HEADER_SIZE
+            )
             try:
                 bases.append(rec.decode_segment_header(buf)[1])
             except rec.WalFormatError:
@@ -315,18 +346,9 @@ class WriteAheadLog:
                 removed += 1
             else:
                 break  # later segments are younger still (or unprovable)
-        self._live_segments -= removed
+        self.metrics.live_segments -= removed
         self.metrics.segments_truncated_total += removed
-        self._update_gauges()
         return removed
-
-    # -- misc -----------------------------------------------------------
-
-    def _update_gauges(self) -> None:
-        m = self.metrics
-        m.last_lsn = self.last_lsn
-        m.durable_lsn = self.durable_lsn
-        m.live_segments = self._live_segments
 
     def __enter__(self) -> "WriteAheadLog":
         return self

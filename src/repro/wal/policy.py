@@ -1,20 +1,23 @@
 """Fsync (group-commit) policies for the WAL.
 
-A policy answers one question after every append: *sync now?*  The
-three shipped answers span the durability/throughput trade-off the
-bench quantifies (``benchmarks/bench_wal_overhead.py``):
+A policy is *data*: the number of pending records and the number of
+seconds since the last sync after which the log must sync again
+(``None`` = no such threshold).  :class:`~repro.wal.log.WriteAheadLog`
+reads both once at construction and compares them inline on every
+append.  The three shipped settings span the durability/throughput
+trade-off the bench quantifies (``benchmarks/bench_wal_overhead.py``):
 
 - :class:`AlwaysFsync` -- every acknowledged write is durable; one
-  fsync per append.
+  fsync per append (``max_records = 1``).
 - :class:`BatchFsync` -- group commit: sync once per ``max_records``
   appends or once ``max_interval`` seconds have passed since the last
   sync, whichever comes first.  Acknowledged-but-unsynced writes can be
   lost in a crash, but recovery always yields a clean *prefix* of the
   acknowledged history (bounded, ordered loss -- the classic
   ``everysec``-style contract).
-- :class:`NeverFsync` -- leave durability to the OS writeback.  Data
-  survives a process kill (the bytes reached the kernel) but not a
-  power cut.
+- :class:`NeverFsync` -- leave durability to the OS writeback (no
+  threshold).  Data survives a process kill (the bytes reached the
+  kernel) but not a power cut.
 
 ``parse_policy`` accepts the config-friendly spellings ``"always"``,
 ``"never"``, ``"batch"``, and ``"batch(n,interval)"``.
@@ -23,16 +26,16 @@ bench quantifies (``benchmarks/bench_wal_overhead.py``):
 from __future__ import annotations
 
 import re
-import time
+from typing import Optional
 
 
 class FsyncPolicy:
-    """Decide whether the log must fsync after the latest append."""
+    """When the log must fsync: after ``max_records`` pending appends
+    and/or ``max_interval`` seconds since the last sync."""
 
     name = "abstract"
-
-    def should_sync(self, pending_records: int, now: float, last_sync: float) -> bool:
-        raise NotImplementedError
+    max_records: Optional[int] = None
+    max_interval: Optional[float] = None
 
     def describe(self) -> str:
         return self.name
@@ -42,18 +45,13 @@ class AlwaysFsync(FsyncPolicy):
     """Fsync on every append: acknowledged means durable."""
 
     name = "always"
-
-    def should_sync(self, pending_records: int, now: float, last_sync: float) -> bool:
-        return True
+    max_records = 1
 
 
 class NeverFsync(FsyncPolicy):
     """Never fsync from the hot path: durability rides OS writeback."""
 
     name = "never"
-
-    def should_sync(self, pending_records: int, now: float, last_sync: float) -> bool:
-        return False
 
 
 class BatchFsync(FsyncPolicy):
@@ -68,11 +66,6 @@ class BatchFsync(FsyncPolicy):
             raise ValueError("max_interval must be >= 0")
         self.max_records = max_records
         self.max_interval = max_interval
-
-    def should_sync(self, pending_records: int, now: float, last_sync: float) -> bool:
-        if pending_records >= self.max_records:
-            return True
-        return (now - last_sync) >= self.max_interval
 
     def describe(self) -> str:
         return f"batch({self.max_records},{self.max_interval:g}s)"
@@ -101,8 +94,3 @@ def parse_policy(spec) -> FsyncPolicy:
         f"unknown fsync policy {spec!r}; expected 'always', 'never', "
         f"'batch', or 'batch(n,interval)'"
     )
-
-
-def monotonic() -> float:
-    """Clock used for group-commit intervals (patchable in tests)."""
-    return time.monotonic()

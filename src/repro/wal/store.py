@@ -25,19 +25,22 @@ never crashed.
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.api import batch_columns, is_batch_index
 from repro.kvstore import KVStore, SnapshotCorruptError, load_snapshot_bytes
-from repro.kvstore.codec import KeyCodec
+from repro.kvstore.codec import KeyCodec, dump_value
 from repro.kvstore.snapshot import read_snapshot_header
 from repro.wal import checkpoint as ckpt
 from repro.wal import record as rec
 from repro.wal.faultfs import OsFS, segment_files
 from repro.wal.log import RecoveryError, WriteAheadLog
 from repro.wal.metrics import WalMetrics
+
+_U64_PACK = struct.Struct("<Q").pack
 
 
 class DurableKVStore:
@@ -132,6 +135,7 @@ class DurableKVStore:
                 if self._uploader is not None
                 else None
             ),
+            checkpoint_lsn=recovered_lsn,
         )
         if self._uploader is not None:
             # Sealed segments left behind by a previous incarnation
@@ -330,6 +334,10 @@ class DurableKVStore:
         """
         with self._lock:
             t0 = time.perf_counter()
+            # Sync, then take the LSN: a checkpoint stamped above the
+            # log's durable tail would, after a crash, sit over a log
+            # that restarts below it and hands out LSNs replay skips.
+            self.wal.sync()
             lsn = self.wal.last_lsn
             ckpt.write_checkpoint(self._kv, lsn, self.fs, self.directory)
             # Rotate so the active segment starts past the checkpoint;
@@ -371,15 +379,26 @@ class DurableKVStore:
 class DurableNamespace:
     """Namespace view that logs every mutation before applying it.
 
-    Reads delegate straight to the in-memory namespace; writes append
-    one WAL record carrying the *encoded* (namespace-prefixed) key, so
-    replay needs no codec.
+    Reads (``get``, ``get_many``, ``scan``, ``scan_range``,
+    ``count_range``, ``items``) are the in-memory namespace's own bound
+    methods; writes append one WAL record carrying the *encoded*
+    (namespace-prefixed) key, so replay needs no codec.
     """
 
     def __init__(self, store: DurableKVStore, inner):
-        self._store = store
         self._ns = inner
-        self._index = inner.store.index
+        # The write path's callees, bound once: the store's write lock,
+        # its log's ``append`` and, for ``insert``, the key encoding and
+        # the index's ``insert``.
+        self._lock = store._lock
+        self._wal_append = store.wal.append
+        self._base = inner._base
+        self._encode_key = inner.codec.encode
+        self._index_insert = inner.store.index.insert
+        # Reads never touch the log: they *are* the inner bound methods.
+        self.get, self.get_many = inner.get, inner.get_many
+        self.scan, self.scan_range = inner.scan, inner.scan_range
+        self.count_range, self.items = inner.count_range, inner.items
 
     @property
     def name(self) -> str:
@@ -392,12 +411,16 @@ class DurableNamespace:
     # -- logged mutations -----------------------------------------------
 
     def insert(self, key, value: Any) -> None:
-        full = self._ns._encode(key)
-        with self._store._lock:
-            self._store.wal.append(
-                rec.OP_INSERT, rec.encode_insert(full, value)
-            )
-            self._index.insert(full, value)
+        # Key and payload (``rec.encode_insert``: u64 key | the value as
+        # ``dump_value`` writes it) are encoded here, before the lock:
+        # a key or value that fails to encode logs nothing.
+        full = self._base | self._encode_key(key)
+        payload = _U64_PACK(full) + (
+            str(value).encode("ascii") if type(value) is int else dump_value(value)
+        )
+        with self._lock:
+            self._wal_append(rec.OP_INSERT, payload)
+            self._index_insert(full, value)
 
     def insert_many(self, keys, values=None) -> None:
         keys, values = batch_columns(keys, values)
@@ -408,22 +431,18 @@ class DurableNamespace:
         # whole batch (keys packed as one u64 column), so the durable
         # batch path costs a single append + a single index splice.
         keys = [self._ns._encode(k) for k in keys]
-        with self._store._lock:
-            self._store.wal.append(
+        with self._lock:
+            self._wal_append(
                 rec.OP_BATCH2,
                 rec.encode_batch2(keys, values),
                 ops=len(keys),
             )
-            if self._ns.store._index_is_batch:
-                self._index.insert_many(keys, values)
-            else:
-                for full, value in zip(keys, values):
-                    self._index.insert(full, value)
+            self._ns._insert_full(keys, values)
 
     def delete(self, key) -> bool:
         full = self._ns._encode(key)
-        with self._store._lock:
-            self._store.wal.append(rec.OP_DELETE, rec.encode_delete(full))
+        with self._lock:
+            self._wal_append(rec.OP_DELETE, rec.encode_delete(full))
             return self._ns.delete(key)
 
     def delete_range(self, low, high) -> int:
@@ -431,31 +450,11 @@ class DurableNamespace:
         hi = self._ns._upper_bound(high)
         if hi <= lo:
             return 0
-        with self._store._lock:
-            self._store.wal.append(
+        with self._lock:
+            self._wal_append(
                 rec.OP_DELETE_RANGE, rec.encode_delete_range(lo, hi)
             )
             return self._ns.delete_range(low, high)
-
-    # -- reads (pass-through) -------------------------------------------
-
-    def get(self, key, default: Any = None) -> Any:
-        return self._ns.get(key, default)
-
-    def get_many(self, keys) -> List[Any]:
-        return self._ns.get_many(keys)
-
-    def scan(self, start_key, count: int) -> List[Tuple[Any, Any]]:
-        return self._ns.scan(start_key, count)
-
-    def scan_range(self, low, high) -> List[Tuple[Any, Any]]:
-        return self._ns.scan_range(low, high)
-
-    def count_range(self, low, high) -> int:
-        return self._ns.count_range(low, high)
-
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        return self._ns.items()
 
     def __contains__(self, key) -> bool:
         return key in self._ns

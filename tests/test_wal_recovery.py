@@ -13,15 +13,25 @@ against a differential shadow dict:
   acknowledged operation (the durability contract), while ``batch`` /
   ``never`` permit bounded, prefix-ordered loss.
 
-A dedicated test also sweeps the checkpoint window itself, covering
-the crash-between-checkpoint-and-truncate interleaving.
+A dedicated test also sweeps the checkpoint window itself under every
+policy and tail mode, covering the crash-between-checkpoint-and-truncate
+interleaving and a second restart after post-recovery writes.
 """
 
 import copy
 
 import pytest
 
-from repro.wal import DurableKVStore, FaultSpec, SimFS, SimulatedCrash
+from repro.wal import (
+    DurableKVStore,
+    FaultSpec,
+    RecoveryError,
+    SimFS,
+    SimulatedCrash,
+    WriteAheadLog,
+)
+from repro.wal import checkpoint as ckpt
+from repro.wal import record as rec
 
 SEGMENT_SIZE = 384  # small: the workload spans several segments
 
@@ -176,22 +186,48 @@ def test_crash_sweep_fsync_never(tail_mode):
     _sweep("never", tail_mode, require_all_acked=False)
 
 
-def test_crash_between_checkpoint_and_truncate():
-    """Sweep every syscall of the checkpoint itself.
+#: Writes acknowledged after the last policy sync: what the checkpoint
+#: finds pending under ``batch``/``never`` (fewer than a batch of 4).
+_PENDING = [("insert", "alpha", 20 + i, i) for i in range(3)]
 
-    The checkpoint writes the snapshot atomically, rotates, then
-    truncates dead segments; a crash anywhere in that window (snapshot
-    tmp write, rename, old-checkpoint removal, rotation, each segment
-    unlink) must recover the full pre-checkpoint state.
+
+def _open_with_pending(fs, policy, states=None):
+    store = DurableKVStore("db", fs=fs, fsync=policy, segment_size=SEGMENT_SIZE)
+    for op in _PENDING:
+        _apply_store(store, op)
+        if states is not None:
+            shadow = dict(states[-1])
+            _apply_shadow(shadow, op)
+            states.append(shadow)
+    return store
+
+
+def test_crash_between_checkpoint_and_truncate():
+    """Sweep every syscall of the checkpoint itself, twice restarted,
+    under every fsync policy and tail mode.
+
+    The checkpoint syncs the log, writes the snapshot atomically,
+    rotates, then truncates dead segments.  A crash anywhere in that
+    window (the sync, snapshot tmp write, rename, old-checkpoint
+    removal, rotation, each segment unlink) must recover a prefix of
+    the acknowledged history -- all of it under ``always`` -- and the
+    recovered store's own writes must survive the *next* restart: a
+    checkpoint stamped above the log's durable tail would leave them
+    under LSNs replay skips.
     """
     fs0 = SimFS()
     states, acked = _run_until_crash(fs0, "always")
     assert acked == len(OPS)
-    expected = states[-1]
+    for policy in ("always", "batch(4,1000)", "never"):
+        for tail_mode in ("drop", "torn", "flip"):
+            _sweep_checkpoint_window(fs0, states[-1], policy, tail_mode)
 
+
+def _sweep_checkpoint_window(fs0, state0, policy, tail_mode):
+    allowed = [state0]
     # Measure the checkpoint window on a throwaway copy.
     probe = copy.deepcopy(fs0)
-    store = DurableKVStore("db", fs=probe, segment_size=SEGMENT_SIZE)
+    store = _open_with_pending(probe, policy, allowed)
     before = probe.syscalls
     store.checkpoint()
     window = probe.syscalls - before
@@ -199,20 +235,77 @@ def test_crash_between_checkpoint_and_truncate():
 
     for k in range(1, window + 1):
         fs = copy.deepcopy(fs0)
-        store = DurableKVStore("db", fs=fs, segment_size=SEGMENT_SIZE)
-        assert _read_state(store) == expected
-        fs.fault = FaultSpec(fs.syscalls + k, tail_mode="torn", seed=k)
+        store = _open_with_pending(fs, policy)
+        assert _read_state(store) == allowed[-1]
+        fs.fault = FaultSpec(fs.syscalls + k, tail_mode=tail_mode, seed=k)
         with pytest.raises(SimulatedCrash):
             store.checkpoint()
         fs.reboot()
         recovered = DurableKVStore("db", fs=fs, segment_size=SEGMENT_SIZE)
-        assert _read_state(recovered) == expected, f"checkpoint crash@{k}"
-        # And the half-finished checkpoint must not wedge the next one.
-        recovered.checkpoint()
+        expected = _read_state(recovered)
+        where = f"{policy}/{tail_mode} checkpoint crash@{k}"
+        assert expected in (allowed[-1:] if policy == "always" else allowed), where
+        # Acknowledged under 'always', so durable across a second restart.
+        for key in range(100, 105):
+            recovered.namespace("alpha").insert(key, key)
+            expected[("alpha", key)] = key
         recovered.close()
+        again = DurableKVStore("db", fs=fs, segment_size=SEGMENT_SIZE)
+        assert _read_state(again) == expected, f"{where}: lost after restart"
+        # And the half-finished checkpoint must not wedge the next one.
+        again.checkpoint()
+        again.close()
         reopened = DurableKVStore("db", fs=fs, segment_size=SEGMENT_SIZE)
         assert _read_state(reopened) == expected
         reopened.close()
+
+
+def _checkpoint_above_the_durable_tail(fs):
+    """The directory a parent-commit checkpoint crash left behind: a
+    checkpoint at LSN 11 over a log whose durable tail never got there."""
+    store = DurableKVStore("db", fs=fs, fsync="never")
+    ns = store.namespace("alpha")
+    for key in range(10):
+        ns.insert(key, key)
+    ckpt.write_checkpoint(store.kv, store.last_lsn, fs, "db")  # no sync first
+    fs.reboot()  # power cut: the unsynced log is gone
+    return {("alpha", key): key for key in range(10)}
+
+
+@pytest.mark.parametrize("restarts_below", [False, True])
+def test_checkpoint_above_the_durable_tail_heals(restarts_below):
+    """Such a directory opens at the checkpoint LSN, not below it --
+    also when an earlier recovery already restarted the log low and
+    wrote (lost) records there -- and a gap the checkpoint covers
+    replays cleanly."""
+    fs = SimFS()
+    expected = _checkpoint_above_the_durable_tail(fs)
+    if restarts_below:
+        low = WriteAheadLog("db", fs=fs)  # as the parent commit reopened it
+        assert low.last_lsn == 0
+        for key in range(3):
+            low.append(rec.OP_INSERT, rec.encode_insert(key, "skipped"))
+        low.close()
+    store = DurableKVStore("db", fs=fs)
+    assert store.last_lsn == 11 and _read_state(store) == expected
+    for key in range(100, 105):
+        store.namespace("alpha").insert(key, key)
+        expected[("alpha", key)] = key
+    store.close()
+    again = DurableKVStore("db", fs=fs)
+    assert _read_state(again) == expected and again.last_lsn == 16
+    again.close()
+
+
+def test_gap_above_the_checkpoint_still_raises():
+    fs = SimFS()
+    _checkpoint_above_the_durable_tail(fs)
+    low = WriteAheadLog("db", fs=fs)
+    low.append(rec.OP_INSERT, rec.encode_insert(1, "x"))
+    low.close()  # segments: ..., [1]
+    WriteAheadLog("db", fs=fs, checkpoint_lsn=13).close()  # next base: 14
+    with pytest.raises(RecoveryError, match="does not continue"):
+        DurableKVStore("db", fs=fs)  # checkpoint covers 11; 12-13 are missing
 
 
 def test_recovered_store_metrics_report_replay():

@@ -1,21 +1,20 @@
 """Batch-operation micro-benchmark: get_many / insert_many speedups.
 
 The batch layer sorts each batch and caches per-segment routing state,
-so larger batches amortise more directory/remap work per key.  On the
-columnar engine ``insert_many`` dispatches per segment group: dense
-groups get one planned splice per touched bucket, sparse groups an
-inline C-bisect loop that still reuses the group's routing.
+so larger batches amortise more directory/remap work per key;
+``insert_many`` dispatches per segment group: dense groups get one
+planned splice per touched bucket, sparse groups an inline C-bisect
+loop that still reuses the group's routing.
 
-Measured ceiling, worth stating up front: the columnar engine's
-*scalar* insert is already a C ``bisect`` plus an ``array`` slice copy
-(~0.5us/key at the store layer), and fresh-insert workloads spend
-roughly 40% of wall time in Algorithm 1 restructures that cost the
-same whether keys arrive one at a time or batched.  Batching therefore
-buys ~1.2-1.5x on columnar writes (routing amortisation only), not the
-3x the lists engine shows against its slower per-key loop -- the big
-columnar batch wins are on reads (get_many 3-4x) and on batched index
-*builds* (see ``test_bulk_vs_batch_build``).  The asserts below pin
-those measured levels so write-path regressions fail loudly.
+Measured ceiling, worth stating up front: the *scalar* insert is
+already a C ``bisect`` plus an ``array`` slice copy (~0.5us/key at the
+store layer), and fresh-insert workloads spend roughly 40% of wall time
+in Algorithm 1 restructures that cost the same whether keys arrive one
+at a time or batched.  Batching therefore buys ~1.2-1.5x on writes
+(routing amortisation only) -- the big batch wins are on reads
+(get_many 3-4x) and on batched index *builds* (see
+``test_bulk_vs_batch_build``).  The asserts below pin those measured
+levels so write-path regressions fail loudly.
 """
 
 import os
@@ -29,49 +28,38 @@ BATCH_SIZES = (64, 256, 1024, 4096)
 _BENCH_N = int(os.environ.get("REPRO_BENCH_N", "8000"))
 
 
-@pytest.mark.parametrize("storage", ["lists", "columnar"])
-def test_batch_ops(benchmark, bench_scale, record_table, storage):
+def test_batch_ops(benchmark, bench_scale, record_table):
     rows = benchmark.pedantic(
         batch_ops.run,
-        kwargs=dict(
-            scale=bench_scale, batch_sizes=BATCH_SIZES, storage=storage
-        ),
+        kwargs=dict(scale=bench_scale, batch_sizes=BATCH_SIZES),
         rounds=1,
         iterations=1,
     )
-    record_table(
-        f"batch_ops_{storage}",
-        f"[storage={storage}]\n" + batch_ops.format_table(rows),
-    )
+    record_table("batch_ops", batch_ops.format_table(rows))
     # Batching should never lose badly at any size (small sizes carry
     # sort/convert overhead; allow slack for timing noise at tiny scale).
     assert all(r.speedup > 0.5 for r in rows)
     at_1024 = {r.op: r for r in rows if r.batch_size == 1024}
-    if storage == "columnar":
-        # CI smoke bar: the batched write path must not lose to the
-        # scalar insert loop (pre-splice baseline was 0.33x here).  At
-        # tiny smoke scales the cell doubles the index, so restructure
-        # cost -- identical either way -- dominates both sides; 0.7
-        # keeps the regression guard without chasing that noise.
-        assert at_1024["insert_many"].speedup >= 0.7
-        assert at_1024["get_many"].speedup >= 1.5
+    # CI smoke bar: the batched write path must not lose to the scalar
+    # insert loop (pre-splice baseline was 0.33x here).  At tiny smoke
+    # scales the cell doubles the index, so restructure cost --
+    # identical either way -- dominates both sides; 0.7 keeps the
+    # regression guard without chasing that noise.
+    assert at_1024["insert_many"].speedup >= 0.7
+    assert at_1024["get_many"].speedup >= 1.5
     if _BENCH_N >= 8000:
         assert at_1024["get_many"].speedup >= 1.2
         assert at_1024["insert_many"].speedup >= 1.0
 
 
 def test_bulk_vs_batch_build(benchmark, bench_scale, record_table):
-    def both():
-        return [
-            batch_ops.bulk_compare(scale=bench_scale, storage=storage)
-            for storage in ("lists", "columnar")
-        ]
-
-    rows = benchmark.pedantic(both, rounds=1, iterations=1)
-    record_table("bulk_vs_batch", batch_ops.format_bulk_compare(rows))
-    columnar = rows[1]
-    assert columnar.batch_keys_per_s > 0
+    row = benchmark.pedantic(
+        batch_ops.bulk_compare, kwargs=dict(scale=bench_scale),
+        rounds=1, iterations=1,
+    )
+    record_table("bulk_vs_batch", batch_ops.format_bulk_compare([row]))
+    assert row.batch_keys_per_s > 0
     if _BENCH_N >= 100_000:
         # Full-scale acceptance bar: batched online build within ~2x of
         # the offline bulk build.
-        assert columnar.ratio <= 2.0
+        assert row.ratio <= 2.0

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import Bucket, PiecewiseRemap
+from repro.core import ColumnarStorage, PiecewiseRemap
 from repro.core.segment import Segment, plan_remap
 from repro.hashing import pseudo_key
 from repro.learned import GappedArray, LinearModel
@@ -19,9 +19,9 @@ from repro.learned import GappedArray, LinearModel
 
 @pytest.fixture
 def filled_bucket():
-    b = Bucket(128)
+    b = ColumnarStorage(n_buckets=1, capacity=128)
     for k in range(0, 128 * 4, 8):  # half full
-        b.insert(k, k)
+        b.insert(0, k, k)
     return b
 
 
@@ -29,7 +29,7 @@ def test_bucket_find(benchmark, filled_bucket):
     keys = [random.Random(0).randrange(0, 512) for _ in range(256)]
 
     def target():
-        find = filled_bucket.find
+        find = filled_bucket.probe_key
         for k in keys:
             find(k)
 
@@ -38,9 +38,9 @@ def test_bucket_find(benchmark, filled_bucket):
 
 def test_bucket_sorted_insert(benchmark):
     def target():
-        b = Bucket(128)
+        b = ColumnarStorage(n_buckets=1, capacity=128)
         for k in random.Random(1).sample(range(10**6), 128):
-            b.insert(k, k)
+            b.insert(0, k, k)
         return b
 
     benchmark(target)

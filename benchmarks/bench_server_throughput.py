@@ -9,7 +9,7 @@ request, write one reply, flush).
 
 The acceptance bar from ISSUE 7 -- coalescing >= 2x naive at >= 16
 connections -- is asserted at >= 50k keys where the batch calls
-dominate fixed overheads (same convention as bench_storage_engines);
+dominate fixed overheads;
 the default smoke scale asserts a weaker always-winning floor.
 """
 

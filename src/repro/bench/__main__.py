@@ -41,7 +41,6 @@ from repro.bench.experiments import (
     related_work,
     remote_ship,
     scan_sweep,
-    storage_engines,
     table1_datasets,
     table2_latency,
     wal_overhead,
@@ -71,7 +70,6 @@ EXPERIMENTS = {
     "scan-sweep": scan_sweep,
     "zipf-sweep": zipf_sweep,
     "batch-ops": batch_ops,
-    "storage-engines": storage_engines,
     "wal-overhead": wal_overhead,
     "remote-ship": remote_ship,
 }

@@ -11,7 +11,6 @@ capability gap the paper highlights.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.api import BatchOpsProtocol, batch_pairs
@@ -130,20 +129,6 @@ class ConcurrentDyTISAdapter(DyTISAdapter):
 
     def __init__(self, config: Optional[DyTISConfig] = None, obs=None):
         self.index = ConcurrentDyTIS(config, obs=obs)
-
-
-class ColumnarDyTISAdapter(DyTISAdapter):
-    """DyTIS on the columnar (structure-of-arrays) storage engine.
-
-    Same index, same config, ``storage="columnar"`` forced -- so bench
-    tables can put both engines side by side.
-    """
-
-    name = "DyTIS-columnar"
-
-    def __init__(self, config: Optional[DyTISConfig] = None, obs=None):
-        config = replace(config or DyTISConfig(), storage="columnar")
-        super().__init__(config, obs=obs)
 
 
 class BTreeAdapter(IndexAdapter):
@@ -265,8 +250,6 @@ def make_adapter(
         return DyTISAdapter(dytis_config, obs=obs)
     if name == "DyTIS-MT":
         return ConcurrentDyTISAdapter(dytis_config, obs=obs)
-    if name == "DyTIS-columnar":
-        return ColumnarDyTISAdapter(dytis_config, obs=obs)
     if name.startswith("ALEX-"):
         return AlexAdapter(bulk_fraction=int(name[5:]) / 100.0)
     if name == "XIndex":

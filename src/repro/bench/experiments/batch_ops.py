@@ -12,8 +12,8 @@ speedup.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.bench.experiments.scale import ExperimentScale, default_scale
 
@@ -39,7 +39,6 @@ class BulkCompareRow:
     inserts match the offline build; the write path's target is to stay
     within ~2x of it)."""
 
-    storage: str
     n_keys: int
     batch_size: int
     bulk_keys_per_s: float
@@ -52,27 +51,22 @@ def _repeats(batch_size: int, n_ops: int) -> int:
     return max(3, n_ops // batch_size)
 
 
-def _make_index(scale: ExperimentScale, storage: Optional[str]):
+def _make_index(scale: ExperimentScale):
     from repro.core import DyTIS
 
-    if storage is None:
-        return DyTIS()
-    return DyTIS(replace(scale.dytis_config(), storage=storage))
+    return DyTIS(scale.dytis_config())
 
 
 def run(
     scale: ExperimentScale = None,
     dataset: str = "MM",
     batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
-    storage: Optional[str] = None,
 ) -> List[BatchOpRow]:
     """Time scalar loops vs. batch calls over ``batch_sizes``.
 
     Lookups run against a preloaded index; inserts measure fresh keys
     drawn from the same distribution (each repeat inserts a disjoint
-    slice so no cell degenerates into pure updates).  ``storage`` pins
-    a segment engine (``"lists"``/``"columnar"``); None keeps the
-    process default.
+    slice so no cell degenerates into pure updates).
     """
     import random
 
@@ -88,7 +82,7 @@ def run(
         reps = _repeats(batch_size, scale.n_ops)
 
         # -- get_many: identical random probe batches, scalar vs. batch.
-        base = _make_index(scale, storage)
+        base = _make_index(scale)
         base.bulk_load(preload, preload)
         batches = [
             [preload[rng.randrange(len(preload))] for _ in range(batch_size)]
@@ -119,14 +113,14 @@ def run(
             slices.append(fresh[lo : lo + batch_size])
         scalar_s = batch_s = float("inf")
         for _ in range(2):
-            scalar_ix = _make_index(scale, storage)
+            scalar_ix = _make_index(scale)
             scalar_ix.bulk_load(preload, preload)
             t0 = time.perf_counter()
             for chunk in slices:
                 for k in chunk:
                     scalar_ix.insert(k, k)
             scalar_s = min(scalar_s, time.perf_counter() - t0)
-            batch_ix = _make_index(scale, storage)
+            batch_ix = _make_index(scale)
             batch_ix.bulk_load(preload, preload)
             t0 = time.perf_counter()
             for chunk in slices:
@@ -145,7 +139,6 @@ def bulk_compare(
     scale: ExperimentScale = None,
     dataset: str = "MM",
     batch_size: int = 1024,
-    storage: Optional[str] = None,
 ) -> BulkCompareRow:
     """Build one index via ``bulk_load`` and one via ``insert_many``.
 
@@ -161,12 +154,12 @@ def bulk_compare(
 
     bulk_s = batch_s = float("inf")
     for _ in range(2):
-        ix = _make_index(scale, storage)
+        ix = _make_index(scale)
         t0 = time.perf_counter()
         ix.bulk_load(keys, keys)
         bulk_s = min(bulk_s, time.perf_counter() - t0)
 
-        ix = _make_index(scale, storage)
+        ix = _make_index(scale)
         pairs = [(k, k) for k in keys]
         t0 = time.perf_counter()
         for lo in range(0, len(pairs), batch_size):
@@ -177,7 +170,7 @@ def bulk_compare(
     bulk_tp = n / bulk_s if bulk_s else float("inf")
     batch_tp = n / batch_s if batch_s else float("inf")
     return BulkCompareRow(
-        storage or "default", n, batch_size, bulk_tp, batch_tp,
+        n, batch_size, bulk_tp, batch_tp,
         bulk_tp / batch_tp if batch_tp else float("inf"),
     )
 
@@ -199,12 +192,12 @@ def format_table(rows: List[BatchOpRow]) -> str:
 def format_bulk_compare(rows: Sequence[BulkCompareRow]) -> str:
     lines = [
         "insert_many vs bulk_load building the same index",
-        f"{'storage':<10} {'keys':>8} {'batch':>6} {'bulk k/s':>10} "
+        f"{'keys':>8} {'batch':>6} {'bulk k/s':>10} "
         f"{'batch k/s':>10} {'bulk/batch':>10}",
     ]
     for r in rows:
         lines.append(
-            f"{r.storage:<10} {r.n_keys:>8} {r.batch_size:>6} "
+            f"{r.n_keys:>8} {r.batch_size:>6} "
             f"{r.bulk_keys_per_s:>10.0f} {r.batch_keys_per_s:>10.0f} "
             f"{r.ratio:>9.2f}x"
         )

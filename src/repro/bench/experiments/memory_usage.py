@@ -19,7 +19,6 @@ from repro.datasets import generate
 
 INDEXES = (
     "DyTIS",
-    "DyTIS-columnar",
     "ALEX-10",
     "ALEX-70",
     "XIndex",

@@ -18,11 +18,10 @@ Public API:
 """
 
 from repro.core.config import DyTISConfig
-from repro.core.bucket import Bucket
 from repro.core.invariants import InvariantViolation, check_invariants
 from repro.core.remap import PiecewiseRemap
 from repro.core.segment import Segment
-from repro.core.storage import ColumnarStorage, ListStorage, make_storage
+from repro.core.storage import ColumnarStorage
 from repro.core.dytis import DyTIS
 from repro.core.concurrent import ConcurrentDyTIS
 from repro.core.maintenance import (
@@ -39,12 +38,9 @@ __all__ = [
     "MaintMetrics",
     "SegmentReport",
     "DyTISConfig",
-    "Bucket",
     "PiecewiseRemap",
     "Segment",
-    "ListStorage",
     "ColumnarStorage",
-    "make_storage",
     "InvariantViolation",
     "check_invariants",
     "OperationStats",

@@ -138,13 +138,12 @@ def build_segment(
     """Build one segment bottom-up from its sorted key group.
 
     ``local`` holds the group's ``m``-bit local keys (high bits are the
-    group's prefix); ``keys``/``values`` the full keys and payloads (a
-    list, or for the columnar engine an ascending ``uint64`` array the
-    fill copies without boxing).  Small groups skip
-    planning entirely (one sorted bucket *is* the segment); larger ones
-    get a PLR-planned remap and are filled by slice, falling back to
-    :func:`build_fitting`'s refine-and-grow loop only when the planned
-    layout overflows a bucket.
+    group's prefix); ``keys``/``values`` the full keys (an ascending
+    ``uint64`` array the fill copies without boxing) and payloads.
+    Small groups skip planning entirely (one sorted bucket *is* the
+    segment); larger ones get a PLR-planned remap and are filled by
+    slice, falling back to :func:`build_fitting`'s refine-and-grow loop
+    only when the planned layout overflows a bucket.
 
     ``max_total_buckets`` bounds the fallback's grow loop; past it the
     build returns ``None`` (no layout at this depth within budget) so
@@ -154,13 +153,12 @@ def build_segment(
     """
     domain_bits = m - local_depth
     capacity = config.bucket_capacity
-    storage = config.storage
     n = len(keys)
     if n == 0:
-        return Segment(local_depth, _unit_remap(domain_bits), capacity, storage)
+        return Segment(local_depth, _unit_remap(domain_bits), capacity)
     if n <= capacity:
         # One sorted bucket holds the whole group: no model to plan.
-        seg = Segment(local_depth, _unit_remap(domain_bits), capacity, storage)
+        seg = Segment(local_depth, _unit_remap(domain_bits), capacity)
         seg.store.fill_sorted((n,), keys, values)
         seg.piece_counts = [n]
         seg.total_keys = n
@@ -184,9 +182,9 @@ def build_segment(
         return build_fitting(
             local_depth, remap, capacity, keys, values,
             cap, config.max_piece_bits,
-            max_total_buckets=max_total_buckets, storage=storage,
+            max_total_buckets=max_total_buckets,
         )
-    seg = Segment(local_depth, remap, capacity, storage)
+    seg = Segment(local_depth, remap, capacity)
     seg.store.fill_sorted(per_bucket_counts, keys, values)
     seg.piece_counts = counts.tolist()
     seg.total_keys = n
@@ -251,7 +249,6 @@ def build_segment_tree(
 
 def build_table_segments(
     sorted_keys: np.ndarray,
-    key_list: Sequence[int],
     values: Sequence[Any],
     lo: int,
     hi: int,
@@ -273,7 +270,7 @@ def build_table_segments(
         build_segment_tree(
             ld,
             local[a:b],
-            key_list[lo + a : lo + b],
+            sorted_keys[lo + a : lo + b],
             values[lo + a : lo + b],
             m,
             config,

@@ -2,20 +2,8 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-
-#: Valid values for :attr:`DyTISConfig.storage`.
-STORAGE_KINDS = ("lists", "columnar")
-
-
-def _default_storage() -> str:
-    """Default engine: the ``DYTIS_STORAGE`` env var, else ``"lists"``.
-
-    The env override lets CI run the whole suite per engine without
-    touching every config construction site.
-    """
-    return os.environ.get("DYTIS_STORAGE", "lists")
+from dataclasses import dataclass
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -56,11 +44,10 @@ class DyTISConfig:
     #: Cap on remapping-function granularity: at most 2^max_piece_bits
     #: sub-ranges per segment.
     max_piece_bits: int = 12
-    #: Per-segment storage engine: "lists" (one Bucket of parallel
-    #: Python lists per bucket) or "columnar" (structure-of-arrays --
-    #: one contiguous uint64 key array per segment with gapped slack).
-    #: Defaults from the DYTIS_STORAGE environment variable.
-    storage: str = field(default_factory=_default_storage)
+    #: Name of the one segment layout (structure-of-arrays: a contiguous
+    #: uint64 key array per segment with gapped slack).  A class
+    #: constant kept for provenance records, not an init field.
+    storage: ClassVar[str] = "columnar"
 
     # -- online-maintenance degradation policy ------------------------
     # Thresholds the MaintenanceController (repro.core.maintenance)
@@ -115,10 +102,6 @@ class DyTISConfig:
             raise ValueError("segment limit factors must be >= 1")
         if self.max_piece_bits < 0:
             raise ValueError("max_piece_bits must be >= 0")
-        if self.storage not in STORAGE_KINDS:
-            raise ValueError(
-                f"storage must be one of {STORAGE_KINDS}, got {self.storage!r}"
-            )
         if self.maint_min_segment_gets < 1:
             raise ValueError("maint_min_segment_gets must be >= 1")
         for name in ("maint_depth_ratio", "maint_miss_ratio"):

@@ -83,13 +83,9 @@ class _EHTable:
 
     __slots__ = ("global_depth", "dir")
 
-    def __init__(
-        self, eh_key_bits: int, bucket_capacity: int, storage: str = "lists"
-    ):
+    def __init__(self, eh_key_bits: int, bucket_capacity: int):
         self.global_depth = 0
-        root = Segment(
-            0, PiecewiseRemap(eh_key_bits, [1]), bucket_capacity, storage
-        )
+        root = Segment(0, PiecewiseRemap(eh_key_bits, [1]), bucket_capacity)
         self.dir: List[Segment] = [root]
 
     def dir_index(self, local_key: int, eh_key_bits: int) -> int:
@@ -139,30 +135,22 @@ class DyTIS:
         self._m = self.config.eh_key_bits
         self._local_mask = (1 << self._m) - 1
         self._key_limit = 1 << self.config.key_bits
-        self._storage = self.config.storage
-        self._columnar = self._storage == "columnar"
         self._tables: List[Optional[_EHTable]] = [None] * (
             1 << self.config.first_level_bits
         )
         self._size = 0
-        # Fused read column (columnar engine only): every segment's key
+        # Fused read column (serves ``get_many``): every segment's key
         # column concatenated in global key order, rebuilt lazily.
         # ``_mut_epoch`` is the *structural* epoch -- bumped only when
         # the segment set changes, which discards the whole column;
         # segment-local mutations instead register in ``_fused_dirty``
         # and are patched into the column slice-by-slice on next read.
-        # ``_gen`` counts every mutation (it versions the derived
-        # live-compacted companion, whose compaction shifts on any
-        # insert or delete).
+        # ``_gen`` counts every mutation (shard workers version the
+        # read column they publish with it).
         self._mut_epoch = 0
         self._gen = 0
         self._fused: Optional[_FusedColumn] = None
         self._fused_dirty: dict = {}
-        # Live-compacted companion (slack slots squeezed out): serves
-        # scans and range counts with two searchsorteds and a C zip.
-        self._fused_live: Optional[
-            Tuple[int, np.ndarray, np.ndarray]
-        ] = None
         # Segment-size-limit escalation state (§3.3).
         self._boost_decided = False
         self._boosted = False
@@ -177,7 +165,7 @@ class DyTIS:
     def _check_key(self, key: int) -> int:
         """``key`` as a plain ``int`` inside the key domain.
 
-        The scalar API's boundary: the engines do exact Python-int
+        The scalar API's boundary: the stores do exact Python-int
         arithmetic on keys, so anything with ``__index__`` (NumPy
         integer scalars, ``bool`` as 0/1) is normalised once here;
         floats have none and raise ``TypeError``.
@@ -205,8 +193,7 @@ class DyTIS:
     def _note_write(self, seg: Segment) -> None:
         """Record a segment-local mutation (keys and/or values changed).
 
-        Bumps the mutation generation (the live-compacted fused view is
-        always derived per generation) and, when a fused column exists,
+        Bumps the mutation generation and, when a fused column exists,
         marks ``seg``'s slice dirty so the next fused read patches it
         in place instead of rebuilding the concatenation.
         """
@@ -218,9 +205,9 @@ class DyTIS:
     #
     # ``get`` and ``insert`` run flat: key check, table and directory
     # lookup (for ``insert`` also the remap arithmetic and
-    # ``_note_write``, for a columnar ``get`` the live-prefix hit
-    # check) are inlined, leaving one Python frame (insert) or none
-    # (get) between the method and the engine's C ``bisect``.
+    # ``_note_write``, for ``get`` the live-prefix hit check) are
+    # inlined, leaving one Python frame (insert) or none (get) between
+    # the method and the store's C ``bisect``.
 
     def get(self, key: int) -> Optional[Any]:
         """Value stored under ``key``, or None ('not exist')."""
@@ -236,8 +223,6 @@ class DyTIS:
             return None
         seg = table.dir[(key & self._local_mask) >> (m - table.global_depth)]
         store = seg.store
-        if not self._columnar:
-            return store.get(seg.remap.bucket_of(key & seg._mask), key)
         # ``ColumnarStorage.probe_key``'s first step inlined: the last
         # slot <= key is a hit when it lies in its bucket's live prefix.
         karr = store._karr
@@ -289,8 +274,8 @@ class DyTIS:
 
         One body, traced or not (``rec`` brackets it with two clock
         reads).  The routing is :meth:`Segment.insert` inlined -- that
-        stays the definition ``ConcurrentDyTIS`` uses -- around the
-        engine-agnostic ``store.insert(bucket, key, value)``.
+        stays the definition ``ConcurrentDyTIS`` uses -- around
+        ``store.insert(bucket, key, value)``.
         """
         rec = self._rec_insert
         if rec is not None:
@@ -332,7 +317,7 @@ class DyTIS:
             rec(_now() - t0)
 
     def _new_table(self, ti: int) -> _EHTable:
-        table = _EHTable(self._m, self.config.bucket_capacity, self._storage)
+        table = _EHTable(self._m, self.config.bucket_capacity)
         self._tables[ti] = table
         # A new root segment exists that the fused column has no slot
         # region for: structural change, invalidate wholesale.
@@ -385,64 +370,46 @@ class DyTIS:
         """Up to ``count`` pairs with key >= start_key, in key order.
 
         Walks buckets within the start segment, then sibling segments,
-        then subsequent first-level EH tables (paper §3.3 Scan).
+        then subsequent first-level EH tables (paper §3.3 Scan): cost is
+        O(result + segments touched), writes beside it or not.  One
+        body, traced or not (``rec`` brackets it with two clock reads
+        and hands the walk the probe counters).
         """
-        if self._obs is not None:
-            return self._scan_observed(start_key, count)
-        start_key = self._check_key(start_key)
-        if count <= 0:
-            return []
-        if self._columnar:
-            kl, vl = self._fused_live_arrays()
-            a = int(kl.searchsorted(np.uint64(start_key), side="left"))
-            b = a + count
-            return list(zip(kl[a:b].tolist(), vl[a:b].tolist()))
-        out: List[Tuple[int, Any]] = []
-        self._scan_collect(start_key, count, out, None)
-        del out[count:]
-        return out
-
-    def _scan_observed(self, start_key: int, count: int) -> List[Tuple[int, Any]]:
-        """``scan`` with latency + sibling-hop recording (same semantics)."""
-        obs = self._obs
-        t0 = _now()
+        rec = self._rec_scan
+        if rec is not None:
+            t0 = _now()
         start_key = self._check_key(start_key)
         out: List[Tuple[int, Any]] = []
         if count > 0:
-            probes = obs.probes
-            probes.scans += 1
+            probes = None
+            if rec is not None:
+                probes = self._obs.probes
+                probes.scans += 1
             self._scan_collect(start_key, count, out, probes)
             del out[count:]
-        self._rec_scan(_now() - t0)
+        if rec is not None:
+            rec(_now() - t0)
         return out
 
     def scan_range(self, low: int, high: int) -> List[Tuple[int, Any]]:
         """All pairs with low <= key < high, in key order.
 
         A closed-open range variant of :meth:`scan` for callers that
-        know the end key instead of a count.
+        know the end key instead of a count; the same segment walk.
         """
         low, high = self._check_key(low), _as_int(high)
         if high <= low:
             return []
-        obs = self._obs
-        if obs is None and self._columnar:
-            kl, vl = self._fused_live_arrays()
-            a = int(kl.searchsorted(np.uint64(low), side="left"))
-            if high >= self._key_limit:
-                b = kl.size
-            else:
-                b = int(kl.searchsorted(np.uint64(high), side="left"))
-            return list(zip(kl[a:b].tolist(), vl[a:b].tolist()))
+        rec = self._rec_scan
         probes = None
-        if obs is not None:
+        if rec is not None:
             t0 = _now()
-            probes = obs.probes
+            probes = self._obs.probes
             probes.scans += 1
         out: List[Tuple[int, Any]] = []
         self._scan_range_collect(low, high, out, probes)
-        if obs is not None:
-            self._rec_scan(_now() - t0)
+        if rec is not None:
+            rec(_now() - t0)
         return out
 
     def _scan_collect(
@@ -495,7 +462,7 @@ class DyTIS:
         visited = False
         if table is not None:
             seg = table.segment_for(low & self._local_mask, self._m)
-            if seg.extend_range(out, low, high, route_low=True):
+            if seg.extend_range(out, low, high):
                 return
             visited = True
             seg = seg.sibling
@@ -565,16 +532,6 @@ class DyTIS:
         low, high = self._check_key(low), _as_int(high)
         if high <= low:
             return 0
-        fl = self._fused_live
-        if fl is not None and fl[0] == self._gen:
-            # Warm fused column: the count is a searchsorted difference.
-            # (Not built here -- a count alone doesn't justify the
-            # column's construction cost the way a scan's output does.)
-            kl = fl[1]
-            a = int(kl.searchsorted(np.uint64(low), side="left"))
-            if high >= self._key_limit:
-                return int(kl.size) - a
-            return int(kl.searchsorted(np.uint64(high), side="left")) - a
         count = 0
         table_idx = self._table_index(low)
         table = self._tables[table_idx]
@@ -610,27 +567,12 @@ class DyTIS:
     def delete_range(self, low: int, high: int) -> int:
         """Delete every key with low <= key < high; return the count.
 
-        Keys are collected first (deleting while iterating a structure
-        that merges segments underneath the iterator is undefined), then
-        removed through :meth:`delete_many`, so the columnar engine
-        applies one splice per bucket and under-utilized segments still
-        merge down.  The columnar victim list comes straight from the
-        live-compacted fused column -- two binary searches, no pair
-        materialisation.
+        Keys are collected first with the :meth:`scan_range` walk
+        (deleting while iterating a structure that merges segments
+        underneath the iterator is undefined), then removed through
+        :meth:`delete_many`, so each bucket takes one splice and
+        under-utilized segments still merge down.
         """
-        low, high = self._check_key(low), _as_int(high)
-        if high <= low:
-            return 0
-        if self._columnar and self._obs is None:
-            kl, _ = self._fused_live_arrays()
-            a = int(kl.searchsorted(np.uint64(low), side="left"))
-            if high >= self._key_limit:
-                b = int(kl.size)
-            else:
-                b = int(kl.searchsorted(np.uint64(high), side="left"))
-            if a == b:
-                return 0
-            return self.delete_many(kl[a:b].copy())
         victims = [k for k, _ in self.scan_range(low, high)]
         if not victims:
             return 0
@@ -641,23 +583,14 @@ class DyTIS:
 
         The batch is sorted and deduplicated once, partitioned per
         segment with the same cached routing as :meth:`insert_many`,
-        and each segment's group is removed with one splice per bucket
-        (columnar) or a bucket-delete loop (lists).  After each
-        segment's group the usual post-delete merge policy runs, so
-        structural behaviour matches a sequence of scalar deletes to
-        within merge timing.
+        and each segment's group is removed with one splice per bucket.
+        After each segment's group the usual post-delete merge policy
+        runs, so structural behaviour matches a sequence of scalar
+        deletes to within merge timing.
         """
-        if not isinstance(keys, np.ndarray):
-            keys = list(keys)
-        try:
-            arr = np.asarray(keys, dtype=np.uint64)
-        except (OverflowError, TypeError) as exc:
-            raise ValueError(f"keys must be non-negative integers: {exc}")
-        if arr.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
+        arr = self._key_column(keys)
         if arr.size == 0:
             return 0
-        self._check_batch_keys(arr)
         sk = np.unique(arr)
         m = self._m
         local_mask = self._local_mask
@@ -723,12 +656,45 @@ class DyTIS:
             keep[-1] = True
         return sk[keep], order[keep], order
 
-    def _check_batch_keys(self, keys_arr: np.ndarray) -> None:
-        if keys_arr.size and int(keys_arr.max()) >= self._key_limit:
-            bad = int(keys_arr[keys_arr >= np.uint64(self._key_limit)][0])
-            raise ValueError(
-                f"key {bad} outside [0, 2^{self.config.key_bits})"
-            )
+    def _key_column(self, keys) -> np.ndarray:
+        """``keys`` as a one-dimensional ``uint64`` column.
+
+        The batch API's boundary, holding the scalar rule of
+        :meth:`_check_key` for a whole batch: Python and NumPy integers
+        and ``bool`` pass, anything else (floats, strings, nested
+        sequences) raises ``TypeError`` instead of being truncated, and
+        a key that is negative or >= 2^key_bits raises ``ValueError``
+        instead of wrapping.  An ndarray costs a dtype check (plus one
+        ``min`` for signed kinds); a sequence one ``operator.index``
+        per key.
+        """
+        if isinstance(keys, np.ndarray):
+            if keys.ndim != 1:
+                raise ValueError("keys must be one-dimensional")
+            kind = keys.dtype.kind
+            if kind not in "uib" and keys.size:
+                raise TypeError(
+                    f"keys must be integers, not an array of {keys.dtype}"
+                )
+            if kind == "i" and keys.size:
+                low = int(keys.min())
+                if low < 0:
+                    self._check_key(low)  # raises ValueError
+            arr = keys.astype(np.uint64, copy=False)
+        else:
+            if not isinstance(keys, (list, tuple)):
+                keys = list(keys)
+            try:
+                arr = np.fromiter(
+                    map(_as_int, keys), dtype=np.uint64, count=len(keys)
+                )
+            except OverflowError:  # some key is outside [0, 2^64)
+                for key in keys:
+                    self._check_key(key)  # raises ValueError
+                raise
+        if arr.size and int(arr.max()) >= self._key_limit:
+            self._check_key(int(arr[arr >= np.uint64(self._key_limit)][0]))
+        return arr
 
     def bulk_load(self, keys, values) -> None:
         """Build the index bottom-up from a key/value batch (sorted once).
@@ -753,25 +719,13 @@ class DyTIS:
         self._mut_epoch += 1
         self._gen += 1
         values = list(values)
-        try:
-            arr = np.asarray(
-                keys if isinstance(keys, np.ndarray) else list(keys),
-                dtype=np.uint64,
-            )
-        except (OverflowError, TypeError) as exc:
-            raise ValueError(f"keys must be non-negative integers: {exc}")
-        if arr.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
+        arr = self._key_column(keys)
         if arr.size != len(values):
             raise ValueError("keys and values must have the same length")
         if arr.size == 0:
             return
-        self._check_batch_keys(arr)
         t0 = time.perf_counter()
         sk, src, _ = self._sorted_batch(arr)
-        # The columnar engine fills buckets straight from uint64 array
-        # slices; only the list engine needs every key boxed up front.
-        key_list = sk if self._columnar else sk.tolist()
         vals = [values[i] for i in src.tolist()]
         table_ids, starts = np.unique(sk >> np.uint64(self._m), return_index=True)
         bounds = np.append(starts, sk.size).tolist()
@@ -779,9 +733,9 @@ class DyTIS:
         for t, tid in enumerate(table_ids.tolist()):
             lo, hi = bounds[t], bounds[t + 1]
             segments, gd = bulkload.build_table_segments(
-                sk, key_list, vals, lo, hi, self._m, cfg, self._boosted
+                sk, vals, lo, hi, self._m, cfg, self._boosted
             )
-            table = _EHTable(self._m, cfg.bucket_capacity, self._storage)
+            table = _EHTable(self._m, cfg.bucket_capacity)
             table.global_depth = gd
             table.dir = []
             prev: Optional[Segment] = None
@@ -813,92 +767,32 @@ class DyTIS:
     def get_many(self, keys) -> List[Optional[Any]]:
         """Batched point lookups; returns values aligned with ``keys``.
 
-        The batch is bounds-checked and sorted once with numpy, then
-        walked in key order: the EH table, directory slot, segment, and
-        remapping-function state are resolved once per *group* of keys
-        sharing a segment (a sorted batch visits each segment exactly
-        once) and reused for every key in the group, instead of being
-        re-derived per key as the scalar :meth:`get` must.  Missing keys
-        yield None (same contract as :meth:`get`).
+        The batch is type- and bounds-checked once
+        (:meth:`_key_column`), then resolved with one ``searchsorted``
+        over the fused read column, or -- while writes keep that column
+        dirty and the batch is small -- walked in key order with the
+        routing state resolved once per *group* of keys sharing a
+        segment.  Missing keys yield None (same contract as
+        :meth:`get`).
         """
-        if not isinstance(keys, np.ndarray):
-            keys = list(keys)
-        try:
-            arr = np.asarray(keys, dtype=np.uint64)
-        except (OverflowError, TypeError) as exc:
-            raise ValueError(f"keys must be non-negative integers: {exc}")
+        arr = self._key_column(keys)
         n = int(arr.size)
         out: List[Optional[Any]] = [None] * n
         if n == 0:
             return out
-        self._check_batch_keys(arr)
-        if self._columnar:
-            # Cost gate for mixed read/write traffic: patching the
-            # fused column costs ~O(dirty segments), a routed probe
-            # ~O(batch).  When interleaved writes keep re-dirtying
-            # many segments and the batch is small (YCSB-A style),
-            # probe the live stores directly and leave the patch to
-            # the next large read.  Read-only streams always take the
-            # fused path, so the column still amortises across batches.
-            if self._fused_dirty and len(self._fused_dirty) * 16 > n:
-                return self._get_many_routed_columnar(arr, out)
-            return self._get_many_columnar(arr, out)
-        order = np.argsort(arr, kind="stable").tolist()
-        key_list = arr.tolist()
-        m = self._m
-        local_mask = self._local_mask
-        tables = self._tables
-        # Per-group cached routing state, refreshed when the next key
-        # leaves the current segment's key range (``seg_upper``).
-        seg_upper = -1
-        in_gap = False
-        cum = allocs = buckets = None
-        shift = dmask = offmask = last_bucket = 0
-        for pos in order:
-            key = key_list[pos]
-            if key >= seg_upper:
-                ti = key >> m
-                table = tables[ti]
-                if table is None:
-                    seg_upper = (ti + 1) << m
-                    in_gap = True
-                    continue
-                in_gap = False
-                gd = table.global_depth
-                local = key & local_mask
-                if gd:
-                    di = local >> (m - gd)
-                    seg = table.dir[di]
-                    span = 1 << (gd - seg.local_depth)
-                    end_di = (di // span) * span + span
-                    seg_upper = (ti << m) + (end_di << (m - gd))
-                else:
-                    seg = table.dir[0]
-                    seg_upper = (ti + 1) << m
-                remap = seg.remap
-                cum = remap._cum
-                allocs = remap.allocs
-                shift = remap._shift
-                dmask = seg._mask
-                offmask = (1 << shift) - 1
-                last_bucket = cum[-1] - 1
-                buckets = seg.store.buckets
-            elif in_gap:
-                continue
-            lk = key & dmask
-            i = lk >> shift
-            b = cum[i] + ((allocs[i] * (lk & offmask)) >> shift)
-            if b > last_bucket:
-                b = last_bucket
-            bucket = buckets[b]
-            bkeys = bucket.keys
-            idx = bisect_left(bkeys, key)
-            if idx < len(bkeys) and bkeys[idx] == key:
-                out[pos] = bucket.values[idx]
-        return out
+        # Cost gate for mixed read/write traffic: patching the fused
+        # column costs ~O(dirty segments), a routed probe ~O(batch).
+        # When interleaved writes keep re-dirtying many segments and
+        # the batch is small (YCSB-A style), probe the live stores
+        # directly and leave the patch to the next large read.
+        # Read-only streams always take the fused path, so the column
+        # still amortises across batches.
+        if self._fused_dirty and len(self._fused_dirty) * 16 > n:
+            return self._get_many_routed(arr, out)
+        return self._get_many_fused(arr, out)
 
     def _build_fused(self) -> _FusedColumn:
-        """(Re)build the fused read column for the columnar engine.
+        """(Re)build the fused read column.
 
         Concatenates every segment's sentinel-padded key column in
         global key order (tables by high bits, segments by directory
@@ -1059,64 +953,37 @@ class DyTIS:
             )
         return fused
 
-    def _fused_live_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Live-compacted fused column: slack slots squeezed out.
-
-        ``keys`` is strictly increasing (live keys are unique) and
-        ``vals`` is slot-aligned with it, so a scan is two binary
-        searches plus one C-level zip over the slice -- no segment
-        walk, no per-bucket dispatch.  Derived from the padded fused
-        column with one boolean mask (slot offset < bucket count);
-        versioned by the mutation generation, since any insert or
-        delete shifts the compaction.
-        """
-        fl = self._fused_live
-        if fl is None or fl[0] != self._gen:
-            fused = self._get_fused()
-            keys_col = fused.keys
-            if keys_col.size:
-                cap = self.config.bucket_capacity
-                mask = (
-                    np.arange(keys_col.size, dtype=np.int64) % cap
-                    < fused.counts.repeat(cap)
-                )
-                fl = (self._gen, keys_col[mask], fused.vals[mask])
-            else:
-                fl = (self._gen, keys_col, fused.vals)
-            self._fused_live = fl
-        return fl[1], fl[2]
-
     def export_read_column(self) -> Tuple[np.ndarray, List[Any]]:
         """Snapshot the live index as ``(keys, values)`` in key order.
 
         ``keys`` is a fresh strictly-increasing uint64 array and
         ``values`` a slot-aligned list -- the layout shard workers
         publish into shared memory so other processes can serve point
-        reads with a bisect against the column.  The columnar engine
-        compacts its fused column (no segment walk); the list engine
-        materializes :meth:`items`.  The arrays are copies: publishing
-        them never pins the index's internal caches.
+        reads with a bisect against the column.  It is the fused column
+        with the slack slots squeezed out by one boolean mask (slot
+        offset < bucket count): an O(N) copy, which is why no read path
+        of the index itself goes through it.
         """
-        if self._columnar:
-            kl, vl = self._fused_live_arrays()
-            return kl.astype(np.uint64, copy=True), vl.tolist()
-        pairs = list(self.items())
-        if not pairs:
-            return np.empty(0, dtype=np.uint64), []
-        keys = np.fromiter(
-            (k for k, _ in pairs), dtype=np.uint64, count=len(pairs)
+        fused = self._get_fused()
+        keys_col = fused.keys
+        cap = self.config.bucket_capacity
+        live = (
+            np.arange(keys_col.size, dtype=np.int64) % cap
+            < fused.counts.repeat(cap)
         )
-        return keys, [v for _, v in pairs]
+        return keys_col[live], fused.vals[live].tolist()
 
-    def _get_many_routed_columnar(
+    def _get_many_routed(
         self, arr: np.ndarray, out: List[Optional[Any]]
     ) -> List[Optional[Any]]:
         """Routed ``get_many`` against the live key columns.
 
-        Mirrors the list engine's cached-routing walk but probes each
-        segment's key column with a bounded C ``bisect``; used when the
-        fused column is dirty and the batch is too small to justify
-        patching it (see the gate in :meth:`get_many`).
+        Walks the batch in key order with per-segment cached routing
+        state (refreshed when the next key leaves the current segment's
+        key range, ``seg_upper``) and probes each segment's key column
+        with a bounded C ``bisect``; used when the fused column is
+        dirty and the batch is too small to justify patching it (see
+        the gate in :meth:`get_many`).
         """
         order = np.argsort(arr, kind="stable").tolist()
         key_list = arr.tolist()
@@ -1174,7 +1041,7 @@ class DyTIS:
                 out[pos] = store_vals[b][idx - off]
         return out
 
-    def _get_many_columnar(
+    def _get_many_fused(
         self, arr: np.ndarray, out: List[Optional[Any]]
     ) -> List[Optional[Any]]:
         """Vectorised ``get_many`` over the fused read column.
@@ -1185,9 +1052,9 @@ class DyTIS:
         is genuine iff the slot falls inside its bucket's live prefix
         (``slot % capacity < count``); an equal slack slot can only
         happen for the 2^64-1 sentinel used as a real key, which falls
-        back to a scalar probe.  No per-segment dispatch, no argsort:
-        on dispersed batches (hundreds of segments per 1024 keys) this
-        is what beats the list engine's per-key routing.
+        back to a scalar probe.  No per-segment dispatch: on dispersed
+        batches (hundreds of segments per 1024 keys) this is what beats
+        per-key routing.
         """
         fused = self._get_fused()
         keys_col = fused.keys
@@ -1230,104 +1097,16 @@ class DyTIS:
         (two parallel sequences, like ``bulk_load``) and the legacy
         single-iterable-of-pairs form.  The batch is sorted and
         deduplicated once (the last occurrence of a key wins, exactly
-        as sequential insert-or-update resolves it), then applied in
-        key order with the same per-segment cached routing as
-        :meth:`get_many`.  A full bucket -- the case that triggers
-        Algorithm 1 -- falls back to the scalar :meth:`insert` for that
-        key and invalidates the cached routing state, so structural
-        behaviour is identical to sequential insertion.
-        """
-        keys, values = batch_columns(keys, values)
-        n = len(keys)
-        if not n:
-            return
-        try:
-            arr = np.fromiter(keys, dtype=np.uint64, count=n)
-        except (OverflowError, TypeError, ValueError):
-            arr = None
-        if arr is None or int(arr.max()) >= self._key_limit:
-            # Out-of-domain keys: let the scalar path raise with
-            # sequential semantics (prior pairs applied).
-            for key, value in zip(keys, values):
-                self.insert(key, value)
-            return
-        sk, src, _ = self._sorted_batch(arr)
-        vals = [values[i] for i in src.tolist()]
-        if self._columnar:
-            self._insert_many_columnar(sk, vals)
-            return
-        key_list = sk.tolist()
-        m = self._m
-        local_mask = self._local_mask
-        tables = self._tables
-        capacity = self.config.bucket_capacity
-        seg_upper = -1
-        seg = None
-        cum = allocs = buckets = piece_counts = None
-        shift = dmask = offmask = last_bucket = 0
-        for p, key in enumerate(key_list):
-            if key >= seg_upper:
-                ti = key >> m
-                table = tables[ti]
-                if table is None:
-                    table = _EHTable(m, capacity, self._storage)
-                    tables[ti] = table
-                gd = table.global_depth
-                local = key & local_mask
-                if gd:
-                    di = local >> (m - gd)
-                    seg = table.dir[di]
-                    span = 1 << (gd - seg.local_depth)
-                    end_di = (di // span) * span + span
-                    seg_upper = (ti << m) + (end_di << (m - gd))
-                else:
-                    seg = table.dir[0]
-                    seg_upper = (ti + 1) << m
-                remap = seg.remap
-                cum = remap._cum
-                allocs = remap.allocs
-                shift = remap._shift
-                dmask = seg._mask
-                offmask = (1 << shift) - 1
-                last_bucket = cum[-1] - 1
-                buckets = seg.store.buckets
-                piece_counts = seg.piece_counts
-            lk = key & dmask
-            i = lk >> shift
-            b = cum[i] + ((allocs[i] * (lk & offmask)) >> shift)
-            if b > last_bucket:
-                b = last_bucket
-            bucket = buckets[b]
-            bkeys = bucket.keys
-            idx = bisect_left(bkeys, key)
-            if idx < len(bkeys) and bkeys[idx] == key:
-                bucket.values[idx] = vals[p]  # in-place update
-            elif len(bkeys) < capacity:
-                bkeys.insert(idx, key)
-                bucket.values.insert(idx, vals[p])
-                piece_counts[i] += 1
-                seg.total_keys += 1
-                self._size += 1
-            else:
-                # Full bucket: Algorithm 1 may rewrite this table's
-                # directory, so run the scalar path and re-resolve.
-                self.insert(key, vals[p])
-                seg_upper = -1
-        return
-
-    def _insert_many_columnar(self, sk: np.ndarray, vals: List[Any]) -> None:
-        """Columnar ``insert_many``: planned splices, one per segment.
-
-        The ascending deduplicated batch is partitioned into per-segment
-        groups by the routing cache (one directory resolution per group,
-        one ``searchsorted`` for the group's end), and each group is
-        applied with :meth:`Segment.insert_batch` -- a vectorised
-        ``bucket_indices`` pass plus one gap-aware splice per touched
-        bucket, with the sentinel padding repaired once per segment.
-        Keys whose bucket is full spill to the scalar :meth:`insert`
-        path, which runs Algorithm 1's restructures exactly as
-        sequential insertion would; the next group re-resolves the
-        directory, so it sees any rewiring.
+        as sequential insert-or-update resolves it), then partitioned
+        into per-segment groups by the routing cache (one directory
+        resolution per group, one bisect for the group's end), and each
+        group is applied with :meth:`Segment.insert_batch` -- a
+        vectorised ``bucket_indices`` pass plus one gap-aware splice per
+        touched bucket, with the sentinel padding repaired once per
+        segment.  Keys whose bucket is full spill to the scalar
+        :meth:`insert` path, which runs Algorithm 1's restructures
+        exactly as sequential insertion would; the next group
+        re-resolves the directory, so it sees any rewiring.
 
         Dispersed batches land only a handful of keys per segment; for
         those groups numpy's fixed per-call cost exceeds the work, so
@@ -1335,6 +1114,19 @@ class DyTIS:
         the same cached routing (the win over per-key ``insert`` is the
         one directory resolution per group either way).
         """
+        keys, values = batch_columns(keys, values)
+        if not keys:
+            return
+        try:
+            arr = self._key_column(keys)
+        except (TypeError, ValueError):
+            # A key the scalar API rejects: let the scalar path raise
+            # with sequential semantics (prior pairs applied).
+            for key, value in zip(keys, values):
+                self.insert(key, value)
+            return
+        sk, src, _ = self._sorted_batch(arr)
+        vals = [values[i] for i in src.tolist()]
         m = self._m
         local_mask = self._local_mask
         tables = self._tables
@@ -1347,7 +1139,7 @@ class DyTIS:
             ti = key >> m
             table = tables[ti]
             if table is None:
-                table = _EHTable(m, capacity, self._storage)
+                table = _EHTable(m, capacity)
                 tables[ti] = table
                 self._mut_epoch += 1  # new root segment: no fused slot region
             gd = table.global_depth
@@ -1588,12 +1380,12 @@ class DyTIS:
         left = build_fitting(
             ld + 1, left_remap, cfg.bucket_capacity,
             keys[:split_at], values[:split_at],
-            cap_child, cfg.max_piece_bits, storage=self._storage,
+            cap_child, cfg.max_piece_bits,
         )
         right = build_fitting(
             ld + 1, right_remap, cfg.bucket_capacity,
             keys[split_at:], values[split_at:],
-            cap_child, cfg.max_piece_bits, storage=self._storage,
+            cap_child, cfg.max_piece_bits,
         )
         self._wire(table, seg, local, [left, right])
         self.stats.splits += 1
@@ -1621,7 +1413,7 @@ class DyTIS:
         keys, values = seg.collect()
         new_seg = build_fitting(
             ld, new_remap, cfg.bucket_capacity, keys, values,
-            self._cap(ld), cfg.max_piece_bits, storage=self._storage,
+            self._cap(ld), cfg.max_piece_bits,
         )
         self._wire(table, seg, local, [new_seg])
         self.stats.expansions += 1
@@ -1657,7 +1449,7 @@ class DyTIS:
             return False
         remap, counts, piece_counts = plan
         new_seg = Segment.build(
-            ld, remap, cfg.bucket_capacity, keys, values, self._storage,
+            ld, remap, cfg.bucket_capacity, keys, values,
             counts, piece_counts,
         )
         self._wire(table, seg, local, [new_seg])
@@ -1694,7 +1486,7 @@ class DyTIS:
             return  # keep the larger layout; merging is best-effort
         new_seg = Segment.build(
             seg.local_depth, candidate, cfg.bucket_capacity, keys, values,
-            self._storage, fit, counts,
+            fit, counts,
         )
         self._wire(table, seg, local, [new_seg])
         self.stats.merges += 1
@@ -1745,18 +1537,14 @@ class DyTIS:
         right_seg = table.dir[max(start, buddy_start)]
         keys, values = left_seg.collect()
         rk, rv = right_seg.collect()
-        if isinstance(keys, np.ndarray):
-            keys = np.concatenate([keys, rk])
-        else:
-            keys.extend(rk)
+        keys = np.concatenate([keys, rk])
         values.extend(rv)
         domain_bits = self._m - (ld - 1)
         initial = PiecewiseRemap(
             domain_bits,
             proportional_allocs(
                 count_pieces(
-                    np.asarray(keys, dtype=np.uint64)
-                    & np.uint64((1 << domain_bits) - 1),
+                    keys & np.uint64((1 << domain_bits) - 1),
                     domain_bits,
                     min(2, domain_bits),
                 ),
@@ -1766,7 +1554,7 @@ class DyTIS:
         merged = build_fitting(
             ld - 1, initial, capacity, keys, values,
             parent_cap, cfg.max_piece_bits,
-            max_total_buckets=4 * parent_cap, storage=self._storage,
+            max_total_buckets=4 * parent_cap,
         )
         if merged is None:  # no compact layout at the parent depth
             return
@@ -1826,14 +1614,13 @@ class DyTIS:
 
     def memory_bytes(self) -> int:
         """Resident bytes of segment key/value storage (value payloads
-        excluded -- they are the same objects under either engine).
+        excluded).
 
-        Engine-aware: the list engine counts bucket objects, per-bucket
-        lists, and boxed int keys; the columnar engine counts the flat
-        key arrays (slack slots included) plus value-pointer lists, and
-        a currently-valid fused read column is counted on top (honest
-        accounting for the ``get_many`` cache; the per-bucket value
-        lists it references are already counted by their segments).
+        Counts the flat key arrays (slack slots included) plus the
+        value-pointer lists, and a currently-valid fused read column on
+        top (honest accounting for the ``get_many`` cache; the
+        per-bucket value lists it references are already counted by
+        their segments).
         """
         total = sum(
             seg.memory_bytes()
@@ -1846,9 +1633,6 @@ class DyTIS:
             total += (
                 fused.keys.nbytes + fused.counts.nbytes + fused.vals.nbytes
             )
-        fl = self._fused_live
-        if fl is not None and fl[0] == self._gen:
-            total += fl[1].nbytes + fl[2].nbytes
         return total
 
     def describe(self) -> str:
@@ -1860,7 +1644,7 @@ class DyTIS:
             f"segments={self.segment_count()} buckets={self.bucket_count()} "
             f"models={self.model_count()} load_factor={self.load_factor():.2f} "
             f"boosted={self._boosted}",
-            f"storage={self._storage}: {self.memory_bytes():,} resident "
+            f"storage={self.config.storage}: {self.memory_bytes():,} resident "
             f"bytes in segment key/value storage",
             f"ops: {self.stats.splits} splits, {self.stats.expansions} "
             f"expansions, {self.stats.remappings} remappings, "
@@ -1905,12 +1689,6 @@ class DyTIS:
                 require(i % span == 0, "segment span misaligned")
                 for j in range(i, i + span):
                     require(table.dir[j] is seg, "directory span not uniform")
-                require(
-                    seg.store.kind == self._storage,
-                    "segment uses storage engine %r, config says %r",
-                    seg.store.kind,
-                    self._storage,
-                )
                 prefix = i >> (gd - ld) if gd > ld else i
                 for k, _ in seg.items():
                     lk = k & self._local_mask

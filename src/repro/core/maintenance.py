@@ -355,7 +355,7 @@ class MaintenanceController:
             self.metrics.deferred_total += 1
             return None
         keys, values = old.collect()
-        local = np.asarray(keys, dtype=np.uint64) & np.uint64(index._local_mask)
+        local = keys & np.uint64(index._local_mask)
         # Sparse repairs shrink the bucket count; deep/skew repairs may
         # grow it toward the utilization target (at most ~1/U_t x), so
         # 2x the status quo is a generous ceiling -- anything past it
@@ -412,24 +412,16 @@ class MaintenanceController:
             if len(ks):
                 key_runs.append(ks)
                 values.extend(vs)
-        if index._columnar:
-            sk = (
-                np.concatenate(key_runs)
-                if key_runs
-                else np.empty(0, dtype=np.uint64)
-            )
-            key_list: Any = sk
-        else:
-            flat: List[int] = []
-            for run in key_runs:
-                flat.extend(run)
-            sk = np.asarray(flat, dtype=np.uint64)
-            key_list = flat
+        sk = (
+            np.concatenate(key_runs)
+            if key_runs
+            else np.empty(0, dtype=np.uint64)
+        )
         n = int(sk.size)
-        new_table = type(table)(m, cfg.bucket_capacity, index._storage)
+        new_table = type(table)(m, cfg.bucket_capacity)
         if n:
             segments, gd = bulkload.build_table_segments(
-                sk, key_list, values, 0, n, m, cfg, index._boosted
+                sk, values, 0, n, m, cfg, index._boosted
             )
             new_table.global_depth = gd
             new_table.dir = []
@@ -514,14 +506,7 @@ _MAX_TABLE_REBUILD_BUCKETS = 1 << 20
 
 def _max_fill(seg: Any) -> int:
     """Deepest live bucket in the segment (probe-depth worst case)."""
-    store = seg.store
-    counts = getattr(store, "counts", None)
-    if counts is not None:
-        arr = np.asarray(counts)
-        return int(arr.max(initial=0))
-    return max(
-        (store.bucket_len(b) for b in range(seg.n_buckets)), default=0
-    )
+    return max(seg.store.counts, default=0)
 
 
 def _occupancy_cv(seg: Any, capacity: int) -> float:
@@ -531,15 +516,7 @@ def _occupancy_cv(seg: Any, capacity: int) -> float:
     split-churned one concentrates keys into a few deep buckets with
     empty neighbours (high cv).
     """
-    store = seg.store
-    n = seg.n_buckets
-    if n <= 1:
+    if seg.n_buckets <= 1:
         return 0.0
-    counts = getattr(store, "counts", None)
-    if counts is not None:
-        arr = np.asarray(counts, dtype=np.float64)
-    else:
-        arr = np.asarray(
-            [store.bucket_len(b) for b in range(n)], dtype=np.float64
-        )
+    arr = np.asarray(seg.store.counts, dtype=np.float64)
     return float(arr.std() / capacity)

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.invariants import require
 from repro.core.remap import PiecewiseRemap, proportional_allocs
-from repro.core.storage import make_storage
+from repro.core.storage import ColumnarStorage
 
 
 class SegmentOverflow(Exception):
@@ -61,12 +61,11 @@ class Segment:
         local_depth: int,
         remap: PiecewiseRemap,
         bucket_capacity: int,
-        storage: str = "lists",
     ):
         self.local_depth = local_depth
         self.remap = remap
         self.bucket_capacity = bucket_capacity
-        self.store = make_storage(storage, remap.n_buckets, bucket_capacity)
+        self.store = ColumnarStorage(remap.n_buckets, bucket_capacity)
         self.piece_counts = [0] * remap.n_pieces
         self.total_keys = 0
         #: Next segment in key order within the same EH (paper §3.2).
@@ -99,29 +98,18 @@ class Segment:
         allocated = max(self.remap.allocs[piece], 1) * self.bucket_capacity
         return self.piece_counts[piece] / allocated
 
-    @property
-    def storage(self) -> str:
-        """Name of the storage engine backing this segment."""
-        return self.store.kind
-
     # -- point operations -------------------------------------------------
 
     def bucket_index_for(self, key: int) -> int:
         return self.remap.bucket_of(key & self._mask)
 
     def probe(self, key: int) -> Tuple[bool, Any]:
-        """(found, value) for ``key``: routed bucket lookup (lists) or
-        one binary search over the padded key column (columnar)."""
-        store = self.store
-        if store.needs_routing:
-            return store.probe(self.remap.bucket_of(key & self._mask), key)
-        return store.probe_key(key)
+        """(found, value) for ``key``: one binary search over the padded
+        key column, no routing."""
+        return self.store.probe_key(key)
 
     def get(self, key: int) -> Optional[Any]:
-        store = self.store
-        if store.needs_routing:
-            return store.get(self.remap.bucket_of(key & self._mask), key)
-        found, value = store.probe_key(key)
+        found, value = self.store.probe_key(key)
         return value if found else None
 
     def contains(self, key: int) -> bool:
@@ -152,8 +140,8 @@ class Segment:
         """Batched insert-or-update of ascending unique full ``keys``.
 
         One vectorised ``bucket_indices`` pass routes the whole group;
-        the storage applies it as per-bucket splices (columnar) or a
-        bucket-insert loop (lists).  Returns ``(new_mask, overflow)``:
+        the storage applies it as per-bucket splices.  Returns
+        ``(new_mask, overflow)``:
         ``new_mask[i]`` True where key ``i`` was newly inserted,
         ``overflow`` the positions whose bucket is full -- those keys
         are *not* applied and must go through the scalar
@@ -282,30 +270,12 @@ class Segment:
         self.store.extend_items(out, limit)
 
     def extend_from(self, out: list, key: int, limit: Optional[int] = None) -> None:
-        """Append pairs with key >= ``key`` (``key`` must route here)."""
-        store = self.store
-        start = (
-            self.remap.bucket_of(key & self._mask) if store.needs_routing else 0
-        )
-        store.extend_from(out, start, key, limit)
+        """Append pairs with key >= ``key`` (may overshoot ``limit``)."""
+        self.store.extend_from(out, key, limit)
 
-    def extend_range(
-        self, out: list, low: int, high: int, route_low: bool = False
-    ) -> bool:
-        """Append pairs with low <= key < high; True when a key >= high exists.
-
-        ``route_low=True`` starts from the bucket ``low`` routes to,
-        valid only when ``low`` lies in this segment's key range (all
-        earlier buckets then hold keys < ``low``).  The columnar engine
-        locates the start via its sorted column and ignores the hint.
-        """
-        store = self.store
-        start = (
-            self.remap.bucket_of(low & self._mask)
-            if route_low and store.needs_routing
-            else 0
-        )
-        return store.extend_range(out, start, low, high)
+    def extend_range(self, out: list, low: int, high: int) -> bool:
+        """Append pairs with low <= key < high; True when a key >= high exists."""
+        return self.store.extend_range(out, low, high)
 
     def count_between(self, low: int, high: int) -> int:
         """Number of keys with low <= key < high."""
@@ -315,25 +285,15 @@ class Segment:
         """Batched lookups: ascending uint64 keys routing to this segment.
 
         Found values land at ``out[out_idx[i]]``; misses leave ``out``
-        untouched.  The list engine routes the group with one vectorised
-        ``bucket_indices`` pass and bisects per key; the columnar engine
-        resolves the whole group with a single ``searchsorted`` against
-        its padded sorted column, no routing at all.
+        untouched.  A single ``searchsorted`` against the padded sorted
+        column resolves the whole group, no routing at all.
         """
-        store = self.store
-        if store.needs_routing:
-            lk = sorted_keys & np.uint64(self._mask)
-            store.find_many(self.remap.bucket_indices(lk), sorted_keys, out, out_idx)
-        else:
-            store.find_many_sorted(sorted_keys, out, out_idx)
+        self.store.find_many_sorted(sorted_keys, out, out_idx)
 
-    def collect(self) -> Tuple[Sequence[int], List[Any]]:
-        """All keys and values as parallel ascending runs (rebuild input).
-
-        Engine-native: the list engine returns Python lists, the
-        columnar engine an ascending ``uint64`` array -- both forms are
-        accepted by :meth:`build` / :func:`build_fitting`.
-        """
+    def collect(self) -> Tuple[np.ndarray, List[Any]]:
+        """All keys (ascending ``uint64`` array) and values (parallel
+        list) -- the rebuild input :meth:`build` / :func:`build_fitting`
+        take."""
         return self.store.collect()
 
     def memory_bytes(self) -> int:
@@ -345,7 +305,6 @@ class Segment:
         local_keys)`` -- ascending ``uint64`` full keys, parallel values,
         and the keys masked to the segment-local domain (planner input)."""
         keys, values = self.store.collect()
-        keys = np.asarray(keys, dtype=np.uint64)
         return keys, values, keys & np.uint64(self._mask)
 
     # -- construction ----------------------------------------------------------
@@ -358,7 +317,6 @@ class Segment:
         bucket_capacity: int,
         keys: Sequence[int],
         values: Sequence[Any],
-        storage: str = "lists",
         counts: Optional[np.ndarray] = None,
         piece_counts: Optional[np.ndarray] = None,
     ) -> "Segment":
@@ -373,7 +331,7 @@ class Segment:
         :func:`fit_counts` or use :func:`build_fitting`) and the storage
         refuses counts that do not add up to ``len(keys)``.
         """
-        seg = cls(local_depth, remap, bucket_capacity, storage)
+        seg = cls(local_depth, remap, bucket_capacity)
         n = len(keys)
         if n == 0:
             return seg
@@ -583,7 +541,6 @@ def build_fitting(
     cap: int,
     max_piece_bits: int,
     max_total_buckets: Optional[int] = None,
-    storage: str = "lists",
 ) -> Optional[Segment]:
     """Build a segment for the items, adjusting the layout until it fits.
 
@@ -608,7 +565,7 @@ def build_fitting(
         # nothing to route, the count is the fit.
         return Segment.build(
             local_depth, initial_remap, bucket_capacity, keys, values,
-            storage, np.array([len(keys)]),
+            np.array([len(keys)]),
         )
     domain_bits = initial_remap.domain_bits
     local_keys = np.asarray(keys, dtype=np.uint64) & np.uint64(
@@ -623,7 +580,7 @@ def build_fitting(
         if fit is not None:
             return Segment.build(
                 local_depth, candidate, bucket_capacity, keys, values,
-                storage, fit, pieces,
+                fit, pieces,
             )
         # The first miss re-apportions the initial size and granularity;
         # later ones refine a sub-range that overfills even a dedicated

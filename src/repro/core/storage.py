@@ -1,39 +1,31 @@
-"""Per-segment storage engines: list-of-buckets and columnar (SoA).
+"""Segment storage: one columnar (structure-of-arrays) layout.
 
 A DyTIS segment needs a container for its buckets' sorted key/value
-runs.  Two interchangeable engines implement that contract:
+runs.  :class:`ColumnarStorage` keeps one contiguous ``uint64`` key
+array for the whole segment (an ``array('Q')`` sharing its buffer with a
+numpy view, so scalar probes use C ``bisect`` while batch operations use
+vectorised numpy), plus per-bucket object lists for the values.
+Bucket ``b`` owns the fixed slot span ``[b*capacity, (b+1)*capacity)``
+with its ``counts[b]`` keys packed at the front and the remaining
+slots as *gapped slack*: an insert shifts at most one bucket's span,
+never the whole segment, and structure operations move keys as
+whole-array slice copies instead of per-key Python tuples.
 
-``ListStorage`` (``storage="lists"``)
-    The original layout -- one :class:`repro.core.bucket.Bucket` per
-    bucket, each holding two parallel Python lists.  Every key is a
-    boxed ``int`` and every hot-path probe walks Python objects.
+Slack slots are not dead space -- they hold *sentinel padding*
+(a following key, or ``2^64 - 1`` past the last one) chosen so the
+entire key column stays non-decreasing.  Point lookups therefore
+skip bucket routing entirely: one ``bisect_right`` over the whole
+column lands on the last slot ``<= key``, and a slot is a genuine
+hit only when it lies inside its bucket's live prefix
+(``slot - b*capacity < counts[b]``) -- padding can duplicate a key
+but always *before* its live slot, never shadow it.  Batch lookups
+are the same probe vectorised: a single ``searchsorted`` against
+the column resolves an arbitrarily large sorted query group.
 
-``ColumnarStorage`` (``storage="columnar"``)
-    Structure-of-arrays: one contiguous ``uint64`` key array for the
-    whole segment (an ``array('Q')`` sharing its buffer with a numpy
-    view, so scalar probes use C ``bisect`` while batch operations use
-    vectorised numpy), plus per-bucket object lists for the values.
-    Bucket ``b`` owns the fixed slot span ``[b*capacity, (b+1)*capacity)``
-    with its ``counts[b]`` keys packed at the front and the remaining
-    slots as *gapped slack*: an insert shifts at most one bucket's span,
-    never the whole segment, and structure operations move keys as
-    whole-array slice copies instead of per-key Python tuples.
-
-    Slack slots are not dead space -- they hold *sentinel padding*
-    (a following key, or ``2^64 - 1`` past the last one) chosen so the
-    entire key column stays non-decreasing.  Point lookups therefore
-    skip bucket routing entirely: one ``bisect_right`` over the whole
-    column lands on the last slot ``<= key``, and a slot is a genuine
-    hit only when it lies inside its bucket's live prefix
-    (``slot - b*capacity < counts[b]``) -- padding can duplicate a key
-    but always *before* its live slot, never shadow it.  Batch lookups
-    are the same probe vectorised: a single ``searchsorted`` against
-    the column resolves an arbitrarily large sorted query group.
-
-Both engines expose the same duck-typed interface (scalar ops, sorted
-iteration, batched ``find_many``/``extend_*``/``fill_sorted``/``collect``,
-memory accounting, invariant checks); :class:`repro.core.segment.Segment`
-routes keys to buckets and delegates the storage here.
+:class:`repro.core.segment.Segment` routes keys to buckets (inserts and
+deletes need the bucket; lookups and scans do not) and delegates the
+storage here; docs/ARCHITECTURE.md §6 records why this is the only
+layout.
 """
 
 from __future__ import annotations
@@ -46,261 +38,11 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bucket import Bucket
 from repro.core.invariants import require
-
-STORAGE_KINDS = ("lists", "columnar")
-
-#: Approximate bytes for one boxed Python int key (64-bit CPython).
-_BOXED_INT_BYTES = 32
 
 #: Sentinel padding past the last live key (also a legal user key; the
 #: live-prefix check keeps lookups correct either way).
 _MAX_KEY = (1 << 64) - 1
-
-
-def make_storage(kind: str, n_buckets: int, capacity: int):
-    """Construct a storage engine by config name."""
-    if kind == "columnar":
-        return ColumnarStorage(n_buckets, capacity)
-    if kind == "lists":
-        return ListStorage(n_buckets, capacity)
-    raise ValueError(f"unknown storage engine {kind!r}; choose from {STORAGE_KINDS}")
-
-
-class ListStorage:
-    """The original list-of-``Bucket`` layout behind the engine interface."""
-
-    kind = "lists"
-    #: Callers must resolve a key's bucket (via the segment's remap)
-    #: before scalar/batch lookups; the columnar engine finds keys by
-    #: binary search over its sorted column instead.
-    needs_routing = True
-
-    __slots__ = ("capacity", "buckets")
-
-    def __init__(self, n_buckets: int, capacity: int):
-        self.capacity = capacity
-        self.buckets: List[Bucket] = [Bucket(capacity) for _ in range(n_buckets)]
-
-    @property
-    def n_buckets(self) -> int:
-        return len(self.buckets)
-
-    # -- scalar operations ------------------------------------------------
-
-    def bucket_len(self, b: int) -> int:
-        return len(self.buckets[b].keys)
-
-    def bucket_keys(self, b: int) -> Sequence[int]:
-        return self.buckets[b].keys
-
-    def probe(self, b: int, key: int) -> Tuple[bool, Any]:
-        bucket = self.buckets[b]
-        i = bucket.find(key)
-        if i >= 0:
-            return True, bucket.values[i]
-        return False, None
-
-    def get(self, b: int, key: int) -> Optional[Any]:
-        return self.buckets[b].get(key)
-
-    def insert(self, b: int, key: int, value: Any) -> str:
-        return self.buckets[b].insert(key, value)
-
-    def delete(self, b: int, key: int) -> bool:
-        return self.buckets[b].delete(key)
-
-    def insert_batch_sorted(
-        self, bidx: np.ndarray, keys: np.ndarray, values: Sequence[Any]
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Batched insert-or-update of ascending unique ``keys``.
-
-        ``bidx`` is the per-key bucket index (non-decreasing).  Returns
-        ``(new_mask, overflow)``: ``new_mask[i]`` is True where key ``i``
-        was newly inserted (count grew; False means updated in place),
-        and ``overflow`` lists the positions that did not fit (their
-        bucket is full) for the caller's scalar restructure path.
-        """
-        new_mask = np.zeros(len(values), dtype=bool)
-        overflow: List[int] = []
-        buckets = self.buckets
-        for i, (b, k) in enumerate(zip(bidx.tolist(), keys.tolist())):
-            status = buckets[b].insert(k, values[i])
-            if status == "inserted":
-                new_mask[i] = True
-            elif status == "full":
-                overflow.append(i)
-        return new_mask, overflow
-
-    def delete_batch_sorted(
-        self, bidx: np.ndarray, keys: np.ndarray
-    ) -> np.ndarray:
-        """Batched delete of ascending unique ``keys``; returns hit mask."""
-        hits = np.zeros(int(keys.size), dtype=bool)
-        buckets = self.buckets
-        for i, (b, k) in enumerate(zip(bidx.tolist(), keys.tolist())):
-            if buckets[b].delete(k):
-                hits[i] = True
-        return hits
-
-    # -- iteration ---------------------------------------------------------
-
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        for bucket in self.buckets:
-            yield from zip(bucket.keys, bucket.values)
-
-    def iter_from(self, b: int, key: int) -> Iterator[Tuple[int, Any]]:
-        bucket = self.buckets[b]
-        i = bucket.lower_bound(key)
-        yield from zip(bucket.keys[i:], bucket.values[i:])
-        for bucket in self.buckets[b + 1 :]:
-            yield from zip(bucket.keys, bucket.values)
-
-    def min_key(self) -> Optional[int]:
-        for bucket in self.buckets:
-            if bucket.keys:
-                return bucket.keys[0]
-        return None
-
-    def max_key(self) -> Optional[int]:
-        for bucket in reversed(self.buckets):
-            if bucket.keys:
-                return bucket.keys[-1]
-        return None
-
-    # -- batch operations ---------------------------------------------------
-
-    def collect(self) -> Tuple[List[int], List[Any]]:
-        """All keys and values as ascending parallel runs (engine-native)."""
-        keys: List[int] = []
-        values: List[Any] = []
-        for bucket in self.buckets:
-            keys.extend(bucket.keys)
-            values.extend(bucket.values)
-        return keys, values
-
-    def fill_sorted(self, counts, keys, values) -> None:
-        """Fill fresh buckets by slice from ascending ``keys``/``values``.
-
-        ``counts[b]`` keys go to bucket ``b``; the storage must be empty.
-        """
-        if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
-        elif not isinstance(keys, list):
-            keys = list(keys)
-        if not isinstance(values, list):
-            values = list(values)
-        buckets = self.buckets
-        lo = 0
-        for b, c in enumerate(counts.tolist() if isinstance(counts, np.ndarray) else counts):
-            if not c:
-                continue
-            bucket = buckets[b]
-            bucket.keys = keys[lo : lo + c]
-            bucket.values = values[lo : lo + c]
-            lo += c
-        require(
-            lo == len(keys), "bucket counts do not describe the keys being filled"
-        )
-
-    def find_many(self, bidx, qkeys, out: list, out_idx: Sequence[int]) -> None:
-        """Batched probes: write found values to ``out[out_idx[i]]``.
-
-        ``qkeys`` is the ascending uint64 query array and ``bidx`` the
-        per-key bucket index (non-decreasing).
-        """
-        buckets = self.buckets
-        for i, (b, k) in enumerate(zip(bidx.tolist(), qkeys.tolist())):
-            bkeys = buckets[b].keys
-            j = bisect_left(bkeys, k)
-            if j < len(bkeys) and bkeys[j] == k:
-                out[out_idx[i]] = buckets[b].values[j]
-
-    def extend_items(self, out: list, limit: Optional[int] = None) -> None:
-        """Append every pair in key order, stopping once ``limit`` is met."""
-        append = out.append
-        if limit is None:
-            for pair in self.items():
-                append(pair)
-            return
-        size = len(out)
-        for pair in self.items():
-            append(pair)
-            size += 1
-            if size >= limit:
-                return
-
-    def extend_from(
-        self, out: list, b: int, key: int, limit: Optional[int] = None
-    ) -> None:
-        """Append pairs with key >= ``key`` starting in bucket ``b``."""
-        append = out.append
-        if limit is None:
-            for pair in self.iter_from(b, key):
-                append(pair)
-            return
-        size = len(out)
-        for pair in self.iter_from(b, key):
-            append(pair)
-            size += 1
-            if size >= limit:
-                return
-
-    def extend_range(self, out: list, b: int, low: int, high: int) -> bool:
-        """Append pairs with low <= key < high from bucket ``b`` on.
-
-        Returns True when this segment holds a key >= ``high`` (the
-        caller's range walk is complete).
-        """
-        append = out.append
-        for k, v in self.iter_from(b, low):
-            if k >= high:
-                return True
-            append((k, v))
-        return False
-
-    def count_between(self, low: int, high: int) -> int:
-        """Number of keys with low <= key < high."""
-        count = 0
-        for bucket in self.buckets:
-            bkeys = bucket.keys
-            if not bkeys or bkeys[-1] < low:
-                continue
-            if bkeys[0] >= high:
-                break
-            count += bisect_left(bkeys, high) - bisect_left(bkeys, low)
-        return count
-
-    # -- accounting ----------------------------------------------------------
-
-    def memory_bytes(self) -> int:
-        """Resident bytes of the storage itself (value payloads excluded).
-
-        Counts the bucket objects, both per-bucket lists, and the boxed
-        int key objects -- the costs the columnar engine avoids.
-        """
-        total = sys.getsizeof(self.buckets)
-        for bucket in self.buckets:
-            total += (
-                sys.getsizeof(bucket)
-                + sys.getsizeof(bucket.keys)
-                + sys.getsizeof(bucket.values)
-                + _BOXED_INT_BYTES * len(bucket.keys)
-            )
-        return total
-
-    def check_invariants(self) -> None:
-        for b, bucket in enumerate(self.buckets):
-            require(
-                len(bucket.keys) == len(bucket.values),
-                "bucket %d: keys/values length mismatch", b,
-            )
-            require(
-                len(bucket.keys) <= self.capacity,
-                "bucket %d over capacity", b,
-            )
-            bucket.check_invariants()
 
 
 class ColumnarStorage:
@@ -316,11 +58,6 @@ class ColumnarStorage:
     objects are pointers either way; per-bucket lists give C-speed
     shifts and slicing).
     """
-
-    kind = "columnar"
-    #: Lookups binary-search the sorted key column directly; no remap
-    #: routing needed (inserts/deletes still route, to place new keys).
-    needs_routing = False
 
     __slots__ = (
         "capacity",
@@ -353,24 +90,6 @@ class ColumnarStorage:
     def bucket_keys(self, b: int) -> Sequence[int]:
         off = b * self.capacity
         return self._karr[off : off + self.counts[b]]
-
-    def probe(self, b: int, key: int) -> Tuple[bool, Any]:
-        off = b * self.capacity
-        cnt = self.counts[b]
-        karr = self._karr
-        i = bisect_left(karr, key, off, off + cnt)
-        if i < off + cnt and karr[i] == key:
-            return True, self.values[b][i - off]
-        return False, None
-
-    def get(self, b: int, key: int) -> Optional[Any]:
-        off = b * self.capacity
-        cnt = self.counts[b]
-        karr = self._karr
-        i = bisect_left(karr, key, off, off + cnt)
-        if i < off + cnt and karr[i] == key:
-            return self.values[b][i - off]
-        return None
 
     def probe_key(self, key: int) -> Tuple[bool, Any]:
         """(found, value) by binary search over the whole key column.
@@ -468,8 +187,9 @@ class ColumnarStorage:
         sorted invariant is intentionally suspended (each group only
         probes its own bucket's live prefix, which stays sorted).
 
-        Returns ``(new_mask, overflow)`` as documented on the list
-        engine.
+        Returns ``(new_mask, overflow)``: ``new_mask[i]`` is True where
+        key ``i`` was newly inserted (count grew; False means updated in
+        place), and ``overflow`` lists the positions that did not fit.
         """
         n = int(keys.size)
         new_mask = np.zeros(n, dtype=bool)
@@ -822,6 +542,7 @@ class ColumnarStorage:
                     out[out_idx[qi]] = val
 
     def extend_items(self, out: list, limit: Optional[int] = None) -> None:
+        """Append every pair in key order, stopping once ``limit`` is met."""
         karr = self._karr
         cap = self.capacity
         for b, cnt in enumerate(self.counts):
@@ -832,10 +553,11 @@ class ColumnarStorage:
                 out.extend(zip(karr[off : off + cnt], self.values[b]))
 
     def extend_from(
-        self, out: list, b: int, key: int, limit: Optional[int] = None
+        self, out: list, key: int, limit: Optional[int] = None
     ) -> None:
-        """Append pairs with key >= ``key`` (``b`` unused: the padded
-        sorted column locates the start bucket directly)."""
+        """Append pairs with key >= ``key`` in key order, stopping once
+        ``limit`` is met (the padded sorted column locates the start
+        bucket directly)."""
         karr = self._karr
         cap = self.capacity
         counts = self.counts
@@ -856,8 +578,12 @@ class ColumnarStorage:
                 i = off
             out.extend(zip(karr[i : off + cnt], self.values[bi][i - off :]))
 
-    def extend_range(self, out: list, b: int, low: int, high: int) -> bool:
-        """Append pairs with low <= key < high (``b`` unused, as above)."""
+    def extend_range(self, out: list, low: int, high: int) -> bool:
+        """Append pairs with low <= key < high.
+
+        Returns True when this segment holds a key >= ``high`` (the
+        caller's range walk is complete).
+        """
         karr = self._karr
         cap = self.capacity
         counts = self.counts
@@ -881,6 +607,7 @@ class ColumnarStorage:
         return False
 
     def count_between(self, low: int, high: int) -> int:
+        """Number of keys with low <= key < high."""
         karr = self._karr
         cap = self.capacity
         count = 0

@@ -13,7 +13,6 @@ import asyncio
 import signal
 import sys
 
-from repro.core import DyTISConfig
 from repro.kvstore import KVStore
 from repro.server.server import IndexServer, ServerConfig
 
@@ -49,10 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(0..1; exercises the retry/backoff path end to end)",
     )
     parser.add_argument(
-        "--storage", default="lists", choices=("lists", "columnar"),
-        help="DyTIS storage engine for the backing index",
-    )
-    parser.add_argument(
         "--shards", type=int, default=0,
         help="serve a multi-process ShardedIndex with N worker "
         "processes (power of two; 0 serves a single in-process index)",
@@ -75,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 async def _serve(args) -> int:
-    dytis_config = DyTISConfig(storage=args.storage)
     remote = None
     if args.remote:
         if not args.dir:
@@ -101,7 +95,6 @@ async def _serve(args) -> int:
         # registry is rebuilt per session in open order.
         index = ShardedIndex(
             args.shards,
-            config=dytis_config,
             mode=args.shard_mode,
             skip_bits=_NAMESPACE_BITS if args.shard_mode == "msb" else 0,
             durable_dir=args.dir,
@@ -112,11 +105,9 @@ async def _serve(args) -> int:
     elif args.dir:
         from repro.wal import DurableKVStore
 
-        store = DurableKVStore(
-            args.dir, config=dytis_config, fsync=args.fsync, remote=remote
-        )
+        store = DurableKVStore(args.dir, fsync=args.fsync, remote=remote)
     else:
-        store = KVStore(config=dytis_config)
+        store = KVStore()
     config = ServerConfig(
         host=args.host,
         port=args.port,

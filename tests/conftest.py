@@ -1,27 +1,38 @@
 """Shared fixtures for the test suite."""
 
+import os
 import random
+from unittest import mock
 
 import pytest
 
 from repro.core import DyTISConfig
 
+#: The two values of the retired ``DYTIS_STORAGE`` switch.  There is
+#: one segment layout now and ``src/`` no longer reads the variable, but
+#: the suite's recorded test ids carry both values (a PR may retire only
+#: a few ids at a time) and deployments -- ``benchmarks/e2e/harness.py``
+#: for one -- still export it.  So tests that ran once per engine keep
+#: both ids and run under :func:`exported` with each value: the index
+#: must behave, and build, exactly the same whichever is set.
+ENGINE_ENV = ["lists", "columnar"]
 
-@pytest.fixture(params=["lists", "columnar"])
+
+def exported(value):
+    """Context manager: ``DYTIS_STORAGE=value`` in the environment."""
+    return mock.patch.dict(os.environ, {"DYTIS_STORAGE": value})
+
+
+@pytest.fixture(params=ENGINE_ENV)
 def small_config(request):
-    """DyTIS config scaled for fast tests: tiny buckets, early remapping.
-
-    Parametrized over both storage engines so every test that builds an
-    index through this fixture exercises the list-of-buckets reference
-    engine and the columnar structure-of-arrays engine alike.
-    """
-    return DyTISConfig(
-        key_bits=32,
-        first_level_bits=4,
-        bucket_capacity=8,
-        l_start=2,
-        storage=request.param,
-    )
+    """DyTIS config scaled for fast tests: tiny buckets, early remapping."""
+    with exported(request.param):
+        yield DyTISConfig(
+            key_bits=32,
+            first_level_bits=4,
+            bucket_capacity=8,
+            l_start=2,
+        )
 
 
 @pytest.fixture

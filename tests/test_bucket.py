@@ -1,75 +1,65 @@
-"""Tests for DyTIS sorted buckets (repro.core.bucket)."""
+"""The sorted fixed-capacity bucket contract (paper §3.2).
 
-import pytest
+A bucket used to be its own class (``repro.core.bucket.Bucket``, two
+Python lists); it is now one slot span of a segment's
+:class:`~repro.core.storage.ColumnarStorage`.  These cases pin the
+contract the span keeps -- sorted insert, update in place, ``"full"``
+only for new keys, delete, lookup misses -- on a one-bucket store, where
+a bucket is all there is.
+"""
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Bucket
+from repro.core import ColumnarStorage
+
+
+def _bucket(capacity):
+    return ColumnarStorage(n_buckets=1, capacity=capacity)
+
+
+def _get(bucket, key):
+    found, value = bucket.probe_key(key)
+    return value if found else None
 
 
 class TestBucketBasics:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            Bucket(0)
-
     def test_insert_sorted_order(self):
-        b = Bucket(8)
+        b = _bucket(8)
         for k in [5, 1, 9, 3]:
-            assert b.insert(k, k * 10) == "inserted"
-        assert b.keys == [1, 3, 5, 9]
-        assert b.values == [10, 30, 50, 90]
+            assert b.insert(0, k, k * 10) == "inserted"
+        assert list(b.bucket_keys(0)) == [1, 3, 5, 9]
+        assert b.values[0] == [10, 30, 50, 90]
+        b.check_invariants()
 
     def test_update_in_place(self):
-        b = Bucket(4)
-        b.insert(7, "a")
-        assert b.insert(7, "b") == "updated"
-        assert len(b) == 1
-        assert b.get(7) == "b"
+        b = _bucket(4)
+        b.insert(0, 7, "a")
+        assert b.insert(0, 7, "b") == "updated"
+        assert b.bucket_len(0) == 1
+        assert _get(b, 7) == "b"
 
     def test_full(self):
-        b = Bucket(2)
-        b.insert(1, 1)
-        b.insert(2, 2)
-        assert b.insert(3, 3) == "full"
-        assert b.insert(1, "update-ok") == "updated"  # updates bypass full
+        b = _bucket(2)
+        b.insert(0, 1, 1)
+        b.insert(0, 2, 2)
+        assert b.insert(0, 3, 3) == "full"
+        assert b.insert(0, 1, "update-ok") == "updated"  # updates bypass full
 
     def test_get_missing(self):
-        b = Bucket(4)
-        b.insert(5, 5)
-        assert b.get(4) is None
-        assert b.get(6) is None
+        b = _bucket(4)
+        b.insert(0, 5, 5)
+        assert _get(b, 4) is None
+        assert _get(b, 6) is None
 
     def test_delete(self):
-        b = Bucket(4)
+        b = _bucket(4)
         for k in (1, 2, 3):
-            b.insert(k, k)
-        assert b.delete(2)
-        assert not b.delete(2)
-        assert b.keys == [1, 3]
-
-    def test_lower_bound(self):
-        b = Bucket(8)
-        for k in (10, 20, 30):
-            b.insert(k, k)
-        assert b.lower_bound(5) == 0
-        assert b.lower_bound(10) == 0
-        assert b.lower_bound(15) == 1
-        assert b.lower_bound(31) == 3
-
-    def test_append_fast_path(self):
-        b = Bucket(4)
-        b.append(1, "a")
-        b.append(5, "b")
+            b.insert(0, k, k)
+        assert b.delete(0, 2)
+        assert not b.delete(0, 2)
+        assert list(b.bucket_keys(0)) == [1, 3]
         b.check_invariants()
-        assert b.get(5) == "b"
-
-    def test_exponential_search_boundaries(self):
-        b = Bucket(64)
-        for k in range(0, 64, 2):
-            b.insert(k, k)
-        for k in range(0, 64, 2):
-            assert b.find(k) == k // 2
-            assert b.find(k + 1) == -1
 
 
 @given(
@@ -84,11 +74,11 @@ class TestBucketBasics:
 @settings(max_examples=100, deadline=None)
 def test_bucket_matches_dict_model(ops):
     """Property: a bucket behaves like a size-capped sorted dict."""
-    b = Bucket(16)
+    b = _bucket(16)
     model = {}
     for op, key in ops:
         if op == "insert":
-            result = b.insert(key, key * 2)
+            result = b.insert(0, key, key * 2)
             if key in model:
                 assert result == "updated"
                 model[key] = key * 2
@@ -98,9 +88,9 @@ def test_bucket_matches_dict_model(ops):
             else:
                 assert result == "full"
         elif op == "delete":
-            assert b.delete(key) == (key in model)
+            assert b.delete(0, key) == (key in model)
             model.pop(key, None)
         else:
-            assert b.get(key) == model.get(key)
+            assert _get(b, key) == model.get(key)
     b.check_invariants()
-    assert b.keys == sorted(model)
+    assert list(b.bucket_keys(0)) == sorted(model)

@@ -109,7 +109,7 @@ def test_bulk_load_rejects_bad_input(small_config):
         d.bulk_load([2**small_config.key_bits], ["too big"])
     with pytest.raises(ValueError):
         d.bulk_load([-1], ["negative"])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the scalar rule: not an integer
         d.bulk_load(["k"], ["non-integer"])
     assert len(d) == 0  # failed loads leave the index empty
 

@@ -12,7 +12,7 @@ decision or a reply, so the suite pins
 - the fsync schedule against the replaced ``should_sync`` methods
   (kept here as the reference) under a fake clock,
 - the work count, so a re-layering fails a test, not a benchmark,
-- scalar ``get`` against a dict on both engines, including the
+- scalar ``get`` against a dict, including the
   padding-duplicate cases the inline hit check hands to ``probe_key``,
 - the codec's rejections, and that a failed encode logs nothing.
 """
@@ -33,6 +33,7 @@ from repro.kvstore import CodecError, KVStore, StringCodec, UintCodec
 from repro.wal import DurableKVStore, SimFS, WriteAheadLog
 from repro.wal import log as wal_log
 from repro.wal import record as rec
+from tests.conftest import ENGINE_ENV, exported
 
 # -- (a) golden bytes --------------------------------------------------------
 
@@ -190,7 +191,7 @@ def test_scalar_durable_ops_stay_flat(tmp_path):
     ``DyTIS.insert``, the engine's ``insert``; the parent made 13) and
     <= 3 per get (``Namespace.get``, ``UintCodec.encode``,
     ``DyTIS.get``; the parent made 8), on the production engine."""
-    index = DyTIS(DyTISConfig(storage="columnar"))
+    index = DyTIS()
     store = DurableKVStore(tmp_path, index=index, fsync="batch(4096,1000)")
     ns = store.namespace("default")
     rng = random.Random(5)
@@ -220,13 +221,11 @@ _RNG = random.Random(23)
 _POOL = sorted({_RNG.randrange(1 << 64) for _ in range(40)} | {0, 1, _MAX - 1, _MAX})
 
 
-def _small_index(storage: str) -> DyTIS:
-    return DyTIS(
-        DyTISConfig(first_level_bits=2, bucket_capacity=4, l_start=1, storage=storage)
-    )
+def _small_index() -> DyTIS:
+    return DyTIS(DyTISConfig(first_level_bits=2, bucket_capacity=4, l_start=1))
 
 
-@pytest.mark.parametrize("storage", ["lists", "columnar"])
+@pytest.mark.parametrize("storage", ENGINE_ENV)
 @settings(max_examples=120, deadline=None)
 @given(
     ops=st.lists(
@@ -238,18 +237,19 @@ def _small_index(storage: str) -> DyTIS:
     )
 )
 def test_scalar_get_matches_dict(storage, ops):
-    index, shadow = _small_index(storage), {}
-    for step, (op, key) in enumerate(ops):
-        if op == "insert":
-            index.insert(key, step)
-            shadow[key] = step
-        elif op == "delete":
-            assert index.delete(key) == (shadow.pop(key, None) is not None)
-        assert index.get(key) == shadow.get(key)
-    for key in _POOL:
-        assert index.get(key) == shadow.get(key)
-        assert index.get(np.uint64(key)) == shadow.get(key)
-    index.check_invariants()
+    with exported(storage):
+        index, shadow = _small_index(), {}
+        for step, (op, key) in enumerate(ops):
+            if op == "insert":
+                index.insert(key, step)
+                shadow[key] = step
+            elif op == "delete":
+                assert index.delete(key) == (shadow.pop(key, None) is not None)
+            assert index.get(key) == shadow.get(key)
+        for key in _POOL:
+            assert index.get(key) == shadow.get(key)
+            assert index.get(np.uint64(key)) == shadow.get(key)
+        index.check_invariants()
 
 
 def test_get_hands_padding_duplicates_to_probe_key(monkeypatch):
@@ -265,7 +265,7 @@ def test_get_hands_padding_duplicates_to_probe_key(monkeypatch):
         return probe_key(self, key)
 
     monkeypatch.setattr(ColumnarStorage, "probe_key", spy)
-    index = _small_index("columnar")
+    index = _small_index()
     keys = [k << 56 for k in range(1, 41)]  # one table, many buckets
     for k in keys:
         index.insert(k, k)

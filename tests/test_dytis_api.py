@@ -89,8 +89,8 @@ class TestScalarKeyTypes:
     were normalised at the boundary one of them raised ``IndexError``
     half-way through a columnar insert (key slot written, value list
     not), after which ``get`` returned a neighbour's value and
-    ``check_invariants`` still passed, and on the list engine the NumPy
-    object itself was stored as the key.
+    ``check_invariants`` still passed, and on the since-removed list
+    engine the NumPy object itself was stored as the key.
     """
 
     @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32])
@@ -147,3 +147,96 @@ class TestScalarKeyTypes:
         with pytest.raises(ValueError):
             idx.insert(np.int64(-1), "x")
         assert len(idx) == 1
+
+
+class TestBatchKeyTypes:
+    """The batch API holds the scalar rule for whole key columns.
+
+    ``np.asarray(keys, dtype=np.uint64)`` truncates floats and wraps
+    signed arrays; before the batch boundary got its own check,
+    ``get_many([1.5])`` served key 1, ``delete_many([1.2])`` deleted it
+    and ``delete_many(np.array([-1]))`` deleted key ``2**64 - 1``.
+    """
+
+    MAX = 2**64 - 1
+    CONTENT = [(1, "one"), (2, "two"), (3, "three"), (4, "four"),
+               (5, "five"), (MAX, "max")]
+
+    def _index(self):
+        idx = DyTIS()  # 64-bit keys: a wrapped -1 would land on MAX
+        for k, v in self.CONTENT:
+            idx.insert(k, v)
+        return idx
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda d: d.get_many([1.5]), TypeError),
+            (lambda d: d.get_many(np.array([5.9])), TypeError),
+            (lambda d: d.get_many(np.array([-1])), ValueError),
+            (lambda d: d.get_many([1, "2"]), TypeError),
+            (lambda d: d.get_many([[1, 2]]), TypeError),
+            (lambda d: d.get_many(np.array([[1, 2]])), ValueError),
+            (lambda d: d.get_many([-1]), ValueError),
+            (lambda d: d.get_many([2**64]), ValueError),
+            (lambda d: d.insert_many([2.7], ["v"]), TypeError),
+            (lambda d: d.insert_many([(np.float64(2.0), "v")]), TypeError),
+            (lambda d: d.insert_many(np.array([-3]), ["v"]), ValueError),
+            (lambda d: d.delete_many([1.2]), TypeError),
+            (lambda d: d.delete_many(np.array([1.0, 2.0])), TypeError),
+            (lambda d: d.delete_many(np.array([-1])), ValueError),
+            (lambda d: d.delete_many(np.array([-1], dtype=np.int8)), ValueError),
+        ],
+    )
+    def test_rejected_keys_leave_the_index_unchanged(self, call, error):
+        idx = self._index()
+        with pytest.raises(error):
+            call(idx)
+        assert list(idx.items()) == self.CONTENT
+        idx.check_invariants()
+
+    def test_bulk_load_rejects_what_insert_rejects(self):
+        for keys, error in [
+            ([3.9, 4.2], TypeError),
+            (np.array([3.9, 4.2]), TypeError),
+            (np.array([3, -4]), ValueError),
+            ([3, 2**64], ValueError),
+        ]:
+            idx = DyTIS()
+            with pytest.raises(error):
+                idx.bulk_load(keys, ["a", "b"])
+            assert len(idx) == 0 and list(idx.items()) == []
+
+    def test_insert_many_applies_the_pairs_before_the_bad_key(self):
+        idx = self._index()
+        with pytest.raises(TypeError):
+            idx.insert_many([7, 8.5, 9], ["seven", "x", "nine"])
+        assert idx.get(7) == "seven" and idx.get(8) is None and idx.get(9) is None
+        idx.check_invariants()
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([1, 5], dtype=np.int32),
+            np.array([1, 5], dtype=np.uint64),
+            np.array([1, 5], dtype=np.uint8),
+            [np.int32(1), np.uint64(5)],
+            (1, 5),
+            iter([1, 5]),
+        ],
+    )
+    def test_integer_columns_of_any_width_are_accepted(self, keys):
+        idx = self._index()
+        assert idx.get_many(keys) == ["one", "five"]
+
+    def test_bool_keys_are_zero_and_one(self):
+        idx = self._index()
+        assert idx.get_many([True, False]) == ["one", None]
+        assert idx.get_many(np.array([True, False])) == ["one", None]
+        idx.insert_many(np.array([6, 7], dtype=np.int16), ["six", "seven"])
+        idx.insert_many([False], ["zero"])
+        assert idx.delete_many(np.array([True, False])) == 2
+        assert idx.delete_many(np.array([self.MAX], dtype=np.uint64)) == 1
+        assert [k for k, _ in idx.items()] == [2, 3, 4, 5, 6, 7]
+        assert idx.get_many(np.array([])) == []  # empty: nothing to misread
+        idx.check_invariants()

@@ -3,8 +3,8 @@
 The controller's contract is *logical transparency*: a maintenance
 step may restructure anything, but the key/value mapping, iteration
 order, and every index invariant must be exactly what they were.  The
-fuzz tests run it in lockstep with a shadow dict under mixed ops on
-both storage engines; the shard test drives it across worker
+fuzz tests run it in lockstep with a shadow dict under mixed ops;
+the shard test drives it across worker
 processes and checks the ``maint_*`` counters come back in the
 metrics scrape.
 """

@@ -23,7 +23,7 @@ class TestTopLevel:
 
 PUBLIC_SURFACE = {
     "repro.core": [
-        "DyTIS", "ConcurrentDyTIS", "DyTISConfig", "Bucket",
+        "DyTIS", "ConcurrentDyTIS", "DyTISConfig",
         "PiecewiseRemap", "Segment", "OperationStats",
     ],
     "repro.hashing": ["ExtendibleHashing", "CCEH", "pseudo_key"],

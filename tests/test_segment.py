@@ -74,7 +74,7 @@ class TestSegmentBasics:
         for k in (40, 3, 17):
             s.insert(k, k * 2)
         keys, values = s.collect()
-        assert keys == [3, 17, 40]
+        assert keys.dtype == np.uint64 and keys.tolist() == [3, 17, 40]
         assert values == [6, 34, 80]
 
 
@@ -97,12 +97,10 @@ class TestBuild:
 
         remap = PiecewiseRemap(6, [2, 2])
         keys = list(range(0, 64, 8))
-        for storage in ("lists", "columnar"):
-            with pytest.raises(InvariantViolation):
-                Segment.build(
-                    2, remap, 16, keys, keys, storage,
-                    counts=np.array([2, 2, 2, 1]),
-                )
+        with pytest.raises(InvariantViolation):
+            Segment.build(
+                2, remap, 16, keys, keys, counts=np.array([2, 2, 2, 1])
+            )
 
     def test_build_empty(self):
         seg = Segment.build(2, PiecewiseRemap(6, [1]), 4, [], [])

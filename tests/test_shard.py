@@ -123,18 +123,21 @@ def test_shm_column_empty():
 
 
 def test_export_read_column_both_engines():
-    for storage in ("lists", "columnar"):
-        idx = DyTIS(DyTISConfig(key_bits=32, first_level_bits=3,
-                                bucket_capacity=8, l_start=1,
-                                storage=storage))
-        kv = {k: k * 3 for k in range(0, 1000, 7)}
-        idx.bulk_load(sorted(kv), [kv[k] for k in sorted(kv)])
-        idx.delete(7)
-        del kv[7]
-        keys, values = idx.export_read_column()
-        assert keys.dtype == np.uint64
-        assert keys.tolist() == sorted(kv)
-        assert values == [kv[k] for k in sorted(kv)]
+    """(The id predates the single layout; there is one engine now.)"""
+    idx = DyTIS(DyTISConfig(key_bits=32, first_level_bits=3,
+                            bucket_capacity=8, l_start=1))
+    assert idx.export_read_column()[1] == []
+    kv = {k: k * 3 for k in range(0, 1000, 7)}
+    idx.bulk_load(sorted(kv), [kv[k] for k in sorted(kv)])
+    idx.delete(7)
+    del kv[7]
+    keys, values = idx.export_read_column()
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == sorted(kv)
+    assert values == [kv[k] for k in sorted(kv)]
+    # The export is a copy: writing to it never reaches the index.
+    keys[0] = 1
+    assert idx.export_read_column()[0].tolist() == sorted(kv)
 
 
 def test_column_serving_stays_exact_across_mutations():

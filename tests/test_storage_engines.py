@@ -1,15 +1,19 @@
-"""Differential tests for the two segment storage engines.
+"""Differential tests for the segment storage layout.
 
-The list-of-buckets engine is the reference; the columnar engine must
-be observationally identical through the whole DyTIS API.  A lockstep
-fuzz drives both engines plus a shadow dict through >= 10k mixed
-operations and compares every result; unit tests pin down the columnar
-engine's sentinel-padding slack policy, its vectorised search paths
-(including the 2^64-1 sentinel-as-real-key edge), the fused read
-column's epoch invalidation, and the invariant checker's failure modes.
+A lockstep fuzz drives the index and a shadow dict through >= 10k mixed
+operations across the whole DyTIS API and compares every result (the
+removed list-of-buckets engine used to be a third party to it; same
+seeds, same op counts); unit tests pin down the columnar layout's
+sentinel-padding slack policy, its vectorised search paths (including
+the 2^64-1 sentinel-as-real-key edge), the fused read column's epoch
+invalidation, the one scan path's independence from writes and from
+tracing, the retired engine switches, and the invariant checker's
+failure modes.
 """
 
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,40 +23,35 @@ from repro.core import (
     DyTIS,
     DyTISConfig,
     InvariantViolation,
-    ListStorage,
     check_invariants,
-    make_storage,
 )
 from repro.core.storage import _MAX_KEY
+from repro.obs import Observability
 
 KEY_BITS = 32
 KEY_SPACE = 1 << KEY_BITS
 
 
-def _config(storage):
+def _config():
     return DyTISConfig(
-        key_bits=KEY_BITS,
-        first_level_bits=4,
-        bucket_capacity=8,
-        l_start=2,
-        storage=storage,
+        key_bits=KEY_BITS, first_level_bits=4, bucket_capacity=8, l_start=2
     )
 
 
 # ---------------------------------------------------------------------------
-# Lockstep differential fuzz: lists vs columnar vs shadow dict
+# Lockstep differential fuzz: the index vs a shadow dict
 # ---------------------------------------------------------------------------
 
 
 def test_lockstep_fuzz_10k_ops():
-    """>= 10k random ops applied to both engines and a dict, in lockstep.
+    """>= 10k random ops applied to the index and a dict, in lockstep.
 
-    Every operation's result is compared across all three; structural
-    invariants are re-checked periodically (structure ops -- split,
-    remap, expand, merge -- fire constantly at bucket_capacity=8).
+    Every operation's result is compared; structural invariants are
+    re-checked periodically (structure ops -- split, remap, expand,
+    merge -- fire constantly at bucket_capacity=8).
     """
     rng = random.Random(0x5E9)
-    engines = {s: DyTIS(_config(s)) for s in ("lists", "columnar")}
+    ix = DyTIS(_config())
     shadow = {}
     live = []  # keys currently present (with duplicates pruned lazily)
 
@@ -67,18 +66,16 @@ def test_lockstep_fuzz_10k_ops():
         if r < 0.35:  # insert / update
             k = random_key()
             v = rng.randrange(1 << 30)
-            for ix in engines.values():
-                ix.insert(k, v)
+            ix.insert(k, v)
             if k not in shadow:
                 live.append(k)
             shadow[k] = v
-        elif r < 0.45:  # insert_many: splice planner vs per-bucket loop
+        elif r < 0.45:  # insert_many: splice planner
             batch = [
                 (random_key(), rng.randrange(1 << 30))
                 for _ in range(rng.randrange(1, 96))
             ]
-            for ix in engines.values():
-                ix.insert_many(batch)
+            ix.insert_many(batch)
             for k, v in batch:
                 if k not in shadow:
                     live.append(k)
@@ -86,86 +83,67 @@ def test_lockstep_fuzz_10k_ops():
         elif r < 0.52:  # delete_many with hits and misses
             batch = [random_key() for _ in range(rng.randrange(1, 48))]
             expect = len({k for k in batch if k in shadow})
-            for name, ix in engines.items():
-                assert ix.delete_many(batch) == expect, (step, name)
+            assert ix.delete_many(batch) == expect, step
             for k in batch:
                 shadow.pop(k, None)
         elif r < 0.62:  # get
             k = random_key()
-            expect = shadow.get(k)
-            for name, ix in engines.items():
-                assert ix.get(k) == expect, (step, name, k)
+            assert ix.get(k) == shadow.get(k), (step, k)
         elif r < 0.70:  # delete
             k = random_key()
-            expect = k in shadow
-            for name, ix in engines.items():
-                assert ix.delete(k) == expect, (step, name, k)
+            assert ix.delete(k) == (k in shadow), (step, k)
             shadow.pop(k, None)
         elif r < 0.78:  # get_many with hits and misses
             batch = [random_key() for _ in range(64)]
-            expect = [shadow.get(k) for k in batch]
-            for name, ix in engines.items():
-                assert ix.get_many(batch) == expect, (step, name)
+            assert ix.get_many(batch) == [shadow.get(k) for k in batch], step
         elif r < 0.86:  # scan
             start = rng.randrange(KEY_SPACE)
             count = rng.randrange(1, 200)
             expect = sorted((k, v) for k, v in shadow.items() if k >= start)
-            expect = expect[:count]
-            for name, ix in engines.items():
-                assert ix.scan(start, count) == expect, (step, name)
+            assert ix.scan(start, count) == expect[:count], step
         elif r < 0.94:  # scan_range + count_range on the same bounds
             lo = rng.randrange(KEY_SPACE)
             hi = lo + rng.randrange(1, KEY_SPACE // 64)
             expect = sorted(
                 (k, v) for k, v in shadow.items() if lo <= k < hi
             )
-            for name, ix in engines.items():
-                assert ix.scan_range(lo, hi) == expect, (step, name)
-                assert ix.count_range(lo, hi) == len(expect), (step, name)
+            assert ix.scan_range(lo, hi) == expect, step
+            assert ix.count_range(lo, hi) == len(expect), step
         else:  # delete_range (small spans; exercises merge-down)
             lo = rng.randrange(KEY_SPACE)
             hi = lo + rng.randrange(1, KEY_SPACE // 256)
             victims = [k for k in shadow if lo <= k < hi]
-            for name, ix in engines.items():
-                assert ix.delete_range(lo, hi) == len(victims), (step, name)
+            assert ix.delete_range(lo, hi) == len(victims), step
             for k in victims:
                 del shadow[k]
 
         if step % 2000 == 1999:
             live = [k for k in set(live) if k in shadow]
-            for name, ix in engines.items():
-                assert len(ix) == len(shadow), (step, name)
-                check_invariants(ix)
+            assert len(ix) == len(shadow), step
+            check_invariants(ix)
 
-    for name, ix in engines.items():
-        assert len(ix) == len(shadow), name
-        check_invariants(ix)
-        assert sorted(shadow) == [k for k, _ in ix.scan_range(0, KEY_SPACE)]
+    assert len(ix) == len(shadow)
+    check_invariants(ix)
+    assert sorted(shadow) == [k for k, _ in ix.scan_range(0, KEY_SPACE)]
 
 
 def test_bulk_load_then_mutate_differential(rng):
-    """Bulk-loaded indexes under both engines agree after mutation."""
+    """A bulk-loaded index agrees with the dict after mutation."""
     keys = rng.sample(range(KEY_SPACE), 4000)
-    engines = {}
-    for s in ("lists", "columnar"):
-        ix = DyTIS(_config(s))
-        ix.bulk_load(keys, [k * 2 for k in keys])
-        engines[s] = ix
+    ix = DyTIS(_config())
+    ix.bulk_load(keys, [k * 2 for k in keys])
     shadow = {k: k * 2 for k in keys}
     for k in keys[:500]:
-        for ix in engines.values():
-            ix.delete(k)
+        ix.delete(k)
         del shadow[k]
     for k in range(0, 50_000, 7):
-        for ix in engines.values():
-            ix.insert(k, k + 1)
+        ix.insert(k, k + 1)
         shadow[k] = k + 1
     expect = sorted(shadow.items())
-    for name, ix in engines.items():
-        check_invariants(ix)
-        assert ix.scan_range(0, KEY_SPACE) == expect, name
-        probe = [k for k, _ in expect[::17]] + [1, 3, KEY_SPACE - 1]
-        assert ix.get_many(probe) == [shadow.get(k) for k in probe], name
+    check_invariants(ix)
+    assert ix.scan_range(0, KEY_SPACE) == expect
+    probe = [k for k, _ in expect[::17]] + [1, 3, KEY_SPACE - 1]
+    assert ix.get_many(probe) == [shadow.get(k) for k in probe]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +228,7 @@ def test_splice_partition_covers_each_key_exactly_once(rng):
     """Every batch key is accounted for exactly once across segment
     boundaries: inserted, updated in place, or spilled to overflow --
     and the index afterwards holds exactly the shadow's content."""
-    ix = DyTIS(_config("columnar"))
+    ix = DyTIS(_config())
     seed = rng.sample(range(KEY_SPACE), 3000)
     ix.bulk_load(seed, seed)
     shadow = dict(zip(seed, seed))
@@ -277,7 +255,7 @@ def test_splice_padding_invariant_after_every_batch(rng):
     """The sentinel-padded key column stays non-decreasing after every
     splice: check_invariants (which asserts exactly that, per segment)
     runs after each batched insert and delete."""
-    ix = DyTIS(_config("columnar"))
+    ix = DyTIS(_config())
     keys = rng.sample(range(KEY_SPACE), 1500)
     ix.bulk_load(keys, keys)
     pool = list(keys)
@@ -309,10 +287,8 @@ def test_fused_column_patched_not_rebuilt_after_local_writes(rng):
     """A segment-local write batch must NOT trigger a fused-column
     rebuild: the affected slices are patched in place, counted via the
     structural event bus."""
-    from repro.obs import Observability
-
     obs = Observability(enabled=True)
-    ix = DyTIS(_config("columnar"), obs=obs)
+    ix = DyTIS(_config(), obs=obs)
     keys = rng.sample(range(KEY_SPACE), 4000)
     ix.bulk_load(keys, keys)
     vmap = {k: k for k in keys}
@@ -380,7 +356,7 @@ def test_fused_column_patched_not_rebuilt_after_local_writes(rng):
 def test_fused_cache_consistency_across_mutations(rng):
     """The patched fused column serves exactly the same answers as a
     cold rebuild across value updates, deletes, batches, and ranges."""
-    ix = DyTIS(_config("columnar"))
+    ix = DyTIS(_config())
     keys = rng.sample(range(KEY_SPACE), 2000)
     ix.bulk_load(keys, keys)
     probe = keys[:100]
@@ -394,7 +370,7 @@ def test_fused_cache_consistency_across_mutations(rng):
     ix.delete(keys[1])
     assert ix.get_many(probe) == [-1, None] + probe[2:]
 
-    ix.scan(0, 10)  # warms the live-compacted companion
+    ix.scan(0, 10)  # a scan between writes: reads no cache, leaves none
     ix.insert_many([(k, 0) for k in probe[2:4]])
     assert ix.get_many(probe) == [-1, None, 0, 0] + probe[4:]
     assert ix.scan(min(probe[2:4]), 1) == [(min(probe[2:4]), 0)]
@@ -404,10 +380,89 @@ def test_fused_cache_consistency_across_mutations(rng):
     ix.delete_range(lo, hi)
     assert ix.count_range(lo, hi) == 0
     # A cold index over the same content answers identically.
-    cold = DyTIS(_config("columnar"))
+    cold = DyTIS(_config())
     content = ix.scan_range(0, KEY_SPACE)
     cold.bulk_load([k for k, _ in content], [v for _, v in content])
     assert cold.get_many(probe) == ix.get_many(probe)
+
+
+# ---------------------------------------------------------------------------
+# One scan path: the segment walk, writes beside it or not, traced or not
+# ---------------------------------------------------------------------------
+
+
+def test_scans_beside_writes_never_touch_the_fused_column(rng):
+    """Scan cost is write-independent: 200 alternating inserts, scans
+    and range scans emit no fused rebuild or patch (the walk reads the
+    live segments) and match a ``searchsorted`` oracle throughout; an
+    untraced twin given the same ops never builds the column at all."""
+    obs = Observability(enabled=True)
+    ix, plain = DyTIS(_config(), obs=obs), DyTIS(_config())
+    keys = rng.sample(range(KEY_SPACE), 3000)
+    ix.bulk_load(keys, keys)
+    plain.bulk_load(keys, keys)
+    ix.get_many(keys[:500])  # a warm fused column must not tempt a scan
+    before = _rebuild_patch_counts(ix)
+    oracle = np.sort(np.array(keys, dtype=np.uint64))
+    for step in range(200):
+        k = rng.randrange(KEY_SPACE)
+        ix.insert(k, k)
+        plain.insert(k, k)
+        at = int(oracle.searchsorted(np.uint64(k)))
+        if at == oracle.size or int(oracle[at]) != k:
+            oracle = np.insert(oracle, at, np.uint64(k))
+        start = rng.randrange(KEY_SPACE)
+        a = int(oracle.searchsorted(np.uint64(start)))
+        want = oracle[a : a + 100].tolist()
+        assert ix.scan(start, 100) == list(zip(want, want)), step
+        assert plain.scan(start, 100) == list(zip(want, want)), step
+        hi = start + rng.randrange(1, KEY_SPACE // 32)
+        b = int(oracle.searchsorted(np.uint64(hi)))
+        want = oracle[a:b].tolist()
+        assert ix.scan_range(start, hi) == list(zip(want, want)), step
+        assert plain.scan_range(start, hi) == list(zip(want, want)), step
+    assert _rebuild_patch_counts(ix) == before
+    assert ix.delete_range(0, KEY_SPACE) == oracle.size
+    assert plain.delete_range(0, KEY_SPACE) == oracle.size
+    assert _rebuild_patch_counts(ix) == before
+    assert plain._fused is None
+    check_invariants(ix)
+
+
+def test_traced_and_untraced_scans_agree(rng):
+    """The same op script through an index with a collector attached
+    and one without returns identical results from ``scan``,
+    ``scan_range`` and ``delete_range``, and the collector still counts
+    every scan and its sibling hops."""
+    obs = Observability(enabled=True)
+    traced, plain = DyTIS(_config(), obs=obs), DyTIS(_config())
+    keys = rng.sample(range(KEY_SPACE), 2000)
+    for ix in (traced, plain):
+        ix.bulk_load(keys, keys)
+    scans = 0
+    for step in range(150):
+        r = rng.random()
+        lo = rng.randrange(KEY_SPACE)
+        hi = lo + rng.randrange(0, KEY_SPACE // 128)
+        if r < 0.3:
+            k = rng.randrange(KEY_SPACE)
+            for ix in (traced, plain):
+                ix.insert(k, step)
+        elif r < 0.6:
+            count = rng.randrange(0, 300)
+            assert traced.scan(lo, count) == plain.scan(lo, count), step
+            scans += count > 0
+        elif r < 0.9:
+            assert traced.scan_range(lo, hi) == plain.scan_range(lo, hi), step
+            scans += hi > lo
+        else:
+            assert traced.delete_range(lo, hi) == plain.delete_range(lo, hi)
+            scans += hi > lo  # the victims come from the same walk
+    assert list(traced.items()) == list(plain.items())
+    assert obs.probes.scans == scans
+    assert obs.probes.scan_segment_hops > 0
+    assert obs.snapshot()["latency"]["scan"]["count"] >= scans
+    check_invariants(traced)
 
 
 # ---------------------------------------------------------------------------
@@ -416,33 +471,37 @@ def test_fused_cache_consistency_across_mutations(rng):
 
 
 def test_storage_env_default(monkeypatch):
-    monkeypatch.setenv("DYTIS_STORAGE", "columnar")
-    assert DyTISConfig().storage == "columnar"
+    """The three engine switches are gone: the env var is ignored, the
+    config field is a constant, the server CLI has no flag."""
+    for value in ("lists", "columnar", "nonsense"):
+        monkeypatch.setenv("DYTIS_STORAGE", value)
+        assert DyTISConfig().storage == "columnar"
     monkeypatch.delenv("DYTIS_STORAGE")
-    assert DyTISConfig().storage == "lists"
-    monkeypatch.setenv("DYTIS_STORAGE", "nonsense")
-    with pytest.raises(ValueError):
-        DyTIS(DyTISConfig())
-
-
-def test_make_storage_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        make_storage("btree", 4, 8)
-    assert isinstance(make_storage("lists", 4, 8), ListStorage)
-    assert isinstance(make_storage("columnar", 4, 8), ColumnarStorage)
+    assert DyTISConfig().storage == "columnar"
+    for value in ("lists", "columnar"):
+        with pytest.raises(TypeError):
+            DyTISConfig(storage=value)
+    help_text = subprocess.run(
+        [sys.executable, "-m", "repro.server", "--help"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert "--storage" not in help_text and "--shards" in help_text
 
 
 def test_columnar_memory_smaller_for_int_payloads(rng):
+    """Resident storage stays under the floor of what boxed keys in
+    per-bucket list pairs cost (the removed list engine measured
+    495,168 bytes on this load, the columnar layout 315,784): 8 bytes
+    per key *slot*, slack included, plus one value pointer per key."""
     keys = rng.sample(range(KEY_SPACE), 5000)
-    sizes = {}
-    for s in ("lists", "columnar"):
-        ix = DyTIS(_config(s))
-        ix.bulk_load(keys, keys)
-        sizes[s] = ix.memory_bytes()
-        assert "storage" in ix.describe()
-    # Unboxed uint64 keys beat per-bucket lists of boxed ints even
-    # though the columnar engine pays for its slack slots up front.
-    assert sizes["columnar"] < sizes["lists"]
+    ix = DyTIS(_config())
+    ix.bulk_load(keys, keys)
+    assert "storage=columnar" in ix.describe()
+    n, buckets = len(keys), ix.bucket_count()
+    slots = buckets * ix.config.bucket_capacity
+    # int object + key slot + value slot per key; bucket + two lists each.
+    boxed_floor = (32 + 8 + 8) * n + (48 + 56 + 56) * buckets
+    assert 8 * slots + 8 * n <= ix.memory_bytes() < boxed_floor
 
 
 def test_invariant_violation_on_corruption():
@@ -454,17 +513,9 @@ def test_invariant_violation_on_corruption():
     with pytest.raises(InvariantViolation):
         st.check_invariants()
 
-    ls = ListStorage(n_buckets=2, capacity=4)
-    ls.insert(0, 1, 1)
-    ls.insert(0, 3, 3)
-    ls.check_invariants()
-    ls.buckets[0].keys.reverse()
-    with pytest.raises(InvariantViolation):
-        ls.check_invariants()
-
 
 def test_index_level_invariants_catch_storage_corruption(rng):
-    ix = DyTIS(_config("columnar"))
+    ix = DyTIS(_config())
     keys = rng.sample(range(KEY_SPACE), 1000)
     ix.bulk_load(keys, keys)
     check_invariants(ix)

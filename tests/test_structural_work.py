@@ -50,7 +50,7 @@ def test_one_collect_per_op_and_one_routing_per_candidate(monkeypatch, overrides
     monkeypatch.setattr(PiecewiseRemap, "bucket_indices", counting_bucket_indices)
     monkeypatch.setattr(Segment, "build", classmethod(flagged_build))
 
-    index = DyTIS(DyTISConfig(storage="columnar", **overrides))
+    index = DyTIS(DyTISConfig(**overrides))
     for k in datasets.generate("TX", 50_000, seed=0).tolist():
         index.insert(k, k)
 

@@ -10,8 +10,12 @@ structural rewrite (ISSUE 17).  A mismatch means some insert sequence
 now takes a different Algorithm-1 decision; re-record the constants
 only for a change that is meant to alter the policy.
 
-The first diverging dataset/engine pair is also the fixture for
-bisecting which decision diverged (ROADMAP item 3).
+The first diverging dataset/config pair is also the fixture for
+bisecting which decision diverged (ROADMAP item 3).  The rows are keyed
+by layout name; the ``lists`` rows went with the list engine (same
+SHA-1s, larger ``memory_bytes``), and every case still runs with
+``DYTIS_STORAGE`` exported as each of its old values
+(``conftest.ENGINE_ENV``), which must not move a single field.
 """
 
 import hashlib
@@ -23,6 +27,7 @@ import pytest
 
 from repro import datasets
 from repro.core import DyTIS, DyTISConfig
+from tests.conftest import ENGINE_ENV, exported
 
 N_KEYS = 30_000
 N_ADVERSARIAL = 1_000
@@ -104,46 +109,31 @@ _MEM = 9
 # keys_moved, segments, buckets, memory_bytes, layout SHA-1.
 # fmt: off
 GOLDEN_INGEST = {
-    ('TX', 'default', 'lists'): (210, 0, 0, 112, 0, 0, 26880, 430, 454, 1585232, '0c130eda2c98e2044f105c3688f81d95c15f0b70'),
     ('TX', 'default', 'columnar'): (210, 0, 0, 112, 0, 0, 26880, 430, 454, 933368, '0c130eda2c98e2044f105c3688f81d95c15f0b70'),
-    ('TX', 'scaled', 'lists'): (510, 2308, 503, 52, 51, 0, 275638, 517, 5018, 2381832, 'cdd1023d7b54fcfb092804f5b3898de3b7260415'),
     ('TX', 'scaled', 'columnar'): (510, 2308, 503, 52, 51, 0, 275638, 517, 5018, 1471864, 'cdd1023d7b54fcfb092804f5b3898de3b7260415'),
-    ('RL', 'default', 'lists'): (105, 23, 0, 25, 0, 0, 42745, 281, 587, 1612560, 'b455c6c07e0a3bc5e6c3dbf232f8f60b2bb18cbc'),
     ('RL', 'default', 'columnar'): (105, 23, 0, 25, 0, 0, 42745, 281, 587, 1042984, 'b455c6c07e0a3bc5e6c3dbf232f8f60b2bb18cbc'),
-    ('RL', 'scaled', 'lists'): (218, 172, 23, 24, 22, 0, 96554, 226, 5108, 2571184, '53ac343078708c5c7a41f8c649511c0d7676f2b3'),
     ('RL', 'scaled', 'columnar'): (218, 172, 23, 24, 22, 0, 96554, 226, 5108, 1489376, '53ac343078708c5c7a41f8c649511c0d7676f2b3'),
-    ('MM', 'default', 'lists'): (187, 0, 0, 127, 0, 0, 23936, 443, 443, 1602752, '588c0f0c72a68e46f113442c02fdbd2fab8cfe4c'),
     ('MM', 'default', 'columnar'): (187, 0, 0, 127, 0, 0, 23936, 443, 443, 934488, '588c0f0c72a68e46f113442c02fdbd2fab8cfe4c'),
-    ('MM', 'scaled', 'lists'): (43, 225, 214, 20, 2, 0, 125660, 51, 4753, 2403088, 'aaef30d283249f5e01fac8526c52a0a9fed58c5b'),
     ('MM', 'scaled', 'columnar'): (43, 225, 214, 20, 2, 0, 125660, 51, 4753, 1308368, 'aaef30d283249f5e01fac8526c52a0a9fed58c5b'),
-    ('interleaved_runs', 'default', 'lists'): (0, 0, 0, 0, 0, 0, 0, 8, 8, 50112, '750c7e878f90f3915271a651517e6bd8f2730524'),
     ('interleaved_runs', 'default', 'columnar'): (0, 0, 0, 0, 0, 0, 0, 8, 8, 20128, '750c7e878f90f3915271a651517e6bd8f2730524'),
 }
 
 GOLDEN_BULK = {
-    ('TX', 'default', 'lists'): (0, 0, 0, 0, 0, 0, 0, 609, 610, 1596072, 'efe8995d15b143899109b3d9056ce01dee50ec3f'),
     ('TX', 'default', 'columnar'): (0, 0, 0, 0, 0, 0, 0, 609, 610, 1161960, 'efe8995d15b143899109b3d9056ce01dee50ec3f'),
-    ('TX', 'scaled', 'lists'): (0, 0, 0, 0, 0, 0, 0, 234, 3745, 2116664, '28c257fdd43d8f98b5887b793c08b8fef0d051d0'),
     ('TX', 'scaled', 'columnar'): (0, 0, 0, 0, 0, 0, 0, 234, 3745, 1100152, '28c257fdd43d8f98b5887b793c08b8fef0d051d0'),
-    ('RL', 'default', 'lists'): (0, 0, 0, 0, 0, 0, 0, 315, 641, 1578032, '691173efe687729ac7c9053e894f5514d2927c7e'),
     ('RL', 'default', 'columnar'): (0, 0, 0, 0, 0, 0, 0, 315, 641, 1094456, '691173efe687729ac7c9053e894f5514d2927c7e'),
-    ('RL', 'scaled', 'lists'): (0, 0, 0, 0, 0, 0, 0, 75, 5673, 2446000, '18f506367061866ad326b433f1ef0498c1b3e563'),
     ('RL', 'scaled', 'columnar'): (0, 0, 0, 0, 0, 0, 0, 75, 5673, 1447936, '18f506367061866ad326b433f1ef0498c1b3e563'),
-    ('MM', 'default', 'lists'): (0, 0, 0, 0, 0, 0, 0, 627, 627, 1600512, 'ec14044f823ba91000cf1e2849a570b27739639f'),
     ('MM', 'default', 'columnar'): (0, 0, 0, 0, 0, 0, 0, 627, 627, 1188024, 'ec14044f823ba91000cf1e2849a570b27739639f'),
-    ('MM', 'scaled', 'lists'): (0, 0, 0, 0, 0, 0, 0, 319, 3465, 2075696, '77e697525b6f7469d94520b3816e44a7a3bcc8ca'),
     ('MM', 'scaled', 'columnar'): (0, 0, 0, 0, 0, 0, 0, 319, 3465, 1073344, '77e697525b6f7469d94520b3816e44a7a3bcc8ca'),
-    ('interleaved_runs', 'default', 'lists'): (0, 0, 0, 0, 0, 0, 0, 56, 56, 62336, '8e17e4c7606fd609cf465fccda321f84e6fe0d0d'),
     ('interleaved_runs', 'default', 'columnar'): (0, 0, 0, 0, 0, 0, 0, 56, 56, 92672, '8e17e4c7606fd609cf465fccda321f84e6fe0d0d'),
 }
 
 GOLDEN_DELETE = {
-    'lists': (510, 2308, 503, 52, 51, 666, 293117, 334, 1055, 418904, 'da4c4ede6bb599b12cccf7be5c7c761073771eb2'),
     'columnar': (510, 2308, 503, 52, 51, 666, 293117, 334, 1055, 379744, 'da4c4ede6bb599b12cccf7be5c7c761073771eb2'),
 }
 # fmt: on
 
-ENGINES = ["lists", "columnar"]
+LAYOUT = DyTISConfig.storage
 #: ``interleaved_runs`` under the scaled config is ROADMAP item 3's
 #: open pathology (millions of buckets); it is pinned at the default
 #: config only.
@@ -155,28 +145,28 @@ CASES = [
 ]
 
 
-def _index(config, storage):
-    return DyTIS(DyTISConfig(storage=storage, **CONFIGS[config]))
+def _index(config):
+    return DyTIS(DyTISConfig(**CONFIGS[config]))
 
 
-def _ingested(dataset, config, storage):
-    index = _index(config, storage)
+def _ingested(dataset, config):
+    index = _index(config)
     for k in _keys(dataset).tolist():
         index.insert(k, k)
     return index
 
 
-def _bulk_loaded(dataset, config, storage):
+def _bulk_loaded(dataset, config):
     keys = np.sort(_keys(dataset))
-    index = _index(config, storage)
+    index = _index(config)
     index.bulk_load(keys, keys.tolist())
     return index
 
 
-def _thinned(storage):
+def _thinned():
     """Ingest, then delete seven keys in eight in insertion order, so
     merge-down and buddy merge run on segments Algorithm 1 built."""
-    index = _ingested("TX", "scaled", storage)
+    index = _ingested("TX", "scaled")
     for i, k in enumerate(_keys("TX").tolist()):
         if i % 8:
             index.delete(k)
@@ -191,25 +181,28 @@ def _check(got, want):
     assert got == want
 
 
-@pytest.mark.parametrize("storage", ENGINES)
+@pytest.mark.parametrize("storage", ENGINE_ENV)
 @pytest.mark.parametrize("dataset,config", CASES)
 def test_scalar_ingest_builds_the_recorded_structure(dataset, config, storage):
-    index = _ingested(dataset, config, storage)
-    _check(fingerprint(index), GOLDEN_INGEST[dataset, config, storage])
+    with exported(storage):
+        index = _ingested(dataset, config)
+    _check(fingerprint(index), GOLDEN_INGEST[dataset, config, LAYOUT])
 
 
-@pytest.mark.parametrize("storage", ENGINES)
+@pytest.mark.parametrize("storage", ENGINE_ENV)
 @pytest.mark.parametrize("dataset,config", CASES)
 def test_bulk_load_builds_the_recorded_structure(dataset, config, storage):
-    index = _bulk_loaded(dataset, config, storage)
-    _check(fingerprint(index), GOLDEN_BULK[dataset, config, storage])
+    with exported(storage):
+        index = _bulk_loaded(dataset, config)
+    _check(fingerprint(index), GOLDEN_BULK[dataset, config, LAYOUT])
 
 
-@pytest.mark.parametrize("storage", ENGINES)
+@pytest.mark.parametrize("storage", ENGINE_ENV)
 def test_deletes_merge_to_the_recorded_structure(storage):
-    index = _thinned(storage)
+    with exported(storage):
+        index = _thinned()
     index.check_invariants()
-    _check(fingerprint(index), GOLDEN_DELETE[storage])
+    _check(fingerprint(index), GOLDEN_DELETE[LAYOUT])
 
 
 if __name__ == "__main__":  # pragma: no cover - records the constants
@@ -225,8 +218,6 @@ if __name__ == "__main__":  # pragma: no cover - records the constants
         ("GOLDEN_INGEST", _ingested), ("GOLDEN_BULK", _bulk_loaded)
     ]:
         _table(name, {
-            (d, c, e): fingerprint(build(d, c, e))
-            for d, c in CASES
-            for e in ENGINES
+            (d, c, LAYOUT): fingerprint(build(d, c)) for d, c in CASES
         })
-    _table("GOLDEN_DELETE", {e: fingerprint(_thinned(e)) for e in ENGINES})
+    _table("GOLDEN_DELETE", {LAYOUT: fingerprint(_thinned())})

@@ -13,13 +13,10 @@ then one line per record with the namespace id and the *encoded*
 integer key (codec-independent and order-preserving).  The checksum
 means a truncated or bit-rotted snapshot is rejected up front with
 :class:`SnapshotCorruptError` instead of failing (or worse, partially
-loading) midway through.  Older files still load:
-
-- version 1 -- header without ``crc32``/``records``; read unverified.
-- version 0 ("headerless") -- no header line at all, every line a
-  record; read unverified into already-open namespaces.
-
-Future versions are rejected with a clear error naming both versions.
+loading) midway through.  Nothing is ever read unverified: version 1
+(a header without ``crc32``/``records``) and version 0 (no header line
+at all) files are rejected with a :class:`SnapshotError` that says to
+re-save them, and future versions with one naming both versions.
 
 The byte-level pair :func:`dump_snapshot_bytes` /
 :func:`load_snapshot_bytes` exists so other layers (the WAL's
@@ -83,9 +80,8 @@ def dump_snapshot_bytes(
 def read_snapshot_header(data: bytes, source: str = "snapshot") -> Dict:
     """The parsed header of serialised snapshot bytes.
 
-    Headerless v0 files yield a synthesised ``{"version": 0}`` header
-    with no namespace table.  Raises :class:`SnapshotError` for empty
-    input, unparseable first lines, and future format versions.
+    Raises :class:`SnapshotError` for empty input, unparseable first
+    lines, and every format version but the current one.
     """
     first, _, _ = data.partition(b"\n")
     if not first.strip():
@@ -98,17 +94,17 @@ def read_snapshot_header(data: bytes, source: str = "snapshot") -> Dict:
         ) from None
     if not isinstance(parsed, dict):
         raise SnapshotCorruptError(f"{source}: malformed first line")
-    if "version" not in parsed:
-        if "ns" in parsed and "key" in parsed:
-            return {"version": 0}  # headerless v0: first line is a record
+    if "version" not in parsed and not ("ns" in parsed and "key" in parsed):
         raise SnapshotCorruptError(f"{source}: malformed header {parsed!r}")
-    version = parsed["version"]
+    version = parsed.get("version", 0)  # headerless v0: a record comes first
     if not isinstance(version, int) or version < 0:
         raise SnapshotCorruptError(f"{source}: bad version {version!r}")
-    if version > _FORMAT_VERSION:
+    if version != _FORMAT_VERSION:
+        newer = version > _FORMAT_VERSION  # older: no checksum to verify
         raise SnapshotError(
-            f"{source}: snapshot format v{version} is newer than this "
-            f"build supports (v{_FORMAT_VERSION}); upgrade to read it"
+            f"{source}: snapshot format v{version} is not the "
+            f"v{_FORMAT_VERSION} this build reads; "
+            + ("upgrade to read it" if newer else "re-save with a v2 build")
         )
     return parsed
 
@@ -117,40 +113,32 @@ def load_snapshot_bytes(store: KVStore, data: bytes, source: str = "snapshot") -
     """Restore serialised snapshot bytes into ``store``.
 
     Namespaces must be opened first with the same codecs (codec choice
-    is not serialisable).  Returns the record count.  Verifies the v2
+    is not serialisable).  Returns the record count.  Verifies the
     whole-body checksum and record count *before* applying anything, so
     a corrupt snapshot never half-loads.
     """
     header = read_snapshot_header(data, source)
-    version = header["version"]
-    if version == 0:
-        body = data
-    else:
-        _, _, body = data.partition(b"\n")
-
-    if version >= 2:
-        crc = zlib.crc32(body) & 0xFFFFFFFF
-        if crc != header.get("crc32"):
-            raise SnapshotCorruptError(
-                f"{source}: body checksum {crc:#010x} does not match "
-                f"header ({header.get('crc32', 0):#010x}); snapshot is "
-                f"truncated or corrupt"
-            )
-
-    if "namespaces" in header:
-        missing = [
-            n for n in header["namespaces"] if n not in store.namespaces()
-        ]
-        if missing:
-            raise SnapshotError(
-                f"open these namespaces (with their codecs) before "
-                f"loading: {missing}"
-            )
+    _, _, body = data.partition(b"\n")
+    crc = zlib.crc32(body) & 0xFFFFFFFF
+    if crc != header.get("crc32"):
+        raise SnapshotCorruptError(
+            f"{source}: body checksum {crc:#010x} does not match "
+            f"header ({header.get('crc32', 0):#010x}); snapshot is "
+            f"truncated or corrupt"
+        )
+    missing = [
+        n for n in header.get("namespaces", []) if n not in store.namespaces()
+    ]
+    if missing:
+        raise SnapshotError(
+            f"open these namespaces (with their codecs) before "
+            f"loading: {missing}"
+        )
 
     # One (encoded keys, values) column pair per namespace, file order.
     columns: Dict[str, tuple] = {}
     count = 0
-    for lineno, line in enumerate(body.splitlines(), 2 if version else 1):
+    for lineno, line in enumerate(body.splitlines(), 2):
         if not line.strip():
             continue
         try:
@@ -163,7 +151,7 @@ def load_snapshot_bytes(store: KVStore, data: bytes, source: str = "snapshot") -
                 f"{source}: bad record on line {lineno}: {exc}"
             ) from None
         count += 1
-    if version >= 2 and header.get("records") != count:
+    if header.get("records") != count:
         raise SnapshotCorruptError(
             f"{source}: header promises {header.get('records')} records, "
             f"body holds {count}"
@@ -174,13 +162,8 @@ def load_snapshot_bytes(store: KVStore, data: bytes, source: str = "snapshot") -
             raise SnapshotError(
                 f"open namespace {ns_name!r} (with its codec) before loading"
             )
-        ns = store.namespace(ns_name)
-        if version >= 2:
-            # Verified, and written grouped and key-ordered: one batch.
-            ns._insert_encoded(keys, values)
-        else:
-            for key, value in zip(keys, values):
-                ns.insert(ns.codec.decode(key), value)
+        # Verified, and written grouped and key-ordered: one batch.
+        store.namespace(ns_name)._insert_encoded(keys, values)
     return count
 
 

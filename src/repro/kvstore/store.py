@@ -10,7 +10,6 @@ embedded-store layout (think column families over one keyspace).
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.api import batch_columns, is_batch_index
@@ -149,16 +148,6 @@ class Namespace:
     def insert(self, key, value: Any) -> None:
         """Insert or overwrite ``key`` (IndexProtocol naming)."""
         self.store.index.insert(self._encode(key), value)
-
-    def put(self, key, value: Any) -> None:
-        """Deprecated alias for :meth:`insert` (pre-protocol naming)."""
-        warnings.warn(
-            "Namespace.put is deprecated and will be removed in repro 2.0; "
-            "use Namespace.insert",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.insert(key, value)
 
     def get(self, key, default: Any = None) -> Any:
         found = self._index_get(self._base | self._encode_key(key))

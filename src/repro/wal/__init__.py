@@ -13,8 +13,10 @@ sub-package closes that gap for :mod:`repro.kvstore`:
 - :class:`~repro.wal.store.DurableKVStore` -- the ``KVStore`` wrapper
   that logs every mutation before applying it and recovers on open
   from the newest verifiable checkpoint plus the WAL tail.
-- :mod:`~repro.wal.checkpoint` -- LSN-tagged, checksummed snapshots
-  that let the log truncate dead segments.
+- :mod:`~repro.wal.checkpoint` -- the durability core under both
+  ``DurableKVStore`` and the shards' ``DurableShardIndex``: recovery on
+  open, the checkpoint protocol (LSN-tagged, checksummed checkpoints
+  that let the log truncate dead segments), remote shipping.
 - :mod:`~repro.wal.faultfs` -- the deterministic fault-injection
   filesystem (:class:`SimFS`) used to sweep every crash point of a
   workload and prove the acknowledged-writes-survive property; the

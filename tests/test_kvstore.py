@@ -249,15 +249,11 @@ class TestKVStore:
 class TestNamespaceProtocolAPI:
     """The protocol-era Namespace surface: insert, batches, range ops."""
 
-    def test_put_is_deprecated_alias(self):
-        store = KVStore(config=CFG)
-        ns = store.namespace("n")
-        # The warning must name the removal version so callers can
-        # plan the migration (satellite of the durability PR).
-        with pytest.warns(DeprecationWarning, match=r"removed in repro 2\.0"):
-            ns.put(1, "a")
-        assert ns.get(1) == "a"
-        ns.insert(1, "b")  # no warning on the new name
+    def test_put_alias_is_gone(self):
+        ns = KVStore(config=CFG).namespace("n")
+        assert not hasattr(ns, "put")
+        ns.insert(1, "a")
+        ns.insert(1, "b")  # insert is the upsert
         assert ns.get(1) == "b"
         assert len(ns) == 1
 

@@ -134,7 +134,7 @@ class TestSnapshotFormatV2:
         with pytest.raises(SnapshotError, match=r"v9.*v2"):
             load_snapshot(KVStore(CFG), path)
 
-    def test_v1_header_without_checksum_still_loads(self, tmp_path):
+    def test_v1_header_without_checksum_is_rejected(self, tmp_path):
         src = _populated_store()
         data = dump_snapshot_bytes(src)
         _, _, body = data.partition(b"\n")
@@ -142,17 +142,19 @@ class TestSnapshotFormatV2:
         path = tmp_path / "v1.jsonl"
         path.write_bytes(json.dumps(v1_header).encode() + b"\n" + body)
         dst = _fresh_store()
-        assert load_snapshot(dst, path) == 204
-        assert dst.namespace("users").get(42) == {"n": 42}
+        with pytest.raises(SnapshotError, match=r"v1 .*re-save with a v2 build"):
+            load_snapshot(dst, path)
+        assert len(dst) == 0  # unverifiable, so nothing half-loaded
 
-    def test_headerless_v0_still_loads(self, tmp_path):
+    def test_headerless_v0_is_rejected(self, tmp_path):
         data = dump_snapshot_bytes(_populated_store())
         _, _, body = data.partition(b"\n")  # drop the header entirely
         path = tmp_path / "v0.jsonl"
         path.write_bytes(body)
         dst = _fresh_store()
-        assert load_snapshot(dst, path) == 204
-        assert dst.namespace("tags").get("abc") == "ABC"
+        with pytest.raises(SnapshotError, match=r"v0 .*re-save with a v2 build"):
+            load_snapshot(dst, path)
+        assert len(dst) == 0
 
     def test_extra_header_fields_roundtrip_and_are_ignored_on_load(self):
         store = _populated_store()

@@ -10,8 +10,8 @@ invisible layer.
 
 :class:`AsyncRemoteIndex` is the pipelined asyncio client the load
 generator uses: many requests in flight per connection, matched to
-replies by request id by a background reader task.  Pipelining is what
-gives the server's coalescer something to coalesce.
+replies by request id in the connection's ``data_received`` callback.
+Pipelining is what gives the server's coalescer something to coalesce.
 """
 
 from __future__ import annotations
@@ -201,88 +201,105 @@ class RemoteIndex:
         )
 
 
-class AsyncRemoteIndex:
+class AsyncRemoteIndex(asyncio.Protocol):
     """Pipelined asyncio client: many requests in flight per connection.
 
-    Each request gets a fresh id and a future; a background reader task
-    resolves futures as reply frames arrive (replies come back in
-    request order per connection, but matching by id keeps the client
-    honest).  Create with :meth:`connect`.
+    The client is its connection's protocol: each request gets a fresh
+    id and a future, and ``data_received`` resolves futures as reply
+    frames arrive (replies come back in request order per connection,
+    but matching by id keeps the client honest) -- no task runs per
+    connection.  When the connection is lost, closed, or its reply
+    stream is damaged, every pending future fails with
+    :class:`ConnectionError` (replies ahead of the damage stand), and so
+    does every later request.  Create with :meth:`connect`.
     """
 
-    def __init__(self, reader, writer):
-        self._reader = reader
-        self._writer = writer
+    def __init__(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._transport: Optional[asyncio.Transport] = None
         self._decoder = frame.FrameDecoder()
         self._pending: Dict[int, asyncio.Future] = {}
         self._next_id = 1
-        self._closed = False
+        #: Why the connection is gone; None while it is up.
+        self._lost: Optional[ConnectionError] = None
+        #: Set while the transport's buffer is above its high-water mark.
+        self._paused = False
+        self._drain_waiters: List[asyncio.Future] = []
         self.ns_id: Optional[int] = None
-        self._loop = asyncio.get_event_loop()
-        self._reader_task = self._loop.create_task(self._read_loop())
 
     @classmethod
     async def connect(
         cls, host: str, port: int, namespace: str = "default"
     ) -> "AsyncRemoteIndex":
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            writer.transport.get_extra_info("socket").setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
-        except (AttributeError, OSError):
-            pass
-        client = cls(reader, writer)
+        _, client = await asyncio.get_running_loop().create_connection(
+            cls, host, port
+        )
         client.ns_id = frame.decode_ns_id(
             await client.call(frame.OP_NS_OPEN, frame.encode_ns_open(namespace))
         )
         return client
 
-    async def _read_loop(self) -> None:
-        feed = self._decoder.feed
-        pop = self._pending.pop
-        closed: Exception = ConnectionError("server closed the connection")
-        try:
-            while True:
-                data = await self._reader.read(65536)
-                if not data:
-                    break
-                damage = None
-                try:
-                    frames = feed(data)
-                except frame.FrameError as exc:
-                    # Replies ahead of the damage stand; the rest fail.
-                    frames, damage = exc.frames, exc
-                for rid, op, payload in frames:
-                    fut = pop(rid, None)
-                    if fut is None or fut.done():
-                        continue
-                    if op == frame.OP_ERR:
-                        fut.set_exception(
-                            RemoteError(*frame.decode_err(payload))
-                        )
-                    else:
-                        fut.set_result(payload)
-                if damage is not None:
-                    closed = ConnectionError(str(damage))
-                    break
-        except ConnectionResetError as exc:
-            closed = ConnectionError(str(exc))
-        self._fail_pending(closed)
+    # -- transport callbacks --------------------------------------------
 
-    def _fail_pending(self, exc: Exception) -> None:
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        damage = None
+        try:
+            frames = self._decoder.feed(data)
+        except frame.FrameError as exc:
+            # Replies ahead of the damage stand; the rest fail.
+            frames, damage = exc.frames, exc
+        pop = self._pending.pop
+        for rid, op, payload in frames:
+            fut = pop(rid, None)
+            if fut is None or fut.done():
+                continue
+            if op == frame.OP_ERR:
+                fut.set_exception(RemoteError(*frame.decode_err(payload)))
+            else:
+                fut.set_result(payload)
+        if damage is not None:
+            self._fail(ConnectionError(str(damage)))
+            self._transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._fail(
+            ConnectionError(str(exc) if exc else "server closed the connection")
+        )
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._wake_drainers()
+
+    def _fail(self, exc: ConnectionError) -> None:
+        """The connection is gone: fail what is pending (the first
+        cause is kept for later requests) and release drain waiters."""
+        if self._lost is None:
+            self._lost = exc
         for fut in self._pending.values():
             if not fut.done():
                 fut.set_exception(exc)
         self._pending.clear()
+        self._wake_drainers()
+
+    def _wake_drainers(self) -> None:
+        for waiter in self._drain_waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+        self._drain_waiters.clear()
+
+    # -- requests -------------------------------------------------------
 
     def submit(self, opcode: int, payload: bytes = b"") -> asyncio.Future:
         """Fire one request without awaiting: the pipelining primitive."""
-        request_id = self._next_id
-        self._next_id += 1
-        fut = self._loop.create_future()
-        self._pending[request_id] = fut
-        self._writer.write(frame.encode_frame(request_id, opcode, payload))
+        buf = bytearray()
+        fut = self.submit_into(buf, opcode, payload)
+        self.send_buffer(buf)
         return fut
 
     def submit_into(
@@ -295,28 +312,37 @@ class AsyncRemoteIndex:
         request_id = self._next_id
         self._next_id += 1
         fut = self._loop.create_future()
-        self._pending[request_id] = fut
+        if self._lost is None:
+            self._pending[request_id] = fut
+        else:
+            fut.set_exception(self._lost)
         frame.encode_frame_into(buf, request_id, opcode, payload)
         return fut
 
     def send_buffer(self, buf: bytearray) -> None:
-        self._writer.write(bytes(buf))
+        if self._lost is None:
+            self._transport.write(bytes(buf))
+
+    async def drain(self) -> None:
+        """Wait until the connection takes writes again (the transport's
+        buffer is below its low-water mark): backpressure for callers
+        that pipeline.  Raises :class:`ConnectionError` once the
+        connection is gone, rather than waiting on a dead peer."""
+        if self._paused and self._lost is None:
+            waiter = self._loop.create_future()
+            self._drain_waiters.append(waiter)
+            await waiter
+        if self._lost is not None:
+            raise ConnectionError(str(self._lost))
 
     async def call(self, opcode: int, payload: bytes = b"") -> bytes:
-        fut = self.submit(opcode, payload)
-        await self._writer.drain()
-        return await fut
+        return await self.submit(opcode, payload)
 
     async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):
-            pass
-        self._writer.close()
+        """Fail whatever is still pending and close the connection;
+        idempotent."""
+        self._fail(ConnectionError("client closed the connection"))
+        self._transport.close()
 
     # -- pipelined convenience wrappers ---------------------------------
 

@@ -118,7 +118,7 @@ async def _drive(
                     frame.encode_key_value(ns_id, op.key, op.key),
                 ))
         client.send_buffer(buf)
-        await client._writer.drain()
+        await client.drain()
         # Replies are FIFO per connection, so once the burst's last
         # future resolves the rest are already done: harvest them
         # synchronously instead of paying gather bookkeeping per op.

@@ -6,33 +6,43 @@ One :class:`IndexServer` exposes a :class:`~repro.kvstore.KVStore` (or
 binary protocol of :mod:`repro.server.frame`.
 
 The performance mechanism is *pipelining with epoch coalescing*.
-Each readable buffer is decoded and queued in one pass; every data
-frame from every connection lands in one server-wide arrival queue; a
-drain task scheduled for the next event-loop tick walks the queue **in
-arrival order**, cutting it into *epochs*: maximal runs of consecutive
-same-namespace point ops, gets and inserts mixed.  An epoch is served
-as one ``get_many`` then one ``insert_many`` (on a durable store a
-single WAL record and one group-committed fsync) -- or, on a sharded
-index, as one ``read_write_many``: one message per touched shard.  A
-get whose key was written earlier in its epoch is answered from that
-pending write, every other get reads pre-epoch state, and replies are
-laid out by arrival position, so the reply bytes are those of
-one-at-a-time execution and per-connection request order is preserved
-exactly.  Each connection's replies for a tick leave in one socket
-write instead of one write per request.
+Each connection is an :class:`asyncio.Protocol`: its ``data_received``
+callback decodes and queues a readable buffer in one pass, so every
+data frame from every connection lands in one server-wide arrival
+queue; a drain callback scheduled for the next event-loop tick walks
+the queue **in arrival order**, cutting it into *epochs*: maximal runs
+of consecutive same-namespace point ops, gets and inserts mixed.  An
+epoch is served as one ``get_many`` then one ``insert_many`` (on a
+durable store a single WAL record and one group-committed fsync) -- or,
+on a sharded index, as one ``read_write_many``: one message per touched
+shard.  A get whose key was written earlier in its epoch is answered
+from that pending write, every other get reads pre-epoch state, and
+replies are laid out by arrival position, so the reply bytes are those
+of one-at-a-time execution and per-connection request order is
+preserved exactly.  Each connection's replies for a tick leave in one
+``transport.write`` instead of one write per request.  No task runs per
+connection or per drain.
 
 The coalescer's state machine::
 
-    IDLE --first burst enqueued--> SCHEDULED (drain task created)
-    SCHEDULED --tick (+max_delay)--> DRAINING
+    IDLE --first burst enqueued--> SCHEDULED (call_soon, or
+                                    call_later(max_delay) if > 0)
+    SCHEDULED --callback runs--> DRAINING
     DRAINING: pop an epoch (<= max_batch) -> one or two store calls
               -> collect reply frames in arrival order
-              -> one joined write per connection -> queue empty?
-                 yes -> IDLE     no (frames arrived mid-drain) -> DRAINING
+              -> queue empty -> one joined write per connection -> IDLE
 
-``coalesce=False`` gives the naive one-request-per-call server: each
-frame is executed and its reply written (and flushed) immediately --
-the baseline ``bench_server_throughput.py`` measures against.
+Flow control is per connection: when a client's transport buffer
+passes its high-water mark (the client is not reading its replies) the
+server stops reading that client, and the drain holds rather than
+serves its queued requests until the buffer drains.  Nothing waits on
+a connection's writes, so a client that stops reading stalls only
+itself, and what the server holds for it is bounded.
+
+``coalesce=False`` gives the naive one-request-per-call server: the
+same queue and drain, but every request is its own store call and its
+own write -- the baseline ``bench_server_throughput.py`` measures
+against.
 """
 
 from __future__ import annotations
@@ -53,6 +63,10 @@ _NS_KEY = frame._NS_KEY  # the 12-byte head of every point-op payload
 #: Per-read timeout and header-line cap for the admin HTTP endpoint.
 _ADMIN_READ_TIMEOUT = 5.0
 _ADMIN_MAX_HEADER_LINES = 100
+
+#: Seconds shutdown lets closed connections flush their last replies
+#: before it cuts the ones whose peer is not reading.
+_CLOSE_GRACE = 1.0
 
 
 @dataclass
@@ -78,16 +92,83 @@ class ServerConfig:
     checkpoint_on_shutdown: bool = True
 
 
-class _Connection:
-    """Per-connection state: writer, decoder, and liveness flag."""
+class _Connection(asyncio.Protocol):
+    """One client connection: the transport callbacks and their state.
 
-    __slots__ = ("reader", "writer", "decoder", "alive")
+    ``paused`` is the write-side flow control: set while the
+    transport's buffer is above its high-water mark, when the server
+    stops reading this client and the drain moves its queued requests
+    to ``held`` instead of serving them; ``resume_writing`` queues them
+    again, ahead of anything the client sends next.
+    """
 
-    def __init__(self, reader, writer):
-        self.reader = reader
-        self.writer = writer
+    __slots__ = ("server", "transport", "decoder", "alive", "paused", "held")
+
+    def __init__(self, server: "IndexServer"):
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
         self.decoder = frame.FrameDecoder()
+        self.alive = False
+        self.paused = False
+        self.held: List[_Entry] = []
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
         self.alive = True
+        server = self.server
+        server._conns.add(self)
+        server.metrics.connections_total += 1
+        server.metrics.connections_open += 1
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        damage = None
+        try:
+            frames = self.decoder.feed(data)
+        except frame.FrameError as exc:
+            # The frames ahead of the damage arrived intact and are
+            # served, whichever way TCP cut the stream into reads.
+            frames, damage = exc.frames, exc
+        server._enqueue_burst(self, frames)
+        if damage is not None:
+            # A corrupt stream has no reliable frame boundaries left:
+            # answer what is queued (so the error is this connection's
+            # last reply), one structured error, hang up.
+            server.metrics.record_error(frame.ERR_BAD_FRAME)
+            server._drain()
+            self.transport.write(
+                frame.encode_frame(
+                    0,
+                    frame.OP_ERR,
+                    frame.encode_err(frame.ERR_BAD_FRAME, str(damage)),
+                )
+            )
+            self.close()
+
+    def connection_lost(self, exc) -> None:
+        self.alive = False
+        self.held.clear()
+        server = self.server
+        server._conns.discard(self)
+        server.metrics.connections_open -= 1
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.held and self.alive:
+            server = self.server
+            server._queue.extend(self.held)
+            self.held.clear()
+            server._schedule_drain()
+        self.transport.resume_reading()
+
+    def close(self) -> None:
+        """Stop serving this client; what was written still flushes."""
+        self.alive = False
+        self.transport.close()
 
 
 #: One queued request: (conn, request_id, opcode, decoded args, t_enqueue_ns).
@@ -119,9 +200,9 @@ class IndexServer:
         self._ns_by_id: Dict[int, Any] = {}
         self._ns_ids: Dict[str, int] = {}
         self._queue: Deque[_Entry] = deque()
-        self._drain_task: Optional[asyncio.Task] = None
-        self._conn_tasks: set = set()
+        self._drain_handle: Optional[asyncio.Handle] = None
         self._conns: set = set()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._admin_server: Optional[asyncio.AbstractServer] = None
         self._shutting_down = False
@@ -135,8 +216,9 @@ class IndexServer:
     async def start(self) -> None:
         """Bind the data (and optional admin) listeners."""
         cfg = self.config
-        self._server = await asyncio.start_server(
-            self._on_connection, cfg.host, cfg.port
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), cfg.host, cfg.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if cfg.admin_port is not None:
@@ -151,29 +233,30 @@ class IndexServer:
     async def shutdown(self) -> None:
         """Graceful stop: quiesce in-flight batches, then checkpoint.
 
-        Sequence: stop accepting; let the drain task flush every queued
-        request and its replies; close client connections; close the
-        admin listener; checkpoint + close a durable store.
+        Sequence: stop accepting; serve every queued request and write
+        its replies; close client transports; close the admin listener;
+        checkpoint + close a durable store.
         """
         if self._closed:
             return
         self._shutting_down = True
         if self._server is not None:
             self._server.close()
-        # Quiesce: the drain task replies to everything already queued.
-        while self._drain_task is not None:
-            await self._drain_task
-        # Tear down client connections *before* wait_closed(): on
-        # Python >= 3.12.1 wait_closed() also waits for the
-        # connection-handler tasks, which only return on client EOF,
-        # so awaiting it with clients still attached deadlocks.
+        # Quiesce: the scheduled drain, run now, replies to everything
+        # already queued.
+        self._drain()
+        # Close the transports *before* wait_closed(): on Python >=
+        # 3.12.1 it waits until every connection is lost.  A close
+        # flushes what was written; a peer that stopped reading never
+        # takes its bytes, so what is still open after the grace is cut.
         for conn in list(self._conns):
-            conn.alive = False
-            conn.writer.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+            conn.close()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + _CLOSE_GRACE
+        while self._conns and loop.time() < deadline:
+            await asyncio.sleep(0.005)
+        for conn in list(self._conns):
+            conn.transport.abort()
         if self._server is not None:
             await self._server.wait_closed()
         if self._admin_server is not None:
@@ -216,78 +299,7 @@ class IndexServer:
                 frame.ERR_UNKNOWN_NS, f"namespace id {ns_id} is not open"
             ) from None
 
-    # -- connection handling --------------------------------------------
-
-    async def _on_connection(self, reader, writer) -> None:
-        conn = _Connection(reader, writer)
-        m = self.metrics
-        m.connections_total += 1
-        m.connections_open += 1
-        self._conns.add(conn)
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            await self._serve_connection(conn)
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            conn.alive = False
-            self._conns.discard(conn)
-            self._conn_tasks.discard(task)
-            m.connections_open -= 1
-            writer.close()
-
-    async def _serve_connection(self, conn: _Connection) -> None:
-        coalesce = self.config.coalesce
-        feed = conn.decoder.feed
-        while True:
-            data = await conn.reader.read(65536)
-            if not data:
-                return
-            damage = None
-            try:
-                frames = feed(data)
-            except frame.FrameError as exc:
-                # The frames ahead of the damage arrived intact and are
-                # served, whichever way TCP cut the stream into reads.
-                frames, damage = exc.frames, exc
-            if coalesce:
-                self._enqueue_burst(conn, frames)
-            else:
-                for request_id, opcode, payload in frames:
-                    await self._handle_naive(conn, request_id, opcode, payload)
-            if damage is not None:
-                # A corrupt stream has no reliable frame boundaries
-                # left: answer what is queued (so the error is this
-                # connection's last reply), one structured error, hang up.
-                self.metrics.record_error(frame.ERR_BAD_FRAME)
-                flushes = self._answer_queue() if coalesce else []
-                conn.writer.write(
-                    frame.encode_frame(
-                        0,
-                        frame.OP_ERR,
-                        frame.encode_err(frame.ERR_BAD_FRAME, str(damage)),
-                    )
-                )
-                await asyncio.gather(
-                    *flushes, conn.writer.drain(), return_exceptions=True
-                )
-                return
-
-    # -- naive (one-request-per-call) path ------------------------------
-
-    async def _handle_naive(
-        self, conn: _Connection, request_id: int, opcode: int, payload: bytes
-    ) -> None:
-        t0 = _now()
-        reply_op, reply_payload = self._execute(opcode, payload)
-        name = frame.OP_NAMES.get(opcode)
-        if name is not None:
-            self.metrics.record_request(name, _now() - t0)
-        conn.writer.write(frame.encode_frame(request_id, reply_op, reply_payload))
-        await conn.writer.drain()
-
-    # -- coalescing path ------------------------------------------------
+    # -- request queue and drain ----------------------------------------
 
     def _enqueue_burst(self, conn: _Connection, frames: List[frame.Frame]) -> None:
         """Queue one readable buffer's requests in arrival order and
@@ -323,62 +335,60 @@ class IndexServer:
                 push((conn, request_id, opcode, args, t0))
                 continue
             self.metrics.record_error(code)
-            conn.writer.write(
+            conn.transport.write(
                 frame.encode_frame(
                     request_id, frame.OP_ERR, frame.encode_err(code, msg)
                 )
             )
-        if self._queue and self._drain_task is None:
-            self._drain_task = asyncio.get_event_loop().create_task(
-                self._drain_loop()
+        if self._queue:
+            self._schedule_drain()
+
+    def _schedule_drain(self) -> None:
+        """IDLE -> SCHEDULED.  ``call_soon`` runs the drain on the next
+        tick, after every connection that was readable in this one has
+        queued its frames; ``max_delay`` lingers longer for bigger runs."""
+        if self._drain_handle is None:
+            delay = self.config.max_delay
+            self._drain_handle = (
+                self._loop.call_later(delay, self._drain)
+                if delay > 0
+                else self._loop.call_soon(self._drain)
             )
 
-    async def _drain_loop(self) -> None:
-        try:
-            # Yield (at least) one tick so every connection that became
-            # readable in this event-loop pass contributes its frames
-            # to the batch; max_delay lingers longer for bigger runs.
-            await asyncio.sleep(self.config.max_delay)
-            while self._queue:
-                flushes = self._answer_queue()
-                if flushes:
-                    await asyncio.gather(*flushes, return_exceptions=True)
-        finally:
-            self._drain_task = None
-            if self._queue:
-                # Frames raced in between the last emptiness check and
-                # task teardown; reschedule rather than strand them.
-                self._drain_task = asyncio.get_event_loop().create_task(
-                    self._drain_loop()
-                )
-
-    def _answer_queue(self) -> list:
-        """Serve everything queued and hand each connection its replies
-        as one write; returns the writers' flushes, to be awaited."""
+    def _drain(self) -> None:
+        """Serve the whole queue and hand each connection its replies
+        as one write.  Runs as the scheduled callback, or ahead of it
+        (a damaged stream, shutdown), which cancels the schedule."""
+        handle, self._drain_handle = self._drain_handle, None
+        if handle is not None:
+            handle.cancel()
         replies: _Replies = {}
         self._drain_once(replies)
-        flushes = []
         for conn, chunks in replies.items():
             if conn.alive:
-                conn.writer.write(b"".join(chunks))
-                flushes.append(conn.writer.drain())
-        return flushes
+                conn.transport.write(b"".join(chunks))
 
     def _drain_once(self, replies: _Replies) -> None:
         """Serve the queued requests, one epoch of point ops at a time.
 
-        Processes the queue snapshot in arrival order.  An *epoch* is
-        the maximal run of consecutive OP_GET / OP_INSERT requests on
-        one namespace (bounded by ``max_batch``); any other request
-        closes the epoch before it and is served alone.
+        Processes the queue in arrival order.  An *epoch* is the
+        maximal run of consecutive OP_GET / OP_INSERT requests on one
+        namespace (bounded by ``max_batch``); any other request closes
+        the epoch before it and is served alone, as is every request
+        when coalescing is off.  A paused connection's requests are
+        held, not served: its client is not reading the replies.
         """
         queue = self._queue
         max_batch = self.config.max_batch
+        coalesce = self.config.coalesce
         OP_GET, OP_INSERT = frame.OP_GET, frame.OP_INSERT
         while queue:
             entry = queue.popleft()
+            if entry[0].paused:
+                entry[0].held.append(entry)
+                continue
             opcode = entry[2]
-            if opcode != OP_GET and opcode != OP_INSERT:
+            if not coalesce or (opcode != OP_GET and opcode != OP_INSERT):
                 self._serve_single(*entry, replies)
                 continue
             epoch: List[_Entry] = [entry]
@@ -387,7 +397,11 @@ class IndexServer:
             while queue and len(epoch) < max_batch:
                 nxt = queue[0]
                 op = nxt[2]
-                if (op != OP_GET and op != OP_INSERT) or nxt[3][0] != ns_id:
+                if (
+                    (op != OP_GET and op != OP_INSERT)
+                    or nxt[3][0] != ns_id
+                    or nxt[0].paused
+                ):
                     break
                 if op != opcode:
                     mixed = True
@@ -529,6 +543,10 @@ class IndexServer:
         t0: int,
         replies: _Replies,
     ) -> None:
+        """Serve one request alone.  Its reply leaves at once, behind
+        the connection's replies collected so far: a scan can answer
+        megabytes, and writing it is what lets flow control pause a
+        client that does not read before the drain serves its next."""
         try:
             reply_op, payload = self._execute_parsed(opcode, args)
         except Exception as exc:  # noqa: BLE001
@@ -542,16 +560,17 @@ class IndexServer:
         name = frame.OP_NAMES.get(opcode)
         if name is not None:
             self.metrics.record_request(name, _now() - t0)
-        replies.setdefault(conn, []).append(
-            frame.encode_frame(request_id, reply_op, payload)
-        )
+        chunks = replies.pop(conn, [])
+        chunks.append(frame.encode_frame(request_id, reply_op, payload))
+        if conn.alive:
+            conn.transport.write(b"".join(chunks))
 
     def _reply_error(
         self, entry: _Entry, code: int, msg: str, replies: _Replies
     ) -> None:
         """Answer a queued request with an error.  Error replies are
         recorded too, so requests_total and the latency histograms
-        count the same population as the naive path."""
+        count every reply, whichever path produced it."""
         conn, request_id, opcode, _, t0 = entry
         self.metrics.record_error(code)
         name = frame.OP_NAMES.get(opcode)
@@ -593,20 +612,6 @@ class IndexServer:
         except frame.PayloadError as exc:
             raise _RequestError(frame.ERR_BAD_PAYLOAD, str(exc)) from None
         raise _RequestError(frame.ERR_BAD_OPCODE, f"unknown opcode {opcode}")
-
-    def _execute(self, opcode: int, payload: bytes) -> Tuple[int, bytes]:
-        """Parse + execute one request (the naive path)."""
-        try:
-            args = self._parse(opcode, payload)
-            return self._execute_parsed(opcode, args)
-        except _RequestError as exc:
-            self.metrics.record_error(exc.code)
-            return frame.OP_ERR, frame.encode_err(exc.code, exc.msg)
-        except Exception as exc:  # noqa: BLE001
-            self.metrics.record_error(frame.ERR_OP_FAILED)
-            return frame.OP_ERR, frame.encode_err(
-                frame.ERR_OP_FAILED, repr(exc)
-            )
 
     def _execute_parsed(self, opcode: int, args: Any) -> Tuple[int, bytes]:
         """Execute a parsed request; opcodes map 1:1 onto protocol calls."""

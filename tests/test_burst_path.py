@@ -206,7 +206,7 @@ def test_async_client_resolves_the_prefix_and_fails_the_rest():
         client = await AsyncRemoteIndex.connect("127.0.0.1", fake.port)
         first = client.submit_get(1)
         second = client.submit_get(2)
-        await client._writer.drain()
+        await client.drain()
         got = await asyncio.gather(first, second, return_exceptions=True)
         await client.close()
         return got

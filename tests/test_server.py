@@ -146,10 +146,10 @@ class TestCoalescing:
         with ServerThread(config=ServerConfig(coalesce=True)) as st:
             async def go(client):
                 futs = [client.submit_insert(k, k) for k in range(300)]
-                await client._writer.drain()
+                await client.drain()
                 await asyncio.gather(*futs)
                 futs = [client.submit_get(k) for k in range(300)]
-                await client._writer.drain()
+                await client.drain()
                 payloads = await asyncio.gather(*futs)
                 return [frame.decode_value(p) for p in payloads]
 
@@ -172,7 +172,7 @@ class TestCoalescing:
                         )
                     for k in range(50):
                         futs.append(client.submit_get(k))
-                await client._writer.drain()
+                await client.drain()
                 return await asyncio.gather(*futs)
 
             replies = self._pipeline(st, go)
@@ -193,12 +193,12 @@ class TestCoalescing:
         with ServerThread(config=ServerConfig(coalesce=True)) as st:
             async def go(client):
                 futs = [client.submit_insert(k, k) for k in range(20)]
-                await client._writer.drain()
+                await client.drain()
                 await asyncio.gather(*futs)
                 futs = [client.submit_get(k) for k in range(10)]
                 bad = client.submit_get(2**63)
                 futs += [client.submit_get(k) for k in range(10, 20)]
-                await client._writer.drain()
+                await client.drain()
                 good = await asyncio.gather(*futs)
                 with pytest.raises(RemoteError) as exc:
                     await bad
@@ -226,7 +226,7 @@ class TestCoalescing:
 
                 async def read_all(c):
                     futs = [c.submit_get(k) for k in range(100)]
-                    await c._writer.drain()
+                    await c.drain()
                     return await asyncio.gather(*futs)
 
                 results = await asyncio.gather(*(read_all(c) for c in clients))
@@ -609,3 +609,114 @@ def test_server_refuses_store_and_index():
 
     with pytest.raises(ValueError):
         IndexServer(KVStore(), index=DyTIS())
+
+
+def test_a_client_that_stops_reading_stalls_only_itself():
+    """A client that pipelines scans and never reads its replies must
+    not freeze the data plane: the server stops reading *that* client
+    (so what it holds for it stays bounded) and keeps serving the rest.
+    """
+    import time
+
+    value = "v" * 98  # 100 bytes as JSON
+    with ServerThread(config=ServerConfig(coalesce=True)) as st:
+        with RemoteIndex(st.host, st.port, "slow") as idx:
+            idx.bulk_load(list(range(5000)), [value] * 5000)
+        hog = _Wire(st, "slow")
+        scan = (frame.OP_SCAN, frame.encode_scan(hog.ns_id, 0, 1000))
+        try:
+            hog.send([scan] * 2000)
+            time.sleep(0.3)  # the server reads the burst and stalls on it
+            t0 = time.perf_counter()
+            with RemoteIndex(st.host, st.port, "slow", timeout=5) as idx:
+                assert idx.get(7) == value
+            assert time.perf_counter() - t0 < 1.0
+            assert st.server.metrics.requests_total["scan"] < 500
+        finally:
+            hog.close()
+
+
+class TestAsyncClientLifecycle:
+    def test_server_going_away_mid_burst_fails_the_pending_futures(self):
+        """Stop the server (what SIGTERM does) under bursts of 64
+        pipelined requests: every future ends -- a reply, or
+        ``ConnectionError`` once the connection is gone -- none hangs,
+        and ``close()`` may be called twice."""
+        st = ServerThread(config=ServerConfig(coalesce=True)).start()
+
+        async def go():
+            client = await AsyncRemoteIndex.connect(st.host, st.port, "t")
+            stopping = asyncio.get_running_loop().run_in_executor(
+                None, st.stop
+            )
+            futs = []
+            while not any(f.exception() for f in futs):
+                buf = bytearray()
+                burst = [
+                    client.submit_into(
+                        buf, frame.OP_GET, frame.encode_key(client.ns_id, k)
+                    )
+                    for k in range(64)
+                ]
+                client.send_buffer(buf)
+                futs += burst
+                await asyncio.wait_for(
+                    asyncio.gather(*burst, return_exceptions=True), 10
+                )
+            await stopping
+            await client.close()
+            await client.close()
+            return futs
+
+        futs = asyncio.run(go())
+        assert not st._thread.is_alive()
+        failed = [f.exception() for f in futs if f.exception() is not None]
+        assert failed and all(isinstance(e, ConnectionError) for e in failed)
+        assert all(
+            frame.decode_value(f.result()) is None
+            for f in futs
+            if f.exception() is None
+        )
+
+    def test_drain_on_a_closed_client_raises(self):
+        with ServerThread(config=ServerConfig()) as st:
+
+            async def go():
+                client = await AsyncRemoteIndex.connect(st.host, st.port)
+                await client.drain()  # open and writable: returns at once
+                await client.close()
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(client.drain(), 5)
+                with pytest.raises(ConnectionError):
+                    await client.submit_get(1)
+
+            asyncio.run(go())
+
+    def test_drain_waits_for_a_slow_peer_and_fails_if_it_goes(self):
+        """Write past the high-water mark to a peer that accepts and
+        never reads: ``drain()`` waits, and raises ``ConnectionError``
+        when that peer hangs up instead of waiting forever."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            accepted = loop.run_in_executor(None, listener.accept)
+            client = await loop.create_connection(
+                AsyncRemoteIndex, "127.0.0.1", port
+            )
+            client = client[1]
+            peer, _ = await accepted
+            for _ in range(64):
+                client.send_buffer(bytearray(1 << 20))
+            waiting = asyncio.ensure_future(client.drain())
+            await asyncio.sleep(0.2)
+            assert not waiting.done()
+            peer.close()
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(waiting, 5)
+
+        try:
+            asyncio.run(go())
+        finally:
+            listener.close()

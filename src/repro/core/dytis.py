@@ -43,7 +43,6 @@ from repro.obs.events import (
     DirectoryResizeEvent,
     DoublingEvent,
     ExpandEvent,
-    FusedPatchEvent,
     FusedRebuildEvent,
     MergeEvent,
     RemapEvent,
@@ -56,26 +55,22 @@ _KEY_SPACE = 1 << 64
 
 
 class _FusedColumn:
-    """The fused read column plus the bookkeeping to patch it in place.
+    """A read-only snapshot of the whole index for ``get_many``.
 
     ``keys``/``counts``/``vals`` are the concatenated per-segment
-    arrays (see :meth:`DyTIS._build_fused`); ``slots`` maps a segment's
-    ``id()`` to its ``(slot_offset, n_slots)`` region so a
-    segment-local write batch can overwrite just that slice.  ``epoch``
-    is the *structural* epoch the column was built at: any operation
-    that changes the segment set (split, merge, expansion, remapping,
-    directory rebuild, bulk load) invalidates the whole column, while
-    segment-local mutations only mark their segment dirty.
+    arrays (see :meth:`DyTIS._build_fused`).  ``gen`` is the index's
+    write generation when the snapshot was taken; the column answers
+    reads exactly while ``DyTIS._gen`` still equals it, and is never
+    updated in place.
     """
 
-    __slots__ = ("epoch", "keys", "counts", "vals", "slots")
+    __slots__ = ("gen", "keys", "counts", "vals")
 
-    def __init__(self, epoch, keys, counts, vals, slots):
-        self.epoch = epoch
+    def __init__(self, gen, keys, counts, vals):
+        self.gen = gen
         self.keys = keys
         self.counts = counts
         self.vals = vals
-        self.slots = slots
 
 
 class _EHTable:
@@ -139,18 +134,15 @@ class DyTIS:
             1 << self.config.first_level_bits
         )
         self._size = 0
-        # Fused read column (serves ``get_many``): every segment's key
-        # column concatenated in global key order, rebuilt lazily.
-        # ``_mut_epoch`` is the *structural* epoch -- bumped only when
-        # the segment set changes, which discards the whole column;
-        # segment-local mutations instead register in ``_fused_dirty``
-        # and are patched into the column slice-by-slice on next read.
-        # ``_gen`` counts every mutation (shard workers version the
-        # read column they publish with it).
-        self._mut_epoch = 0
+        # ``_gen`` counts every write.  The fused read column (serves
+        # ``get_many`` in read-only phases) is a snapshot tagged with
+        # the ``_gen`` it was built at; ``_routed_keys`` counts the keys
+        # ``get_many`` resolved without it during generation
+        # ``_routed_gen`` (see the rebuild rule in :meth:`get_many`).
         self._gen = 0
         self._fused: Optional[_FusedColumn] = None
-        self._fused_dirty: dict = {}
+        self._routed_gen = -1
+        self._routed_keys = 0
         # Segment-size-limit escalation state (§3.3).
         self._boost_decided = False
         self._boosted = False
@@ -190,24 +182,13 @@ class DyTIS:
             (key & self._local_mask) >> (self._m - table.global_depth)
         ]
 
-    def _note_write(self, seg: Segment) -> None:
-        """Record a segment-local mutation (keys and/or values changed).
-
-        Bumps the mutation generation and, when a fused column exists,
-        marks ``seg``'s slice dirty so the next fused read patches it
-        in place instead of rebuilding the concatenation.
-        """
-        self._gen += 1
-        if self._fused is not None:
-            self._fused_dirty[id(seg)] = seg
-
     # -- point operations ------------------------------------------------------
     #
     # ``get`` and ``insert`` run flat: key check, table and directory
-    # lookup (for ``insert`` also the remap arithmetic and
-    # ``_note_write``, for ``get`` the live-prefix hit check) are
-    # inlined, leaving one Python frame (insert) or none (get) between
-    # the method and the store's C ``bisect``.
+    # lookup (for ``insert`` also the remap arithmetic, for ``get`` the
+    # live-prefix hit check) are inlined, leaving one Python frame
+    # (insert) or none (get) between the method and the store's C
+    # ``bisect``.
 
     def get(self, key: int) -> Optional[Any]:
         """Value stored under ``key``, or None ('not exist')."""
@@ -307,11 +288,7 @@ class DyTIS:
                 seg.total_keys += 1
                 seg.piece_counts[i] += 1
                 self._size += 1
-            # "updated" is a value-only write: the fused value refs for
-            # this segment are patched, never rebuilt.
             self._gen += 1
-            if self._fused is not None:
-                self._fused_dirty[id(seg)] = seg
             break
         if rec is not None:
             rec(_now() - t0)
@@ -319,9 +296,6 @@ class DyTIS:
     def _new_table(self, ti: int) -> _EHTable:
         table = _EHTable(self._m, self.config.bucket_capacity)
         self._tables[ti] = table
-        # A new root segment exists that the fused column has no slot
-        # region for: structural change, invalidate wholesale.
-        self._mut_epoch += 1
         return table
 
     def delete(self, key: int) -> bool:
@@ -339,7 +313,7 @@ class DyTIS:
         found = seg is not None and seg.delete(key)
         if found:
             self._size -= 1
-            self._note_write(seg)
+            self._gen += 1
             self._maybe_merge_after_delete(
                 self._tables[key >> self._m], seg, key & self._local_mask
             )
@@ -631,7 +605,7 @@ class DyTIS:
             if gone:
                 removed += gone
                 self._size -= gone
-                self._note_write(seg)
+                self._gen += 1
                 self._maybe_merge_after_delete(table, seg, local)
             i = j
         return removed
@@ -716,7 +690,6 @@ class DyTIS:
         """
         if self._size:
             raise ValueError("bulk_load requires an empty index")
-        self._mut_epoch += 1
         self._gen += 1
         values = list(values)
         arr = self._key_column(keys)
@@ -769,30 +742,38 @@ class DyTIS:
 
         The batch is type- and bounds-checked once
         (:meth:`_key_column`), then resolved with one ``searchsorted``
-        over the fused read column, or -- while writes keep that column
-        dirty and the batch is small -- walked in key order with the
-        routing state resolved once per *group* of keys sharing a
-        segment.  Missing keys yield None (same contract as
-        :meth:`get`).
+        over the fused read column when that snapshot is current (no
+        write since it was built), else walked in key order against the
+        live segments with the routing state resolved once per *group*
+        of keys sharing a segment.  Missing keys yield None (same
+        contract as :meth:`get`).
         """
         arr = self._key_column(keys)
         n = int(arr.size)
         out: List[Optional[Any]] = [None] * n
         if n == 0:
             return out
-        # Cost gate for mixed read/write traffic: patching the fused
-        # column costs ~O(dirty segments), a routed probe ~O(batch).
-        # When interleaved writes keep re-dirtying many segments and
-        # the batch is small (YCSB-A style), probe the live stores
-        # directly and leave the patch to the next large read.
-        # Read-only streams always take the fused path, so the column
-        # still amortises across batches.
-        if self._fused_dirty and len(self._fused_dirty) * 16 > n:
-            return self._get_many_routed(arr, out)
-        return self._get_many_fused(arr, out)
+        fused = self._fused
+        if fused is None or fused.gen != self._gen:
+            # Stale column: rent (route) until the keys read since the
+            # last write reach len // 8, then buy (rebuild) -- ski
+            # rental.  Measured, a rebuild costs 0.05-0.09 us per
+            # indexed key and a routed read 0.7-2.0 us per key, a ratio
+            # of 7.6-30; 8 is its low end, so a read-only phase rebuilds
+            # once routing has cost about a rebuild, while batches with
+            # writes between them (YCSB-A) never rebuild.
+            gen = self._gen
+            if self._routed_gen != gen:
+                self._routed_gen, self._routed_keys = gen, 0
+                self._fused = None  # free it: a stale snapshot is never reused
+            self._routed_keys += n
+            if self._routed_keys < self._size >> 3:
+                return self._get_many_routed(arr, out)
+            fused = self._build_fused()
+        return self._get_many_fused(fused, arr, out)
 
     def _build_fused(self) -> _FusedColumn:
-        """(Re)build the fused read column.
+        """Snapshot the index into a fresh fused read column.
 
         Concatenates every segment's sentinel-padded key column in
         global key order (tables by high bits, segments by directory
@@ -807,30 +788,19 @@ class DyTIS:
         ndarray of references aligned slot-for-slot with the key column
         (slack slots hold None), so a whole batch of hits resolves with
         one fancy-index gather.
-
-        Each segment's slot region is recorded in the column's ``slots``
-        map; segment-local mutations are then patched into their region
-        by :meth:`_patch_fused`, and only structural operations (which
-        bump ``_mut_epoch``) pay this full rebuild again.
         """
         t0 = time.perf_counter()
-        epoch = self._mut_epoch
         cap = self.config.bucket_capacity
         cols: List[np.ndarray] = []
         cnts: List[np.ndarray] = []
         flat: List[Any] = []
-        slots: dict = {}
         pad = [None] * cap
-        off = 0
         for table in self._tables:
             if table is None:
                 continue
             for seg in table.unique_segments():
                 st = seg.store
-                k = st.keys
-                slots[id(seg)] = (off, int(k.size))
-                off += int(k.size)
-                cols.append(k)
+                cols.append(st.keys)
                 cnts.append(st._counts_array())
                 for vlist in st.values:
                     flat += vlist
@@ -847,9 +817,8 @@ class DyTIS:
             keys_col = np.empty(0, dtype=np.uint64)
             counts_col = np.empty(0, dtype=np.int64)
             vals_col = np.empty(0, dtype=object)
-        fused = _FusedColumn(epoch, keys_col, counts_col, vals_col, slots)
+        fused = _FusedColumn(self._gen, keys_col, counts_col, vals_col)
         self._fused = fused
-        self._fused_dirty.clear()
         if self._obs is not None:
             self._obs.events.emit(
                 FusedRebuildEvent(
@@ -860,119 +829,6 @@ class DyTIS:
             )
         return fused
 
-    def _get_fused(self) -> _FusedColumn:
-        """The fused column, synced: rebuilt on structural staleness,
-        patched in place for pending segment-local writes."""
-        fused = self._fused
-        if fused is None or fused.epoch != self._mut_epoch:
-            return self._build_fused()
-        if self._fused_dirty:
-            return self._patch_fused(fused)
-        return fused
-
-    def _patch_fused(self, fused: _FusedColumn) -> _FusedColumn:
-        """Patch dirty segments' slices into the fused column in place.
-
-        For each dirty segment: copy its (already sentinel-padded) key
-        column, bucket counts, and slot-aligned value refs over its
-        recorded region, then re-run the cross-segment padding repair
-        *only* over that region -- clamp its trailing MAX slack to the
-        first slot of the next region (one vectorised ``minimum``), and
-        lower any stale padding to the left of the region down to the
-        region's new first key (chunked backward walk, almost always
-        one comparison).  Falls back to a full rebuild when a dirty
-        segment has no recorded region (e.g. it was created after the
-        column was built).
-        """
-        t0 = time.perf_counter()
-        dirty = self._fused_dirty
-        regions: List[Tuple[int, int, Any]] = []
-        for sid, seg in dirty.items():
-            ent = fused.slots.get(sid)
-            st = seg.store
-            if ent is None or ent[1] != int(st.keys.size):
-                return self._build_fused()
-            regions.append((ent[0], ent[1], st))
-        regions.sort()
-        cap = self.config.bucket_capacity
-        keys_col = fused.keys
-        counts_col = fused.counts
-        vals_col = fused.vals
-        pad = [None] * cap
-        slots_patched = 0
-        for off, nslots, st in regions:
-            keys_col[off : off + nslots] = st.keys
-            counts_col[off // cap : (off + nslots) // cap] = st._counts_array()
-            flat: List[Any] = []
-            for vlist in st.values:
-                flat += vlist
-                flat += pad[len(vlist):]
-            vals_col[off : off + nslots] = np.fromiter(
-                flat, dtype=object, count=nslots
-            )
-            slots_patched += nslots
-        size = int(keys_col.size)
-        # Right boundary, back to front so an adjacent dirty region
-        # reads its successor's already-clamped first slot: trailing
-        # MAX slack must not exceed the next region's first key.
-        for off, nslots, _ in reversed(regions):
-            end = off + nslots
-            if end < size:
-                np.minimum(
-                    keys_col[off:end], keys_col[end], out=keys_col[off:end]
-                )
-        # Left boundary: padding before the region duplicated its old
-        # first key; a batch that inserted a new minimum (or emptied
-        # the region) leaves that padding too high.
-        for off, _, _ in regions:
-            if off == 0:
-                continue
-            first = keys_col[off]
-            if keys_col[off - 1] <= first:
-                continue
-            j = off
-            while j > 0:
-                lo = max(0, j - 1024)
-                chunk = keys_col[lo:j]
-                good = chunk <= first
-                if not good.any():
-                    chunk[:] = first
-                    j = lo
-                    continue
-                chunk[int(np.flatnonzero(good)[-1]) + 1 :] = first
-                break
-        dirty.clear()
-        if self._obs is not None:
-            self._obs.events.emit(
-                FusedPatchEvent(
-                    local_depth=0, global_depth=0,
-                    keys_moved=slots_patched,
-                    duration_ns=int((time.perf_counter() - t0) * 1e9),
-                    segments=len(regions),
-                )
-            )
-        return fused
-
-    def export_read_column(self) -> Tuple[np.ndarray, List[Any]]:
-        """Snapshot the live index as ``(keys, values)`` in key order.
-
-        ``keys`` is a fresh strictly-increasing uint64 array and
-        ``values`` a slot-aligned list -- the layout shard workers
-        publish into shared memory so other processes can serve point
-        reads with a bisect against the column.  It is the fused column
-        with the slack slots squeezed out by one boolean mask (slot
-        offset < bucket count): an O(N) copy, which is why no read path
-        of the index itself goes through it.
-        """
-        fused = self._get_fused()
-        keys_col = fused.keys
-        cap = self.config.bucket_capacity
-        live = (
-            np.arange(keys_col.size, dtype=np.int64) % cap
-            < fused.counts.repeat(cap)
-        )
-        return keys_col[live], fused.vals[live].tolist()
-
     def _get_many_routed(
         self, arr: np.ndarray, out: List[Optional[Any]]
     ) -> List[Optional[Any]]:
@@ -981,9 +837,9 @@ class DyTIS:
         Walks the batch in key order with per-segment cached routing
         state (refreshed when the next key leaves the current segment's
         key range, ``seg_upper``) and probes each segment's key column
-        with a bounded C ``bisect``; used when the fused column is
-        dirty and the batch is too small to justify patching it (see
-        the gate in :meth:`get_many`).
+        with a bounded C ``bisect``; used while the fused column is
+        stale and too few keys have been read to pay for a rebuild (see
+        the rule in :meth:`get_many`).
         """
         order = np.argsort(arr, kind="stable").tolist()
         key_list = arr.tolist()
@@ -1042,9 +898,9 @@ class DyTIS:
         return out
 
     def _get_many_fused(
-        self, arr: np.ndarray, out: List[Optional[Any]]
+        self, fused: _FusedColumn, arr: np.ndarray, out: List[Optional[Any]]
     ) -> List[Optional[Any]]:
-        """Vectorised ``get_many`` over the fused read column.
+        """Vectorised ``get_many`` over the current fused read column.
 
         One ``searchsorted`` resolves the whole batch: sentinel padding
         makes the fused column globally non-decreasing, so the last slot
@@ -1056,7 +912,6 @@ class DyTIS:
         batches (hundreds of segments per 1024 keys) this is what beats
         per-key routing.
         """
-        fused = self._get_fused()
         keys_col = fused.keys
         counts_col = fused.counts
         vals_col = fused.vals
@@ -1130,7 +985,6 @@ class DyTIS:
         m = self._m
         local_mask = self._local_mask
         tables = self._tables
-        capacity = self.config.bucket_capacity
         key_list = sk.tolist()
         n = len(key_list)
         i = 0
@@ -1139,9 +993,7 @@ class DyTIS:
             ti = key >> m
             table = tables[ti]
             if table is None:
-                table = _EHTable(m, capacity)
-                tables[ti] = table
-                self._mut_epoch += 1  # new root segment: no fused slot region
+                table = self._new_table(ti)
             gd = table.global_depth
             local = key & local_mask
             if gd:
@@ -1239,7 +1091,7 @@ class DyTIS:
                 self._size += int(new_mask.sum())
                 if seg_overflow:
                     bail = i + seg_overflow[0]
-            self._note_write(seg)
+            self._gen += 1
             if bail < 0:
                 i = j
                 continue
@@ -1319,12 +1171,8 @@ class DyTIS:
         ``local`` is any table-local key ``old`` owns.  ``replacements``
         divide the span evenly and are chained in key order; the
         predecessor segment's sibling pointer is redirected (paper
-        §3.4: sibling updates accompany directory updates).  Rewiring
-        changes the segment set, so the fused read column's structural
-        epoch advances here -- the one choke point every
-        split/expansion/remapping/merge-down goes through.
+        §3.4: sibling updates accompany directory updates).
         """
-        self._mut_epoch += 1
         directory = table.dir
         gd = table.global_depth
         span = 1 << (gd - old.local_depth)
@@ -1558,7 +1406,6 @@ class DyTIS:
         )
         if merged is None:  # no compact layout at the parent depth
             return
-        self._mut_epoch += 1  # segment set changes (manual wiring below)
         parent_start = min(start, buddy_start)
         merged.sibling = right_seg.sibling
         for i in range(parent_start, parent_start + 2 * span):
@@ -1617,8 +1464,8 @@ class DyTIS:
         excluded).
 
         Counts the flat key arrays (slack slots included) plus the
-        value-pointer lists, and a currently-valid fused read column on
-        top (honest accounting for the ``get_many`` cache; the
+        value-pointer lists, and a current fused read column on top
+        (honest accounting for the ``get_many`` snapshot; the
         per-bucket value lists it references are already counted by
         their segments).
         """
@@ -1629,7 +1476,7 @@ class DyTIS:
             for seg in t.unique_segments()
         )
         fused = self._fused
-        if fused is not None and fused.epoch == self._mut_epoch:
+        if fused is not None and fused.gen == self._gen:
             total += (
                 fused.keys.nbytes + fused.counts.nbytes + fused.vals.nbytes
             )

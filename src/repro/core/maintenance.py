@@ -33,7 +33,7 @@ planner :meth:`DyTIS.bulk_load` uses:
 Both swaps are atomic under the index's single-writer model: the
 replacement structure is built completely off to the side from
 collected key/value runs, then wired in by directory writes plus a
-structural-epoch bump, so a concurrent reader (server event loop,
+write-generation bump, so a concurrent reader (server event loop,
 shard worker turn) never observes partial state.  Each rebuild emits a
 :class:`repro.obs.MaintenanceEvent` on the index's event bus and
 advances the all-integer :class:`MaintMetrics` counters, which merge
@@ -452,11 +452,10 @@ class MaintenanceController:
             self._futile_tables[ti] = (n, before)
             self.metrics.deferred_total += 1
             return None
-        # Single reference assignment + epoch bump = atomic swap under
-        # the single-writer model; in-flight readers finish on the old
-        # table object, which stays internally consistent.
+        # Single reference assignment + generation bump = atomic swap
+        # under the single-writer model; in-flight readers finish on the
+        # old table object, which stays internally consistent.
         index._tables[ti] = new_table
-        index._mut_epoch += 1
         index._gen += 1
         self.metrics.table_rebuilds_total += 1
         self.metrics.keys_moved_total += n

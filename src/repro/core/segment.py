@@ -281,15 +281,6 @@ class Segment:
         """Number of keys with low <= key < high."""
         return self.store.count_between(low, high)
 
-    def find_many(self, sorted_keys: np.ndarray, out: list, out_idx) -> None:
-        """Batched lookups: ascending uint64 keys routing to this segment.
-
-        Found values land at ``out[out_idx[i]]``; misses leave ``out``
-        untouched.  A single ``searchsorted`` against the padded sorted
-        column resolves the whole group, no routing at all.
-        """
-        self.store.find_many_sorted(sorted_keys, out, out_idx)
-
     def collect(self) -> Tuple[np.ndarray, List[Any]]:
         """All keys (ascending ``uint64`` array) and values (parallel
         list) -- the rebuild input :meth:`build` / :func:`build_fitting`

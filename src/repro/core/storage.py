@@ -18,9 +18,9 @@ skip bucket routing entirely: one ``bisect_right`` over the whole
 column lands on the last slot ``<= key``, and a slot is a genuine
 hit only when it lies inside its bucket's live prefix
 (``slot - b*capacity < counts[b]``) -- padding can duplicate a key
-but always *before* its live slot, never shadow it.  Batch lookups
-are the same probe vectorised: a single ``searchsorted`` against
-the column resolves an arbitrarily large sorted query group.
+but always *before* its live slot, never shadow it.  ``DyTIS.get_many``
+runs the same probe vectorised, one ``searchsorted`` over every
+segment's column concatenated.
 
 :class:`repro.core.segment.Segment` routes keys to buckets (inserts and
 deletes need the bucket; lookups and scans do not) and delegates the
@@ -491,55 +491,6 @@ class ColumnarStorage:
             ca = np.asarray(self.counts, dtype=np.int64)
             self._counts_np = ca
         return ca
-
-    def find_many_sorted(self, qkeys, out: list, out_idx: Sequence[int]) -> None:
-        """Batched probes over an ascending uint64 query array.
-
-        Found values land at ``out[out_idx[i]]``; misses leave ``out``
-        untouched.  One ``searchsorted`` against the padded sorted
-        column resolves the whole group; small groups use the scalar C
-        bisect instead (numpy's fixed per-call cost would dominate).
-        """
-        n = int(qkeys.size)
-        if n == 0:
-            return
-        karr = self._karr
-        cap = self.capacity
-        counts = self.counts
-        values = self.values
-        if n <= 16:
-            for qi, k in enumerate(qkeys.tolist()):
-                pos = bisect_right(karr, k) - 1
-                while pos >= 0 and karr[pos] == k:
-                    b = pos // cap
-                    i = pos - b * cap
-                    if i < counts[b]:
-                        out[out_idx[qi]] = values[b][i]
-                        break
-                    pos -= 1
-            return
-        pos = self.keys.searchsorted(qkeys, side="right").astype(np.int64) - 1
-        valid = pos >= 0
-        posc = np.where(valid, pos, 0)
-        eq = (self.keys[posc] == qkeys) & valid
-        if not eq.any():
-            return
-        bpos = posc // cap
-        live = eq & (posc - bpos * cap < self._counts_array()[bpos])
-        for qi, p, b in zip(
-            np.flatnonzero(live).tolist(),
-            posc[live].tolist(),
-            bpos[live].tolist(),
-        ):
-            out[out_idx[qi]] = values[b][p - b * cap]
-        # Rare: the last slot <= key is a padding duplicate (stale dup,
-        # or a live MAX-sentinel key); resolve those scalars precisely.
-        fix = eq & ~live
-        if fix.any():
-            for qi in np.flatnonzero(fix).tolist():
-                found, val = self.probe_key(int(qkeys[qi]))
-                if found:
-                    out[out_idx[qi]] = val
 
     def extend_items(self, out: list, limit: Optional[int] = None) -> None:
         """Append every pair in key order, stopping once ``limit`` is met."""

@@ -89,28 +89,13 @@ class MergeEvent(StructuralEvent):
 
 @dataclass(frozen=True)
 class FusedRebuildEvent(StructuralEvent):
-    """The fused read column was rebuilt from scratch.
+    """``get_many`` took a fresh read-only snapshot of the index.
 
-    Emitted when a structural operation (split, merge, expansion,
-    remapping, bulk load, directory change) invalidated the whole
-    column; ``keys_moved`` carries the number of slots rebuilt.
+    Emitted once a read phase after writes has read enough keys to pay
+    for the snapshot; ``keys_moved`` carries the number of slots copied.
     """
 
     kind: ClassVar[str] = "fused_rebuild"
-
-
-@dataclass(frozen=True)
-class FusedPatchEvent(StructuralEvent):
-    """Dirty segment slices of the fused read column were patched in
-    place instead of rebuilding the concatenation.
-
-    ``keys_moved`` carries the number of slots patched; ``segments``
-    the number of dirty segments repaired in this pass.
-    """
-
-    kind: ClassVar[str] = "fused_patch"
-
-    segments: int = 0
 
 
 @dataclass(frozen=True)
@@ -142,7 +127,6 @@ EVENT_KINDS = (
     "directory_resize",
     "merge",
     "fused_rebuild",
-    "fused_patch",
     "maintenance",
 )
 

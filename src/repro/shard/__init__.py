@@ -4,9 +4,8 @@ The paper's top-level 2^R extendible-hash split partitions the key
 space; this package promotes that split across *process* boundaries --
 the only concurrency boundary CPython actually scales past.  See
 :class:`ShardedIndex` for the router, :mod:`repro.shard.worker` for
-the per-shard process, :mod:`repro.shard.shm` for the zero-copy
-shared-memory read columns, and :mod:`repro.shard.durable` for
-per-shard WAL + checkpoint recovery.
+the per-shard process, and :mod:`repro.shard.durable` for per-shard
+WAL + checkpoint recovery.
 """
 
 from repro.shard.routing import ShardRouter

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Optional
+from typing import Any, List, Optional
 
 from repro.api.protocol import batch_columns
 from repro.core import DyTIS, DyTISConfig
@@ -60,7 +60,6 @@ class DurableShardIndex(DurableDirectory):
         self.get, self.get_many = index.get, index.get_many
         self.scan, self.scan_range = index.scan, index.scan_range
         self.count_range, self.items = index.count_range, index.items
-        self.export_read_column = index.export_read_column
         super().__init__(directory, fs, fsync, remote, remote_policy)
 
     def __len__(self) -> int:
@@ -72,8 +71,17 @@ class DurableShardIndex(DurableDirectory):
     # -- the checkpoint codec: DSK1 header + one BATCH2 column ----------
 
     def _dump_checkpoint(self, lsn: int) -> bytes:
-        keys, values = self.index.export_read_column()
-        body = rec.encode_batch2([int(k) for k in keys], list(values))
+        # Tables by high bits, then segments by directory slot: the
+        # walk meets keys in ascending order, as the body must hold them.
+        keys: List[int] = []
+        values: List[Any] = []
+        for table in self.index._tables:
+            if table is not None:
+                for seg in table.unique_segments():
+                    ks, vs = seg.collect()
+                    keys += ks.tolist()
+                    values += vs
+        body = rec.encode_batch2(keys, values)
         return _CKPT_HEADER.pack(
             _CKPT_MAGIC, lsn, zlib.crc32(body) & 0xFFFFFFFF, len(body)
         ) + body

@@ -20,13 +20,8 @@ Request flow:
   ``insert_many`` are its one-sided cases.
 - **Range ops** consult :meth:`ShardRouter.range_plan`: ordered plans
   concatenate per-shard results; unordered plans heap-merge by key.
-- **Point reads** try the shard's published shared-memory column
-  first: if the shard has seen no mutation since its column was
-  published, a NumPy bisect in-process answers without touching the
-  worker at all.  Any mutation marks the shard dirty and reads fall
-  through to the owner (always correct, never stale); once enough
-  fall-through reads accumulate the router asks the worker to
-  republish and goes back to zero-copy serving.
+- **Point reads** route to the owning worker like point writes, so a
+  read always sees every write acknowledged before it.
 
 Worker processes are daemonized children created at construction and
 reaped on :meth:`close` (also via ``weakref.finalize``, so a leaked
@@ -49,15 +44,7 @@ from repro.api.protocol import batch_columns
 from repro.core import DyTISConfig
 from repro.shard import metrics as shard_metrics
 from repro.shard.routing import ShardRouter
-from repro.shard.shm import AttachedColumn
 from repro.shard.worker import ShardSpec, worker_main
-
-#: Fall-through reads tolerated on a dirty (or column-less) shard
-#: before the router asks for a republish.  Publishing costs O(shard
-#: size), so it must be amortized over a read run; scaling the bar
-#: with the write count since the last publish keeps a write-heavy
-#: phase from thrashing republishes it would immediately invalidate.
-_REPUBLISH_READS = 64
 
 
 class ShardError(RuntimeError):
@@ -103,7 +90,6 @@ class ShardedIndex:
         durable_dir: Optional[str] = None,
         fsync: str = "always",
         obs: bool = True,
-        serve_columns: bool = True,
         mp_context: Optional[str] = None,
         remote=None,
         remote_policy=None,
@@ -123,7 +109,6 @@ class ShardedIndex:
         )
         self.n_shards = n_shards
         self._durable_dir = durable_dir
-        self._serve_columns = serve_columns
         self._rpc_timeout = rpc_timeout
         self._ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
         if remote is not None:
@@ -150,11 +135,6 @@ class ShardedIndex:
         ]
         self._pipes: List[Any] = [None] * n_shards
         self._procs: List[Any] = [None] * n_shards
-        #: Mutations seen since the shard's column was last published.
-        self._dirty: List[int] = [0] * n_shards
-        #: Reads that had to fall through to the worker since then.
-        self._stale_reads: List[int] = [0] * n_shards
-        self._columns: List[Optional[AttachedColumn]] = [None] * n_shards
         self._closed = False
         for i in range(n_shards):
             self._spawn(i)
@@ -176,12 +156,6 @@ class ShardedIndex:
         child.close()
         self._pipes[shard] = parent
         self._procs[shard] = proc
-        self._dirty[shard] = 0
-        self._stale_reads[shard] = 0
-        old = self._columns[shard]
-        self._columns[shard] = None
-        if old is not None:
-            old.close()
 
     def restart_shard(self, shard: int) -> None:
         """Kill one worker and bring up a replacement in place.
@@ -205,10 +179,6 @@ class ShardedIndex:
             return
         self._closed = True
         self._finalizer.detach()
-        for col in self._columns:
-            if col is not None:
-                col.close()
-        self._columns = [None] * self.n_shards
         for pipe in self._pipes:
             if pipe is None:
                 continue
@@ -352,66 +322,19 @@ class ShardedIndex:
             _raise_remote(*failed)
         return out
 
-    # -- shared-memory column serving -----------------------------------
-
-    def _note_mutation(self, shard: int, n: int = 1) -> None:
-        self._dirty[shard] += n
-        self._stale_reads[shard] = 0
-
-    def refresh_column(self, shard: int) -> None:
-        """Ask ``shard`` to republish and attach the fresh column."""
-        name, _, _ = self._call(shard, "publish_column")
-        old = self._columns[shard]
-        self._columns[shard] = AttachedColumn(name)
-        if old is not None:
-            old.close()
-        self._dirty[shard] = 0
-        self._stale_reads[shard] = 0
-
-    def refresh_columns(self) -> None:
-        for shard in range(self.n_shards):
-            self.refresh_column(shard)
-
-    def _column_for_read(self, shard: int) -> Optional[AttachedColumn]:
-        """The shard's column iff it is exact, else None (and maybe
-        trigger a republish so the *next* read is zero-copy)."""
-        if not self._serve_columns:
-            return None
-        if self._dirty[shard] == 0 and self._columns[shard] is not None:
-            return self._columns[shard]
-        reads = self._stale_reads[shard] + 1
-        self._stale_reads[shard] = reads
-        if reads >= max(_REPUBLISH_READS, 4 * self._dirty[shard]):
-            self.refresh_column(shard)
-            return self._columns[shard]
-        return None
-
     # -- point operations -----------------------------------------------
 
     def get(self, key: int) -> Optional[Any]:
-        shard = self.router.shard_of(key)
-        col = self._column_for_read(shard)
-        if col is not None:
-            return col.get(key)
-        return self._call(shard, "get", key)
+        return self._call(self.router.shard_of(key), "get", key)
 
     def insert(self, key: int, value: Any) -> None:
-        shard = self.router.shard_of(key)
-        self._call(shard, "insert", key, value)
-        self._note_mutation(shard)
+        self._call(self.router.shard_of(key), "insert", key, value)
 
     def delete(self, key: int) -> bool:
-        shard = self.router.shard_of(key)
-        removed = self._call(shard, "delete", key)
-        self._note_mutation(shard)
-        return removed
+        return self._call(self.router.shard_of(key), "delete", key)
 
     def __contains__(self, key: int) -> bool:
-        shard = self.router.shard_of(key)
-        col = self._column_for_read(shard)
-        if col is not None:
-            return col.contains(key)
-        return self._call(shard, "contains", key)
+        return self._call(self.router.shard_of(key), "contains", key)
 
     def __len__(self) -> int:
         return sum(
@@ -457,8 +380,6 @@ class ShardedIndex:
         """The values of ``read_keys`` as of before the call, then
         ``insert_many(keys, values)``: a mixed epoch as one routing
         pass and one message (one worker activation) per touched shard.
-        A shard whose published column is exact serves its reads
-        in-process and is sent its writes only.
 
         A length mismatch or an out-of-range key raises ``ValueError``
         before anything is sent: nothing was applied.  A
@@ -483,19 +404,10 @@ class ShardedIndex:
             cut = bisect_left(pos, n_reads)  # reads | writes, both ascending
             reads, writes = pos[:cut], pos[cut:]
             sub = [both[i] for i in reads]
-            col = self._column_for_read(shard) if reads else None
-            if col is not None:
-                for i, v in zip(reads, col.get_many(sub)):
-                    out[i] = v
-                reads = sub = []
-                if not writes:
-                    continue
             w_keys = [both[i] for i in writes]
             w_vals = [values[i - n_reads] for i in writes]
             requests.append((shard, "read_write_many", (sub, w_keys, w_vals)))
             remote_pos.append(reads)
-            if writes:
-                self._note_mutation(shard, n=len(writes))
         if requests:
             try:
                 results = self._scatter(requests)
@@ -518,33 +430,25 @@ class ShardedIndex:
         self.read_write_many((), *batch_columns(keys, values))
 
     def bulk_load(self, keys: Sequence[int], values: Sequence[Any]) -> None:
-        """Partitioned bulk load; publishes every column afterwards so
-        the read phase that typically follows starts zero-copy."""
+        """Partitioned bulk load: one ``bulk_load`` message per shard."""
         ks = list(keys)
         vs = list(values)
         if len(ks) != len(vs):
             raise ValueError(f"bulk_load: {len(ks)} keys but {len(vs)} values")
-        requests = []
-        for shard, pos in self._partition(ks):
-            requests.append(
-                (shard, "bulk_load", ([ks[i] for i in pos], [vs[i] for i in pos]))
-            )
-            self._note_mutation(shard, n=len(pos))
+        requests = [
+            (shard, "bulk_load", ([ks[i] for i in pos], [vs[i] for i in pos]))
+            for shard, pos in self._partition(ks)
+        ]
         if requests:
             self._scatter(requests)
-        if self._serve_columns:
-            self.refresh_columns()
 
     def delete_range(self, low: int, high: int) -> int:
         shards, _ = self.router.range_plan(low, high)
         if not shards:
             return 0
-        removed = self._scatter(
-            [(s, "delete_range", (low, high)) for s in shards]
+        return sum(
+            self._scatter([(s, "delete_range", (low, high)) for s in shards])
         )
-        for s in shards:
-            self._note_mutation(s)
-        return sum(removed)
 
     # -- range operations -----------------------------------------------
 
@@ -623,8 +527,7 @@ class ShardedIndex:
         Each worker scores its own segments against the ``maint_*``
         policy and re-bulkloads degraded regions (see
         :mod:`repro.core.maintenance`); rebuilds preserve logical
-        contents, so published read columns stay valid.  Returns the
-        summed per-shard summaries.
+        contents.  Returns the summed per-shard summaries.
         """
         parts = self._scatter(
             [

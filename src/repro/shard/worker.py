@@ -18,12 +18,11 @@ index's single-writer invariants hold by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.core import DyTIS, DyTISConfig
 from repro.obs import Observability
 from repro.shard import metrics as shard_metrics
-from repro.shard import shm as shard_shm
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ def worker_main(conn, spec: ShardSpec) -> None:
     not outlive their router).
     """
     index = _build_index(spec)
-    published: Optional[Any] = None  # live SharedMemory block, if any
     maintainer: Optional[Any] = None  # lazily built MaintenanceController
 
     def _maintenance(max_rebuilds: Optional[int] = None) -> Dict[str, int]:
@@ -93,25 +91,6 @@ def worker_main(conn, spec: ShardSpec) -> None:
             "keys_moved": sum(e.keys_moved for e in events),
             "degraded": maintainer.metrics.last_degraded,
         }
-
-    def _publish() -> Tuple[str, int, int]:
-        nonlocal published
-        keys, values = (
-            index.export_read_column()
-            if hasattr(index, "export_read_column")
-            else (None, None)
-        )
-        generation = getattr(
-            getattr(index, "index", index), "_gen", 0
-        )
-        block = shard_shm.publish_column(keys, values, generation)
-        if published is not None:
-            # POSIX semantics: readers holding the old mapping keep it
-            # until they drop it; unlink only removes the name.
-            published.close()
-            shard_shm.unlink_block(published)
-        published = block
-        return block.name, generation, int(keys.size)
 
     def _metrics() -> bytes:
         obs = getattr(index, "obs", None) or getattr(
@@ -153,7 +132,6 @@ def worker_main(conn, spec: ShardSpec) -> None:
         "items": lambda: list(index.items()),
         "len": lambda: len(index),
         "contains": lambda key: key in index,
-        "publish_column": _publish,
         "metrics": _metrics,
         "maintenance": _maintenance,
         "checkpoint": lambda: (
@@ -189,12 +167,6 @@ def worker_main(conn, spec: ShardSpec) -> None:
             except Exception as exc:  # noqa: BLE001 - reply, don't die
                 conn.send((False, f"{type(exc).__name__}: {exc}"))
     finally:
-        if published is not None:
-            try:
-                published.close()
-                shard_shm.unlink_block(published)
-            except Exception:
-                pass
         try:
             conn.close()
         except Exception:

@@ -323,9 +323,7 @@ def _keys_on(idx, shard, n):
 
 @pytest.mark.parametrize("mode", ["hash", "msb"])
 def test_one_message_per_touched_shard(mode):
-    with ShardedIndex(
-        4, config=CFG, mode=mode, serve_columns=False
-    ) as idx:
+    with ShardedIndex(4, config=CFG, mode=mode) as idx:
         owned = {s: _keys_on(idx, s, 6) for s in range(4)} if mode == "hash" else {
             s: [s * 2**30 + i for i in range(6)] for s in range(4)
         }
@@ -350,7 +348,7 @@ def test_server_sends_one_message_per_shard_per_mixed_epoch():
     """Through the whole stack: one burst of GETs and INSERTs on a
     2-shard fleet is one epoch, and the epoch is one scatter of at most
     two messages (the two-call epoch sent up to four)."""
-    index = ShardedIndex(2, mode="hash", serve_columns=False)
+    index = ShardedIndex(2, mode="hash")
     with ServerThread(KVStore(index=index), config=ServerConfig()) as st_:
         sock = _connect(st_)
         ns_id = _open_ns(sock)
@@ -379,7 +377,7 @@ def test_server_sends_one_message_per_shard_per_mixed_epoch():
 def test_dead_worker_fails_the_epoch_and_leaves_no_reply_queued(tmp_path):
     with ShardedIndex(
         2, config=CFG, mode="hash", durable_dir=str(tmp_path / "d"),
-        serve_columns=False, rpc_timeout=5.0,
+        rpc_timeout=5.0,
     ) as idx:
         keys = list(range(200))
         idx.insert_many(keys, keys)
@@ -423,7 +421,7 @@ def test_server_answers_errors_when_a_worker_dies_mid_run():
     """Kill a worker between two bursts: every reply is the oracle's
     value or an error, never a wrong value; after ``restart_shard`` the
     in-memory victim is empty and the healthy shard still exact."""
-    index = ShardedIndex(2, mode="hash", serve_columns=False, rpc_timeout=5.0)
+    index = ShardedIndex(2, mode="hash", rpc_timeout=5.0)
     with ServerThread(KVStore(index=index), config=ServerConfig()) as st_:
         sock = _connect(st_)
         ns_id = _open_ns(sock)
@@ -499,7 +497,7 @@ def test_a_worker_error_after_the_scatter_is_not_validation(monkeypatch):
         return real(self, keys, values)
 
     monkeypatch.setattr(DyTIS, "insert_many", poisoned)  # workers fork with it
-    with ShardedIndex(2, config=CFG, mode="hash", serve_columns=False) as idx:
+    with ShardedIndex(2, config=CFG, mode="hash") as idx:
         other = 1 - idx.router.shard_of(poison)
         x, y = _keys_on(idx, other, 2)
         idx.insert_many([x, y], ["old", "old"])
@@ -513,7 +511,7 @@ def test_a_worker_error_after_the_scatter_is_not_validation(monkeypatch):
             idx.read_write_many([], [poison], ["p"])
         assert idx.get_many([x, y]) == ["new", "new"]  # pipes in sync
 
-    index = ShardedIndex(2, mode="hash", serve_columns=False)
+    index = ShardedIndex(2, mode="hash")
     with ServerThread(KVStore(index=index), config=ServerConfig()) as st_:
         sock = _connect(st_)
         ns_id = _open_ns(sock)

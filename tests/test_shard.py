@@ -1,18 +1,14 @@
 """Unit tests for the repro.shard subsystem.
 
-Routing math, the shared-memory column lifecycle, the router's
-clean/dirty column discipline, per-shard durability (crash a worker,
-restart it, replay its WAL), metrics scrape, protocol conformance, and
-worker reaping.
+Routing math, per-shard durability (crash a worker, restart it, replay
+its WAL), metrics scrape, protocol conformance, and worker reaping.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.api.protocol import is_batch_index, is_index
-from repro.core import DyTIS, DyTISConfig
+from repro.core import DyTISConfig
 from repro.shard import ShardedIndex, ShardError, ShardRouter
 from repro.shard.metrics import (
     WorkerMetrics,
@@ -20,7 +16,6 @@ from repro.shard.metrics import (
     load_worker_metrics,
     shards_to_prometheus,
 )
-from repro.shard.shm import AttachedColumn, publish_column, unlink_block
 
 CFG = DyTISConfig(key_bits=32, first_level_bits=3, bucket_capacity=8, l_start=1)
 
@@ -83,80 +78,6 @@ def test_router_rejects_bad_shapes():
         ShardRouter(4, mode="modulo")
     with pytest.raises(ValueError):
         ShardRouter(4, key_bits=8, skip_bits=8)
-
-
-# -- shared-memory columns -------------------------------------------------
-
-
-def test_shm_column_round_trip():
-    keys = np.array([3, 10, 99, 2**31], dtype=np.uint64)
-    values = ["a", {"b": 1}, None, 4]
-    block = publish_column(keys, values, generation=7)
-    try:
-        col = AttachedColumn(block.name)
-        assert col.generation == 7
-        assert col.n_keys == 4
-        assert col.get(3) == "a"
-        assert col.get(10) == {"b": 1}
-        assert col.get(99) is None  # stored None, still a hit
-        assert col.contains(99)
-        assert not col.contains(98)
-        assert col.get(2**31) == 4
-        assert col.get(5) is None
-        assert col.get_many([3, 5, 2**31]) == ["a", None, 4]
-        col.close()
-    finally:
-        block.close()
-        unlink_block(block)
-
-
-def test_shm_column_empty():
-    block = publish_column(np.empty(0, dtype=np.uint64), [], generation=0)
-    try:
-        col = AttachedColumn(block.name)
-        assert col.get(1) is None
-        assert col.get_many([1, 2]) == [None, None]
-        col.close()
-    finally:
-        block.close()
-        unlink_block(block)
-
-
-def test_export_read_column_both_engines():
-    """(The id predates the single layout; there is one engine now.)"""
-    idx = DyTIS(DyTISConfig(key_bits=32, first_level_bits=3,
-                            bucket_capacity=8, l_start=1))
-    assert idx.export_read_column()[1] == []
-    kv = {k: k * 3 for k in range(0, 1000, 7)}
-    idx.bulk_load(sorted(kv), [kv[k] for k in sorted(kv)])
-    idx.delete(7)
-    del kv[7]
-    keys, values = idx.export_read_column()
-    assert keys.dtype == np.uint64
-    assert keys.tolist() == sorted(kv)
-    assert values == [kv[k] for k in sorted(kv)]
-    # The export is a copy: writing to it never reaches the index.
-    keys[0] = 1
-    assert idx.export_read_column()[0].tolist() == sorted(kv)
-
-
-def test_column_serving_stays_exact_across_mutations():
-    """Reads after writes must reflect the writes (dirty fall-through),
-    and republished columns must serve the updated data."""
-    with ShardedIndex(2, config=CFG, mode="hash") as idx:
-        keys = list(range(2000))
-        idx.bulk_load(keys, keys)
-        # bulk_load published columns; reads are now column hits.
-        assert idx._columns[0] is not None and idx._dirty[0] == 0
-        assert idx.get(123) == 123
-        idx.insert(123, -1)
-        assert idx.get(123) == -1  # dirty shard falls through, exact
-        # Enough reads trigger a republish; data stays exact.
-        for _ in range(300):
-            assert idx.get(123) == -1
-        s = idx.router.shard_of(123)
-        assert idx._dirty[s] == 0  # republished along the way
-        assert idx.get(123) == -1
 
 
 # -- the sharded index ------------------------------------------------------

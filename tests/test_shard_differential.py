@@ -116,6 +116,26 @@ def test_sharded_matches_oracle(n_shards, mode, skip_bits):
         _run_trace(idx, oracle, _boundary_ops(n_shards))
 
 
+def test_reads_after_writes_on_a_bulk_loaded_fleet_stay_exact():
+    """Dense keys bulk-loaded, an upsert, then a long read-only run:
+    every scalar and batch read reflects the upsert.  The workers serve
+    the reads from their own indexes, whose ``get_many`` switches from
+    routed reads to a fresh snapshot part-way through the run."""
+    with ShardedIndex(2, config=CFG, mode="hash") as idx:
+        keys = list(range(2000))
+        idx.bulk_load(keys, keys)
+        oracle = dict(zip(keys, keys))
+        assert idx.get(123) == 123
+        idx.insert(123, -1)
+        oracle[123] = -1
+        assert idx.get(123) == -1
+        for i in range(300):
+            assert idx.get(123) == -1
+            probe = keys[(7 * i) % 1900 :][:64] + [123, 5000]
+            assert idx.get_many(probe) == [oracle.get(k) for k in probe], i
+        assert 123 in idx and 5000 not in idx
+
+
 @pytest.mark.parametrize("n_shards", [2, 4])
 def test_sharded_agrees_with_single_process(n_shards):
     """ShardedIndex and a plain DyTIS answer one trace identically."""

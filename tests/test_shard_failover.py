@@ -102,7 +102,6 @@ def test_stalled_worker_times_out_with_shard_name(tmp_path):
         2, config=CFG, mode="hash",
         durable_dir=str(tmp_path / "data"),
         rpc_timeout=0.3,
-        serve_columns=False,  # force every read through the pipes
     ) as idx:
         idx.insert_many(list(range(100)), list(range(100)))
         victim = idx.router.shard_of(5)
@@ -134,7 +133,6 @@ def test_scatter_timeout_poisons_victim_and_drains_siblings(tmp_path):
         2, config=CFG, mode="hash",
         durable_dir=str(tmp_path / "data"),
         rpc_timeout=0.3,
-        serve_columns=False,
     ) as idx:
         idx.insert_many(list(range(100)), list(range(100)))
         victim = idx.router.shard_of(5)

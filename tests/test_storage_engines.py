@@ -4,9 +4,9 @@ A lockstep fuzz drives the index and a shadow dict through >= 10k mixed
 operations across the whole DyTIS API and compares every result (the
 removed list-of-buckets engine used to be a third party to it; same
 seeds, same op counts); unit tests pin down the columnar layout's
-sentinel-padding slack policy, its vectorised search paths (including
-the 2^64-1 sentinel-as-real-key edge), the fused read column's epoch
-invalidation, the one scan path's independence from writes and from
+sentinel-padding slack policy, its search paths (including the 2^64-1
+sentinel-as-real-key edge), the read-only fused column's rebuild rule,
+the one scan path's independence from writes and from
 tracing, the retired engine switches, and the invariant checker's
 failure modes.
 """
@@ -14,6 +14,7 @@ failure modes.
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.core import (
     DyTIS,
     DyTISConfig,
     InvariantViolation,
+    MaintenanceController,
     check_invariants,
 )
 from repro.core.storage import _MAX_KEY
@@ -189,22 +191,6 @@ def test_columnar_probe_key_and_sentinel_edge():
     st.check_invariants()
 
 
-def test_columnar_find_many_sorted():
-    st = ColumnarStorage(n_buckets=2, capacity=4)
-    for b, key in [(0, 1), (0, 3), (1, 10), (1, 12)]:
-        st.insert(b, key, key * 10)
-    queries = np.array([0, 1, 2, 3, 10, 12, 13, _MAX_KEY], dtype=np.uint64)
-    out = [None] * len(queries)
-    st.find_many_sorted(queries, out, list(range(len(queries))))
-    assert out == [None, 10, None, 30, 100, 120, None, None]
-    # Large batches take the vectorised path (> 16 queries).
-    big = np.array(sorted([1, 3, 10, 12] * 5 + [7] * 10), dtype=np.uint64)
-    out = [None] * big.size
-    st.find_many_sorted(big, out, list(range(big.size)))
-    expect = [{1: 10, 3: 30, 10: 100, 12: 120}.get(int(k)) for k in big]
-    assert out == expect
-
-
 def test_columnar_gapped_slack_after_fill_sorted():
     """fill_sorted leaves per-bucket gaps (slack) and pads them so the
     column stays sorted; inserts then land in the slack without
@@ -274,116 +260,136 @@ def test_splice_padding_invariant_after_every_batch(rng):
 
 
 # ---------------------------------------------------------------------------
-# Fused read column: incremental repair vs structural invalidation
+# Fused read column: a read-only snapshot, rebuilt only by read-only phases
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_patch_counts(ix):
-    bus = ix.obs.events
-    return bus.counts["fused_rebuild"], bus.counts["fused_patch"]
+def _rebuilds(ix):
+    return ix.obs.events.counts["fused_rebuild"]
 
 
-def test_fused_column_patched_not_rebuilt_after_local_writes(rng):
-    """A segment-local write batch must NOT trigger a fused-column
-    rebuild: the affected slices are patched in place, counted via the
-    structural event bus."""
+def test_get_many_between_writes_never_rebuilds(rng):
+    """Small ``get_many`` batches with a write before each (YCSB-A
+    shaped) read the live segments: every answer matches a dict, and
+    no batch rebuilds the snapshot, whichever writer ran."""
     obs = Observability(enabled=True)
     ix = DyTIS(_config(), obs=obs)
     keys = rng.sample(range(KEY_SPACE), 4000)
     ix.bulk_load(keys, keys)
-    vmap = {k: k for k in keys}
-    big = keys[:2000]  # large batch: always worth patching for
-    probe = keys[:200]
-    assert ix.get_many(big) == big  # builds the fused column
-    rebuilds0, patches0 = _rebuild_patch_counts(ix)
-    assert rebuilds0 >= 1
-
-    # Value-only upsert batch: no new keys, nothing structural.
-    upd = [(k, -k) for k in probe[:50]]
-    ix.insert_many(upd)
-    vmap.update(dict(upd))
-    # A small read while many segments are dirty takes the routed
-    # probe path: fresh answers, but neither a patch nor a rebuild.
-    assert ix.get_many(probe[:20]) == [vmap[k] for k in probe[:20]]
-    assert _rebuild_patch_counts(ix) == (rebuilds0, patches0)
-    # A large read repairs the dirty slices in place -- no rebuild.
-    assert ix.get_many(big) == [vmap[k] for k in big]
-    rebuilds1, patches1 = _rebuild_patch_counts(ix)
-    assert rebuilds1 == rebuilds0, "value-only batch must not rebuild"
-    assert patches1 == patches0 + 1
-
-    # Small insert batch into existing segments, picking keys whose
-    # target bucket has slack so no restructure (and thus no rebuild)
-    # can fire.
-    room: dict = {}
-
-    def _absorbable(k):
-        table = ix._tables[k >> ix._m]
-        if table is None:
-            return False  # would create a table: structural
-        seg = table.segment_for(k & ix._local_mask, ix._m)
-        lk = np.uint64(k) & np.uint64(seg._mask)
-        b = int(seg.remap.bucket_indices(np.array([lk], dtype=np.uint64))[0])
-        slot = (id(seg), b)
-        left = room.setdefault(slot, seg.store.capacity - seg.store.counts[b])
-        if left <= 0:
-            return False
-        room[slot] = left - 1
-        return True
-
-    fresh = [
-        k
-        for k in rng.sample(range(KEY_SPACE), 600)
-        if k not in ix and _absorbable(k)
-    ][:40]
-    assert len(fresh) == 40
-    ix.insert_many([(k, k + 1) for k in fresh])
-    vmap.update((k, k + 1) for k in fresh)
-    assert ix.get_many(big) == [vmap[k] for k in big]  # patches
-    assert ix.get_many(fresh) == [k + 1 for k in fresh]  # now-clean fused
-    rebuilds2, patches2 = _rebuild_patch_counts(ix)
-    assert rebuilds2 == rebuilds0, "segment-local inserts must not rebuild"
-    assert patches2 == patches1 + 1
-
-    # Scalar delete: no rebuild either (no merge at this size).
-    ix.delete(probe[0])
-    assert ix.get_many(probe[:2]) == [None, vmap[probe[1]]]
-    rebuilds3, _ = _rebuild_patch_counts(ix)
-    assert rebuilds3 == rebuilds0
+    shadow = dict(zip(keys, keys))
+    assert ix.get_many(keys) == keys  # a read-only phase: one snapshot
+    assert _rebuilds(ix) == 1
+    for step in range(60):
+        kind = step % 4
+        if kind == 0:
+            k = rng.choice(keys)
+            ix.insert(k, -k)
+            shadow[k] = -k
+        elif kind == 1:
+            batch = rng.sample(range(KEY_SPACE), 20)
+            ix.insert_many(batch, batch)
+            shadow.update(zip(batch, batch))
+        elif kind == 2:
+            k = rng.choice(keys)
+            assert ix.delete(k) == (shadow.pop(k, None) is not None)
+        else:
+            batch = rng.sample(keys, 5)
+            ix.delete_many(batch)
+            for k in batch:
+                shadow.pop(k, None)
+        probe = rng.sample(keys, 64) + rng.sample(range(KEY_SPACE), 8)
+        assert ix.get_many(probe) == [shadow.get(k) for k in probe], step
+    assert _rebuilds(ix) == 1
     check_invariants(ix)
 
 
-def test_fused_cache_consistency_across_mutations(rng):
-    """The patched fused column serves exactly the same answers as a
-    cold rebuild across value updates, deletes, batches, and ranges."""
-    ix = DyTIS(_config())
-    keys = rng.sample(range(KEY_SPACE), 2000)
+def test_read_only_phase_after_writes_rebuilds_once(rng):
+    """After a write, ``get_many`` routes until the keys read reach
+    ``len // 8``, then takes exactly one snapshot that serves the rest
+    of the read-only phase."""
+    obs = Observability(enabled=True)
+    ix = DyTIS(_config(), obs=obs)
+    keys = rng.sample(range(KEY_SPACE), 4000)
     ix.bulk_load(keys, keys)
-    probe = keys[:100]
-    assert ix.get_many(probe) == probe  # builds the fused column
-    assert ix._fused is not None and ix._fused.epoch == ix._mut_epoch
+    ix.insert(keys[0], -1)
+    expect = {k: k for k in keys}
+    expect[keys[0]] = -1
+    threshold = len(ix) // 8
+    read = 0
+    for _ in range(40):
+        probe = rng.sample(keys, 64)
+        assert ix.get_many(probe) == [expect[k] for k in probe]
+        read += len(probe)
+        assert _rebuilds(ix) == (0 if read < threshold else 1), read
+    assert ix._fused.gen == ix._gen
 
-    ix.insert(keys[0], -1)  # in-place value update: patched, not rebuilt
-    assert ix._fused.epoch == ix._mut_epoch
-    assert ix.get_many(probe) == [-1] + probe[1:]
 
-    ix.delete(keys[1])
-    assert ix.get_many(probe) == [-1, None] + probe[2:]
+def test_fused_cache_consistency_across_mutations():
+    """Every writer -- ``insert``, ``insert_many``, ``delete``,
+    ``delete_range`` and a maintenance step, the one writer outside
+    ``dytis.py`` -- makes the snapshot stale: afterwards a small batch
+    is routed and a full read rebuilds exactly once, both matching a
+    dict in lockstep."""
+    obs = Observability(enabled=True)
+    ix = DyTIS(_config(), obs=obs)
+    shadow = {}
+    probe = list(range(20_000))  # every stored key and every gap
 
-    ix.scan(0, 10)  # a scan between writes: reads no cache, leaves none
-    ix.insert_many([(k, 0) for k in probe[2:4]])
-    assert ix.get_many(probe) == [-1, None, 0, 0] + probe[4:]
-    assert ix.scan(min(probe[2:4]), 1) == [(min(probe[2:4]), 0)]
+    def check():
+        built = _rebuilds(ix)
+        assert ix.get_many(probe[:16]) == [shadow.get(k) for k in probe[:16]]
+        assert _rebuilds(ix) == built
+        assert ix.get_many(probe) == [shadow.get(k) for k in probe]
+        assert _rebuilds(ix) == built + 1
 
-    lo = sorted(keys)[500]
-    hi = sorted(keys)[600]
-    ix.delete_range(lo, hi)
-    assert ix.count_range(lo, hi) == 0
-    # A cold index over the same content answers identically.
-    cold = DyTIS(_config())
-    content = ix.scan_range(0, KEY_SPACE)
-    cold.bulk_load([k for k, _ in content], [v for _, v in content])
-    assert cold.get_many(probe) == ix.get_many(probe)
+    keys = list(range(0, 20_000, 2))
+    ix.insert_many(keys, keys)
+    shadow.update(zip(keys, keys))
+    check()
+    ix.insert(4, -4)
+    shadow[4] = -4
+    check()
+    ix.insert_many([5, 7, 8], ["five", "seven", "eight"])
+    shadow.update({5: "five", 7: "seven", 8: "eight"})
+    check()
+    assert ix.delete(6)
+    del shadow[6]
+    check()
+    assert ix.delete_range(100, 2000) == 950
+    for k in range(100, 2000, 2):
+        del shadow[k]
+    check()
+    # Fragment the rest so a maintenance step has a span to rebuild.
+    for k in [k for k in shadow if k % 40]:
+        assert ix.delete(k)
+        del shadow[k]
+    check()
+    assert MaintenanceController(ix).step(), "fragmented index must rebuild"
+    check()
+    check_invariants(ix)
+
+
+def test_dense_get_many_after_an_upsert_copies_nothing():
+    """One upsert, then a 64-key ``get_many``, 50 times on 20,000 dense
+    keys: answers match a dict and the loop never allocates a copy of
+    the index (each read used to re-copy a ~2M-slot segment)."""
+    ix = DyTIS()
+    keys = list(range(0, 40_000, 2))
+    ix.insert_many(keys, keys)
+    shadow = dict(zip(keys, keys))
+    rng = random.Random(26)
+    tracemalloc.start()
+    try:
+        for i in range(50):
+            k = rng.choice(keys)
+            ix.insert(k, -i)
+            shadow[k] = -i
+            probe = rng.sample(keys, 60) + [1, 3, 39_999, 40_000]
+            assert ix.get_many(probe) == [shadow.get(p) for p in probe], i
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +399,16 @@ def test_fused_cache_consistency_across_mutations(rng):
 
 def test_scans_beside_writes_never_touch_the_fused_column(rng):
     """Scan cost is write-independent: 200 alternating inserts, scans
-    and range scans emit no fused rebuild or patch (the walk reads the
-    live segments) and match a ``searchsorted`` oracle throughout; an
-    untraced twin given the same ops never builds the column at all."""
+    and range scans emit no fused rebuild (the walk reads the live
+    segments) and match a ``searchsorted`` oracle throughout, traced
+    or not."""
     obs = Observability(enabled=True)
     ix, plain = DyTIS(_config(), obs=obs), DyTIS(_config())
     keys = rng.sample(range(KEY_SPACE), 3000)
     ix.bulk_load(keys, keys)
     plain.bulk_load(keys, keys)
     ix.get_many(keys[:500])  # a warm fused column must not tempt a scan
-    before = _rebuild_patch_counts(ix)
+    assert _rebuilds(ix) == 1
     oracle = np.sort(np.array(keys, dtype=np.uint64))
     for step in range(200):
         k = rng.randrange(KEY_SPACE)
@@ -421,11 +427,10 @@ def test_scans_beside_writes_never_touch_the_fused_column(rng):
         want = oracle[a:b].tolist()
         assert ix.scan_range(start, hi) == list(zip(want, want)), step
         assert plain.scan_range(start, hi) == list(zip(want, want)), step
-    assert _rebuild_patch_counts(ix) == before
+    assert _rebuilds(ix) == 1
     assert ix.delete_range(0, KEY_SPACE) == oracle.size
     assert plain.delete_range(0, KEY_SPACE) == oracle.size
-    assert _rebuild_patch_counts(ix) == before
-    assert plain._fused is None
+    assert _rebuilds(ix) == 1
     check_invariants(ix)
 
 

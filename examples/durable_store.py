@@ -14,6 +14,11 @@ flush -- loses nothing that was acknowledged. This example:
 4. verifies every key the child acknowledged is present;
 5. takes a checkpoint and shows the log truncating behind it.
 
+The same drill under `fsync='batch(64,0.01)'`, where the fsync runs
+behind the acknowledgement and recovery must yield a prefix covering
+every key the writer saw reach `durable_lsn`, is a test:
+`tests/test_group_commit.py`.
+
 Run:  python examples/durable_store.py
 """
 

@@ -16,6 +16,8 @@ Durable/volatile rules in ``SimFS``:
 
 - ``append`` adds to the volatile tail; ``sync`` makes the whole tail
   durable; a crash applies the :class:`FaultSpec` to the tail.
+- ``sync_soon`` (the ``batch`` group commit) is ``sync`` run inline,
+  numbered like it; on the real disk it runs on a syncer thread.
 - ``write_atomic`` is two syscalls (prepare, commit): crash on prepare
   leaves the old file, crash on commit too -- the file flips to the new
   content only once commit completes (rename atomicity).
@@ -26,8 +28,10 @@ Durable/volatile rules in ``SimFS``:
 from __future__ import annotations
 
 import os
+import queue
 import random
 import re
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -49,12 +53,20 @@ class OsAppendHandle:
     and fsyncs.  The buffer only ever delays *unsynced* records, whose
     loss the ``batch``/``never`` policies already permit -- anything a
     policy declared durable has been flushed and fsynced.
+
+    ``sync_soon`` runs the same flush + fsync on a daemon syncer
+    thread, started at the first call and joined by ``close``:
+    ``os.fsync`` releases the GIL, so the appending thread keeps going
+    while the disk works.  The buffered file locks itself, so appends
+    may land in the buffer while the syncer flushes it.
     """
 
     def __init__(self, path: str):
         self._f = open(path, "ab", buffering=1 << 16)
         #: ``append(data)`` *is* the buffered file's ``write``.
         self.append = self._f.write
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._syncer: Optional[threading.Thread] = None
 
     def flush(self) -> None:
         """Hand buffered bytes to the OS without forcing them to media."""
@@ -64,7 +76,35 @@ class OsAppendHandle:
         self._f.flush()
         os.fsync(self._f.fileno())
 
+    def sync_soon(self, done) -> None:
+        """Sync on the syncer thread, then call ``done(error)`` there
+        (``None``, or the exception the flush or fsync raised)."""
+        if self._syncer is None:
+            self._syncer = threading.Thread(
+                target=self._run_syncer, name="wal-syncer", daemon=True
+            )
+            self._syncer.start()
+        self._jobs.put(done)
+
+    def _run_syncer(self) -> None:
+        jobs, sync = self._jobs, self.sync
+        while True:
+            done = jobs.get()
+            if done is None:
+                return
+            try:
+                sync()
+            except Exception as exc:
+                done(exc)
+            else:
+                done(None)
+            del done  # hold no reference to the caller while idle
+
     def close(self) -> None:
+        if self._syncer is not None:
+            self._jobs.put(None)
+            self._syncer.join()
+            self._syncer = None
         if not self._f.closed:
             self._f.flush()
             self._f.close()
@@ -197,6 +237,17 @@ class SimAppendHandle:
         f = self._fs._file(self._path)
         f.durable.extend(f.volatile)
         del f.volatile[:]
+
+    def sync_soon(self, done) -> None:
+        """Sync inline, then ``done(None)``: the crash sweeps keep one
+        deterministic syscall numbering and sync schedule.  A crash
+        (or any failure) calls ``done(exc)`` and propagates."""
+        try:
+            self.sync()
+        except BaseException as exc:
+            done(exc)
+            raise
+        done(None)
 
     def close(self) -> None:
         self.closed = True

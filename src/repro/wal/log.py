@@ -7,6 +7,21 @@ CRC32 (:mod:`repro.wal.record`).  Durability is delegated to an
 :class:`~repro.wal.policy.FsyncPolicy` -- ``always`` syncs per append,
 ``batch`` group-commits, ``never`` trusts OS writeback.
 
+The ``batch`` group commit runs behind the acknowledgement: the append
+that crosses a threshold starts a sync (unless one is in flight) and
+returns without waiting; the sync, when it completes, publishes
+``durable_lsn`` as the ``last_lsn`` it read before its flush.  A failed
+one is sticky -- the next ``append``, ``sync`` or ``close`` raises its
+error and ``durable_lsn`` stops advancing.  Every barrier stays
+synchronous: the ``always`` fsync, ``sync``, the rotation seal and
+``close`` first wait out the in-flight sync, then sync inline, so when
+they return everything appended before them is durable.  So a crash
+loses at most the writes after the last *completed* sync: ``n``
+records plus those appended during one fsync, or ``t`` seconds plus
+one fsync.  Thresholds are checked at append time only: an idle log's
+tail waits for the next write, ``flush``, checkpoint or ``close``.
+``always`` is unchanged -- ``append`` returns after its fsync.
+
 Opening an existing directory never appends to the old tail segment:
 its last records may be torn from a crash, and a valid record appended
 after garbage would be unreachable (replay stops at the first bad
@@ -25,6 +40,7 @@ durable history is missing, which must never be papered over.
 
 from __future__ import annotations
 
+import threading
 from time import monotonic as _clock  # the one clock the log reads
 from typing import Iterator, List, Optional, Tuple
 from zlib import crc32 as _crc32
@@ -38,7 +54,7 @@ from repro.wal.faultfs import (
     segment_seqno,
 )
 from repro.wal.metrics import WalMetrics
-from repro.wal.policy import FsyncPolicy, parse_policy
+from repro.wal.policy import AlwaysFsync, FsyncPolicy, parse_policy
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
 _RECORD_BODY = rec._RECORD_BODY
@@ -79,6 +95,10 @@ class WriteAheadLog:
         # clock read in ``append``).
         self._sync_records = self.policy.max_records
         self._sync_interval = self.policy.max_interval
+        # What a crossed threshold does: ``always`` syncs before
+        # ``append`` returns; ``batch`` starts a group commit and
+        # returns without waiting for it.
+        self._ack_after_sync = isinstance(self.policy, AlwaysFsync)
         self.segment_size = segment_size
         self.metrics = metrics if metrics is not None else WalMetrics()
         #: Called as ``on_seal(name, seqno, base_lsn, last_lsn)`` when a
@@ -93,9 +113,16 @@ class WriteAheadLog:
         self.fs.makedirs(self.directory)
         self._handle = None
         self._segment_bytes = 0
-        self._pending = 0  # records appended since the last fsync
+        self._pending = 0  # records appended since the last sync started
         self._last_sync = _clock()
         self._closed = False
+        # Held from the start of a group commit until its ``done``
+        # callback: at most one sync is in flight.
+        self._syncing = threading.Lock()
+        self._sync_target = 0  # last_lsn when the in-flight sync started
+        # A failed group commit's exception, sticky: every later
+        # ``append``, ``sync`` and ``close`` raises it.
+        self._error: Optional[BaseException] = None
 
         last_lsn, next_seqno = self._scan_existing()
         # Never restart below a checkpoint the caller recovered: LSNs
@@ -160,13 +187,17 @@ class WriteAheadLog:
     # -- appending ------------------------------------------------------
 
     def append(self, op: int, payload: bytes, ops: int = 1) -> int:
-        """Append one record; returns its LSN after the policy's sync.
+        """Append one record; returns its LSN.
 
-        ``ops`` is the number of logical operations the record carries
-        (a batch record logs many), feeding the metrics only.
+        Under ``always`` the record is fsync-durable when this returns.
+        Under ``batch`` the append that crosses a threshold starts a
+        group commit (unless one is in flight) and returns without
+        waiting for it.  ``ops`` is the number of logical operations the
+        record carries (a batch record logs many), feeding the metrics
+        only.
         """
-        if self._closed:
-            raise ValueError("log is closed")
+        if self._closed or self._error is not None:
+            raise self._error or ValueError("log is closed")
         lsn = self.last_lsn + 1
         # ``rec.encode_record`` inlined (it stays the format's
         # definition): the CRC covers lsn | op | length | payload.
@@ -191,11 +222,47 @@ class WriteAheadLog:
         if (records is not None and pending >= records) or (
             interval is not None and _clock() - self._last_sync >= interval
         ):
-            self.sync()
+            if self._ack_after_sync:
+                self.sync()
+            else:
+                self._sync_soon()
         return lsn
 
+    def _sync_soon(self) -> None:
+        """Start a group commit unless one is in flight; don't wait.
+
+        The handle decides how the sync runs (a syncer thread on the
+        real disk, inline under ``SimFS``).  Its ``done`` callback
+        publishes ``durable_lsn`` as the LSN read here, before the
+        flush, so it never claims a record the sync may have missed.
+        """
+        if not self._syncing.acquire(False):
+            return  # the next append past the threshold retries
+        self._sync_target = self.last_lsn
+        self._pending = 0
+        self._last_sync = _clock()
+        self._handle.sync_soon(self._synced)
+
+    def _synced(self, error: Optional[BaseException]) -> None:
+        """``done`` of a group commit, on whichever thread ran it."""
+        if error is None:
+            m = self.metrics
+            m.fsyncs_total += 1
+            m.fsync_ns_total += int((_clock() - self._last_sync) * 1e9)
+            self.durable_lsn = m.durable_lsn = self._sync_target
+        else:
+            self._error = error
+        self._syncing.release()
+
     def sync(self) -> None:
-        """fsync the active segment; everything appended so far is durable."""
+        """fsync the active segment; everything appended so far is durable.
+
+        A barrier: waits out an in-flight group commit (raising its
+        error, if it failed), then syncs inline."""
+        with self._syncing:
+            pass
+        if self._error is not None:
+            raise self._error
         if self._pending == 0 and self.durable_lsn == self.last_lsn:
             return
         t0 = _clock()
@@ -232,11 +299,15 @@ class WriteAheadLog:
             self.on_seal(*sealed)
 
     def close(self) -> None:
+        """Sync, then close (joining the syncer thread, if one ran).
+        Closes even when the sync raises, and re-raises its error."""
         if self._closed:
             return
-        self.sync()
-        self._handle.close()
         self._closed = True
+        try:
+            self.sync()
+        finally:
+            self._handle.close()
 
     # -- reading --------------------------------------------------------
 

@@ -9,12 +9,18 @@ trade-off the bench quantifies (``benchmarks/bench_wal_overhead.py``):
 
 - :class:`AlwaysFsync` -- every acknowledged write is durable; one
   fsync per append (``max_records = 1``).
-- :class:`BatchFsync` -- group commit: sync once per ``max_records``
-  appends or once ``max_interval`` seconds have passed since the last
-  sync, whichever comes first.  Acknowledged-but-unsynced writes can be
-  lost in a crash, but recovery always yields a clean *prefix* of the
+- :class:`BatchFsync` -- group commit: start a sync once
+  ``max_records`` appends or ``max_interval`` seconds have passed since
+  the last sync, whichever comes first.  The append that
+  crosses the threshold does not wait for that sync (on the real disk
+  it runs on the log's syncer thread).  A crash can lose the writes
+  after the last *completed* sync -- at most ``max_records`` records
+  plus those appended during one fsync, or ``max_interval`` seconds
+  plus one fsync -- but recovery always yields a clean *prefix* of the
   acknowledged history (bounded, ordered loss -- the classic
-  ``everysec``-style contract).
+  ``everysec``-style contract).  Both thresholds are checked at append
+  time: an idle log's tail waits for the next write, ``flush``,
+  checkpoint or ``close``.
 - :class:`NeverFsync` -- leave durability to the OS writeback (no
   threshold).  Data survives a process kill (the bytes reached the
   kernel) but not a power cut.
@@ -55,7 +61,8 @@ class NeverFsync(FsyncPolicy):
 
 
 class BatchFsync(FsyncPolicy):
-    """Group commit: fsync per ``max_records`` appends or ``max_interval`` s."""
+    """Group commit: fsync per ``max_records`` appends or ``max_interval``
+    s, behind the acknowledgement (the threshold append does not wait)."""
 
     name = "batch"
 

@@ -33,7 +33,6 @@ from repro.kvstore import CodecError, KVStore, StringCodec, UintCodec
 from repro.wal import DurableKVStore, SimFS, WriteAheadLog
 from repro.wal import log as wal_log
 from repro.wal import record as rec
-from tests.conftest import ENGINE_ENV, exported
 
 # -- (a) golden bytes --------------------------------------------------------
 
@@ -225,7 +224,6 @@ def _small_index() -> DyTIS:
     return DyTIS(DyTISConfig(first_level_bits=2, bucket_capacity=4, l_start=1))
 
 
-@pytest.mark.parametrize("storage", ENGINE_ENV)
 @settings(max_examples=120, deadline=None)
 @given(
     ops=st.lists(
@@ -236,20 +234,19 @@ def _small_index() -> DyTIS:
         max_size=120,
     )
 )
-def test_scalar_get_matches_dict(storage, ops):
-    with exported(storage):
-        index, shadow = _small_index(), {}
-        for step, (op, key) in enumerate(ops):
-            if op == "insert":
-                index.insert(key, step)
-                shadow[key] = step
-            elif op == "delete":
-                assert index.delete(key) == (shadow.pop(key, None) is not None)
-            assert index.get(key) == shadow.get(key)
-        for key in _POOL:
-            assert index.get(key) == shadow.get(key)
-            assert index.get(np.uint64(key)) == shadow.get(key)
-        index.check_invariants()
+def test_scalar_get_matches_dict(ops):
+    index, shadow = _small_index(), {}
+    for step, (op, key) in enumerate(ops):
+        if op == "insert":
+            index.insert(key, step)
+            shadow[key] = step
+        elif op == "delete":
+            assert index.delete(key) == (shadow.pop(key, None) is not None)
+        assert index.get(key) == shadow.get(key)
+    for key in _POOL:
+        assert index.get(key) == shadow.get(key)
+        assert index.get(np.uint64(key)) == shadow.get(key)
+    index.check_invariants()
 
 
 def test_get_hands_padding_duplicates_to_probe_key(monkeypatch):

@@ -124,7 +124,7 @@ def run(
             batch_ix.bulk_load(preload, preload)
             t0 = time.perf_counter()
             for chunk in slices:
-                batch_ix.insert_many([(k, k) for k in chunk])
+                batch_ix.insert_many(chunk, chunk)
             batch_s = min(batch_s, time.perf_counter() - t0)
         rows.append(
             BatchOpRow(

@@ -53,6 +53,13 @@ from repro.obs.events import (
 #: against group upper bounds that overflow uint64.
 _KEY_SPACE = 1 << 64
 
+#: Batches of at most this many keys take the list paths of
+#: ``get_many``/``insert_many``, which make no NumPy call: a 2-shard
+#: fleet epoch hands each worker ~22 keys per side, where the array
+#: path's fixed cost (key column, argsort, dedupe) outweighs the per-key
+#: work.  Measured crossover: ARCHITECTURE §6.
+_SMALL_BATCH = 32
+
 
 class _FusedColumn:
     """A read-only snapshot of the whole index for ``get_many``.
@@ -670,6 +677,15 @@ class DyTIS:
             self._check_key(int(arr[arr >= np.uint64(self._key_limit)][0]))
         return arr
 
+    def _key_list(self, keys) -> List[int]:
+        """``keys`` as a list of plain ints: :meth:`_key_column`'s rule
+        for the small-batch paths, without NumPy."""
+        ks = [k if type(k) is int else _as_int(k) for k in keys]
+        if ks and (min(ks) < 0 or max(ks) >= self._key_limit):
+            for key in ks:
+                self._check_key(key)  # raises ValueError
+        return ks
+
     def bulk_load(self, keys, values) -> None:
         """Build the index bottom-up from a key/value batch (sorted once).
 
@@ -746,8 +762,11 @@ class DyTIS:
         write since it was built), else walked in key order against the
         live segments with the routing state resolved once per *group*
         of keys sharing a segment.  Missing keys yield None (same
-        contract as :meth:`get`).
+        contract as :meth:`get`).  A list or tuple of at most
+        ``_SMALL_BATCH`` keys takes :meth:`_get_many_small` instead.
         """
+        if isinstance(keys, (list, tuple)) and len(keys) <= _SMALL_BATCH:
+            return self._get_many_small(keys)
         arr = self._key_column(keys)
         n = int(arr.size)
         out: List[Optional[Any]] = [None] * n
@@ -771,6 +790,40 @@ class DyTIS:
                 return self._get_many_routed(arr, out)
             fused = self._build_fused()
         return self._get_many_fused(fused, arr, out)
+
+    def _get_many_small(self, keys) -> List[Optional[Any]]:
+        """``get_many`` of a small batch: :meth:`get`'s probe per key,
+        in input order, with no NumPy call.
+
+        Neither the fused snapshot nor the ski-rental count is touched.
+        Each key is routed on its own: the routed walk's ``seg_upper``
+        cache holds only for ascending keys, and sorting would cost
+        more than it saves at this size.
+        """
+        m = self._m
+        local_mask = self._local_mask
+        tables = self._tables
+        out: List[Optional[Any]] = []
+        append = out.append
+        for key in self._key_list(keys):
+            table = tables[key >> m]
+            if table is None:
+                append(None)
+                continue
+            store = table.dir[(key & local_mask) >> (m - table.global_depth)].store
+            karr = store._karr
+            pos = bisect_right(karr, key) - 1
+            if pos < 0 or karr[pos] != key:
+                append(None)
+                continue
+            cap = store.capacity
+            b = pos // cap
+            i = pos - b * cap
+            if i < store.counts[b]:
+                append(store.values[b][i])
+            else:  # padding equal to ``key``, as in ``get``
+                append(store.probe_key(key)[1])
+        return out
 
     def _build_fused(self) -> _FusedColumn:
         """Snapshot the index into a fresh fused read column.
@@ -968,48 +1021,51 @@ class DyTIS:
         small groups apply with the scalar C-bisect store path under
         the same cached routing (the win over per-key ``insert`` is the
         one directory resolution per group either way).
+
+        A batch of at most ``_SMALL_BATCH`` keys makes no NumPy call: a
+        dict deduplicates it and ``sorted`` orders it (and bounds-checks
+        it through its ends), then the same group loop applies it in the
+        same key order, so Algorithm 1 makes the same decisions as on
+        the array path.
         """
         keys, values = batch_columns(keys, values)
         if not keys:
             return
+        small = len(keys) <= _SMALL_BATCH
         try:
-            arr = self._key_column(keys)
+            if small:
+                # The last occurrence wins; sorting yields the bounds.
+                last = dict(zip(map(_as_int, keys), values))
+                key_list = sorted(last)
+                if key_list[0] < 0 or key_list[-1] >= self._key_limit:
+                    raise ValueError
+                vals = [last[k] for k in key_list]
+                sk = None  # a dense group needs more keys than this
+            else:
+                sk, src, _ = self._sorted_batch(self._key_column(keys))
+                vals = [values[i] for i in src.tolist()]
+                key_list = sk.tolist()
         except (TypeError, ValueError):
             # A key the scalar API rejects: let the scalar path raise
             # with sequential semantics (prior pairs applied).
             for key, value in zip(keys, values):
                 self.insert(key, value)
             return
-        sk, src, _ = self._sorted_batch(arr)
-        vals = [values[i] for i in src.tolist()]
         m = self._m
         local_mask = self._local_mask
         tables = self._tables
-        key_list = sk.tolist()
         n = len(key_list)
+        self._gen += 1
         i = 0
         while i < n:
             key = key_list[i]
-            ti = key >> m
-            table = tables[ti]
+            table = tables[key >> m]
             if table is None:
-                table = self._new_table(ti)
-            gd = table.global_depth
-            local = key & local_mask
-            if gd:
-                di = local >> (m - gd)
-                seg = table.dir[di]
-                span = 1 << (gd - seg.local_depth)
-                end_di = (di // span) * span + span
-                seg_upper = (ti << m) + (end_di << (m - gd))
-            else:
-                seg = table.dir[0]
-                seg_upper = (ti + 1) << m
-            j = (
-                n
-                if seg_upper >= _KEY_SPACE
-                else bisect_left(key_list, seg_upper, i)
-            )
+                table = self._new_table(key >> m)
+            seg = table.dir[(key & local_mask) >> (m - table.global_depth)]
+            # The segment owns the aligned key span of its local depth.
+            span_bits = m - seg.local_depth
+            j = bisect_left(key_list, ((key >> span_bits) + 1) << span_bits, i)
             bail = -1
             remap = seg.remap
             cum = remap._cum
@@ -1018,8 +1074,8 @@ class DyTIS:
             offmask = (1 << shift) - 1
             last_bucket = cum[-1] - 1
             dmask = seg._mask
-            g = j - i
-            if g > 32:
+            dense = False
+            if j - i > 32:
                 # Vectorised per-bucket splices only pay off when each
                 # touched bucket receives several keys; route the first
                 # and last key to bound the bucket span and estimate
@@ -1034,9 +1090,7 @@ class DyTIS:
                     b1 = last_bucket
                 if b0 > last_bucket:
                     b0 = last_bucket
-                dense = g >= 6 * (b1 - b0 + 1)
-            else:
-                dense = False
+                dense = j - i >= 6 * (b1 - b0 + 1)
             if not dense:
                 # Sparse group: apply inline with C bisect on the key
                 # column (the splice plan's per-bucket numpy pass costs
@@ -1049,7 +1103,6 @@ class DyTIS:
                 store_vals = store.values
                 counts = store.counts
                 cap = store.capacity
-                grew = False
                 for p in range(i, j):
                     k = key_list[p]
                     lk = k & dmask
@@ -1079,19 +1132,16 @@ class DyTIS:
                                 q -= 1
                         store_vals[b].insert(idx - off, vals[p])
                         counts[b] = cnt + 1
-                        grew = True
+                        store._counts_np = None
                         pc[pi] += 1
                         seg.total_keys += 1
                         self._size += 1
-                if grew:
-                    store._counts_np = None
             else:
                 group = sk[i:j]
                 new_mask, seg_overflow = seg.insert_batch(group, vals[i:j])
                 self._size += int(new_mask.sum())
                 if seg_overflow:
                     bail = i + seg_overflow[0]
-            self._gen += 1
             if bail < 0:
                 i = j
                 continue

@@ -27,7 +27,8 @@ results (so the caller knows concatenate vs. heap-merge).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from operator import index as _as_int
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +36,13 @@ import numpy as np
 #: mixing constant: consecutive keys land on well-spread shards.
 _HASH_MULT = 0x9E3779B97F4A7C15
 _U64_MASK = (1 << 64) - 1
+
+#: :meth:`ShardRouter.partition` routes batches of at most this many
+#: keys one key at a time and larger ones with :meth:`route_array`,
+#: whose NumPy calls cost a fixed ~8 µs.  Per key, ``hash``'s multiply
+#: catches up with that at about 64 keys (``msb`` near 160): measured
+#: in ARCHITECTURE §14.
+_SMALL_PARTITION = 64
 
 
 class ShardRouter:
@@ -85,11 +93,13 @@ class ShardRouter:
     def shard_of(self, key: int) -> int:
         """Owning shard of ``key``.
 
-        Validates the key range here, at the router boundary, so every
-        point operation raises the same ``ValueError`` a local index
-        would -- before the key can reach a zero-copy column bisect
-        (where a negative would silently miss) or a worker round trip.
+        Validates the key here, at the router boundary, so every point
+        operation raises the ``TypeError`` (a float) or ``ValueError``
+        (outside the key space) a local index would, before a worker
+        round trip.
         """
+        if type(key) is not int:
+            key = _as_int(key)
         if not 0 <= key < self._key_limit:
             raise ValueError(f"key {key} outside [0, 2^{self.key_bits})")
         if self.n_shards == 1:
@@ -108,6 +118,50 @@ class ShardRouter:
         else:
             out = (arr * np.uint64(_HASH_MULT)) >> np.uint64(self._shift)
         return out.astype(np.int64)
+
+    # -- batch routing --------------------------------------------------
+
+    def check_keys(self, keys: Sequence[int]) -> List[int]:
+        """``keys`` as a list of plain ints, raising what
+        :meth:`shard_of` raises for the first bad one.
+
+        A batch's boundary: a float is a ``TypeError`` here, never
+        truncated to an integer key by a ``uint64`` cast.
+        """
+        ks = [k if type(k) is int else _as_int(k) for k in keys]
+        if ks and (min(ks) < 0 or max(ks) >= self._key_limit):
+            for key in ks:
+                self.shard_of(key)  # raises ValueError
+        return ks
+
+    def partition(self, keys: List[int]) -> List[Tuple[int, List[int]]]:
+        """``[(shard, positions)]`` for the shards owning some of the
+        checked ``keys`` (see :meth:`check_keys`), positions ascending.
+
+        Up to ``_SMALL_PARTITION`` keys route one at a time by
+        :meth:`shard_of`'s formula; larger batches take one
+        :meth:`route_array` pass.
+        """
+        if self.n_shards == 1:
+            return [(0, list(range(len(keys))))] if keys else []
+        if len(keys) > _SMALL_PARTITION:
+            shards = self.route_array(np.array(keys, dtype=np.uint64))
+            out = []
+            for s in range(self.n_shards):
+                pos = np.flatnonzero(shards == s)
+                if pos.size:
+                    out.append((s, pos.tolist()))
+            return out
+        parts: List[List[int]] = [[] for _ in range(self.n_shards)]
+        shift = self._shift
+        if self.mode == "msb":
+            mask = self._mask
+            for i, key in enumerate(keys):
+                parts[(key >> shift) & mask].append(i)
+        else:
+            for i, key in enumerate(keys):
+                parts[((key * _HASH_MULT) & _U64_MASK) >> shift].append(i)
+        return [(s, pos) for s, pos in enumerate(parts) if pos]
 
     # -- range routing --------------------------------------------------
 

@@ -12,12 +12,12 @@ differential harness) can sit on a process fleet unchanged.
 Request flow:
 
 - **Point writes** route to the owning worker over its control pipe.
-- **Batch ops** scatter: one vectorized routing pass partitions the
-  key column by shard, each shard gets one RPC with its slice, and the
-  router restores caller order from the partition's index arrays.  A
-  mixed epoch (:meth:`ShardedIndex.read_write_many`: reads, then
-  writes) is still one message per touched shard; ``get_many`` and
-  ``insert_many`` are its one-sided cases.
+- **Batch ops** scatter: one routing pass partitions the key column by
+  shard (:meth:`ShardRouter.partition`), each shard gets one RPC with
+  its slice, and the router restores caller order from the partition's
+  positions.  A mixed epoch (:meth:`ShardedIndex.read_write_many`:
+  reads, then writes) is still one message per touched shard;
+  ``get_many`` and ``insert_many`` are its one-sided cases.
 - **Range ops** consult :meth:`ShardRouter.range_plan`: ordered plans
   concatenate per-shard results; unordered plans heap-merge by key.
 - **Point reads** route to the owning worker like point writes, so a
@@ -38,13 +38,11 @@ import weakref
 from bisect import bisect_left
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.api.protocol import batch_columns
 from repro.core import DyTISConfig
 from repro.shard import metrics as shard_metrics
 from repro.shard.routing import ShardRouter
-from repro.shard.worker import ShardSpec, worker_main
+from repro.shard.worker import ShardSpec, dumps, recv_msg, send_msg, worker_main
 
 
 class ShardError(RuntimeError):
@@ -183,7 +181,7 @@ class ShardedIndex:
             if pipe is None:
                 continue
             try:
-                pipe.send(("close", ()))
+                send_msg(pipe, ("close", ()))
             except (BrokenPipeError, OSError):
                 pass
         for shard, pipe in enumerate(self._pipes):
@@ -249,14 +247,14 @@ class ShardedIndex:
                 f"shard {shard} timed out after {self._rpc_timeout}s "
                 f"serving {op!r}"
             )
-        return pipe.recv()
+        return recv_msg(pipe)
 
     def _call(self, shard: int, op: str, *args) -> Any:
         pipe = self._pipes[shard]
         if pipe is None:
             raise ShardError(f"shard {shard} is not running")
         try:
-            pipe.send((op, args))
+            send_msg(pipe, (op, args))
             ok, result = self._recv(shard, op)
         except (EOFError, BrokenPipeError, OSError) as exc:
             self._poison(shard)
@@ -277,18 +275,20 @@ class ShardedIndex:
         Failure isolation: every shard that was sent a request gets
         its reply drained (or its pipe poisoned) before anything is
         raised, so one bad shard can never leave a *healthy* sibling's
-        reply queued for the next, unrelated call to consume.
+        reply queued for the next, unrelated call to consume.  For the
+        same reason every request is pickled before the first is sent.
         """
+        msgs = [dumps((op, args)) for _, op, args in requests]
         error: Optional[ShardError] = None
         sent: List[Tuple[int, str]] = []
-        for shard, op, args in requests:
+        for (shard, op, _), msg in zip(requests, msgs):
             pipe = self._pipes[shard]
             if pipe is None:
                 if error is None:
                     error = ShardError(f"shard {shard} is not running")
                 continue
             try:
-                pipe.send((op, args))
+                pipe.send_bytes(msg)
             except (BrokenPipeError, OSError) as exc:
                 self._poison(shard)
                 if error is None:
@@ -345,32 +345,6 @@ class ShardedIndex:
 
     # -- batch operations -----------------------------------------------
 
-    def _partition(self, keys: Sequence[int]) -> List[Tuple[int, List[int]]]:
-        """``[(shard, positions)]`` for the non-empty shards, one
-        vectorized routing pass (a lone key routes as a point op);
-        ``ValueError`` for a key outside the key space, like
-        :meth:`ShardRouter.shard_of`, before any pipe is written."""
-        if len(keys) == 1:
-            return [(self.router.shard_of(keys[0]), [0])]
-        key_bits = self.router.key_bits
-        try:
-            arr = np.asarray(keys, dtype=np.uint64)
-            in_range = (
-                key_bits == 64 or not arr.size or int(arr.max()) >> key_bits == 0
-            )
-        except OverflowError:
-            in_range = False
-        if not in_range:
-            bad = next(k for k in keys if not 0 <= k < 1 << key_bits)
-            raise ValueError(f"key {bad} outside [0, 2^{key_bits})")
-        shards = self.router.route_array(arr)
-        out = []
-        for s in range(self.n_shards):
-            pos = np.flatnonzero(shards == s)
-            if pos.size:
-                out.append((s, pos.tolist()))
-        return out
-
     def read_write_many(
         self,
         read_keys: Sequence[int],
@@ -381,7 +355,8 @@ class ShardedIndex:
         ``insert_many(keys, values)``: a mixed epoch as one routing
         pass and one message (one worker activation) per touched shard.
 
-        A length mismatch or an out-of-range key raises ``ValueError``
+        A length mismatch or an out-of-range key raises ``ValueError``,
+        a non-integer key ``TypeError`` (:meth:`ShardRouter.check_keys`),
         before anything is sent: nothing was applied.  A
         :class:`ShardError` comes after the scatter: healthy shards may
         have applied their writes, so replayed reads could see them.
@@ -394,13 +369,13 @@ class ShardedIndex:
             raise ValueError(
                 f"insert_many: {len(keys)} keys but {len(values)} values"
             )
-        both = [*read_keys]
-        n_reads = len(both)
-        both += keys
+        router = self.router
+        both = router.check_keys([*read_keys, *keys])
+        n_reads = len(both) - len(keys)
         out: List[Optional[Any]] = [None] * n_reads
         requests: List[Tuple[int, str, tuple]] = []
         remote_pos: List[List[int]] = []
-        for shard, pos in self._partition(both):
+        for shard, pos in router.partition(both):
             cut = bisect_left(pos, n_reads)  # reads | writes, both ascending
             reads, writes = pos[:cut], pos[cut:]
             sub = [both[i] for i in reads]
@@ -431,13 +406,13 @@ class ShardedIndex:
 
     def bulk_load(self, keys: Sequence[int], values: Sequence[Any]) -> None:
         """Partitioned bulk load: one ``bulk_load`` message per shard."""
-        ks = list(keys)
+        ks = self.router.check_keys(keys)
         vs = list(values)
         if len(ks) != len(vs):
             raise ValueError(f"bulk_load: {len(ks)} keys but {len(vs)} values")
         requests = [
             (shard, "bulk_load", ([ks[i] for i in pos], [vs[i] for i in pos]))
-            for shard, pos in self._partition(ks)
+            for shard, pos in self.router.partition(ks)
         ]
         if requests:
             self._scatter(requests)
@@ -570,7 +545,7 @@ def _reap(pipes: List[Any], procs: List[Any]) -> None:
         if pipe is None:
             continue
         try:
-            pipe.send(("close", ()))
+            send_msg(pipe, ("close", ()))
         except Exception:
             pass
     for proc in procs:

@@ -9,6 +9,12 @@ never initiates traffic, and it always drains a request before
 replying, so the router can scatter a batch to every shard before
 collecting any reply without deadlocking the pipes.
 
+Both ends frame every message with :func:`dumps` + ``send_bytes`` and
+:func:`recv_msg`: plain ``pickle``, not the ``ForkingPickler`` of
+``Connection.send``, which copies its reducer table for every message
+to serve objects (sockets, connections) that never cross this channel:
+messages hold ints, values and bytes (ARCHITECTURE §14).
+
 The loop is deliberately synchronous and single-index: *processes* are
 the concurrency mechanism here (that is the whole point of the
 subsystem), so the worker needs no locks, no GIL games, and its
@@ -17,12 +23,26 @@ index's single-writer invariants hold by construction.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.core import DyTIS, DyTISConfig
 from repro.obs import Observability
 from repro.shard import metrics as shard_metrics
+
+
+def dumps(msg: Any) -> bytes:
+    """One pipe message's bytes; ``conn.send_bytes`` writes them."""
+    return pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+
+
+def send_msg(conn, msg: Any) -> None:
+    conn.send_bytes(dumps(msg))
+
+
+def recv_msg(conn) -> Any:
+    return pickle.loads(conn.recv_bytes())
 
 
 @dataclass(frozen=True)
@@ -146,7 +166,7 @@ def worker_main(conn, spec: ShardSpec) -> None:
     try:
         while True:
             try:
-                msg = conn.recv()
+                msg = recv_msg(conn)
             except (EOFError, OSError):
                 break
             op, args = msg
@@ -156,16 +176,19 @@ def worker_main(conn, spec: ShardSpec) -> None:
                         index.close()
                     except Exception:
                         pass
-                conn.send((True, None))
+                send_msg(conn, (True, None))
                 break
             handler = handlers.get(op)
             if handler is None:
-                conn.send((False, f"unknown shard op {op!r}"))
+                send_msg(conn, (False, f"unknown shard op {op!r}"))
                 continue
             try:
-                conn.send((True, handler(*args)))
+                # Pickled before anything is written, so a result that
+                # cannot pickle is answered as an error like any other.
+                reply = dumps((True, handler(*args)))
             except Exception as exc:  # noqa: BLE001 - reply, don't die
-                conn.send((False, f"{type(exc).__name__}: {exc}"))
+                reply = dumps((False, f"{type(exc).__name__}: {exc}"))
+            conn.send_bytes(reply)
     finally:
         try:
             conn.close()

@@ -12,6 +12,19 @@ import random
 import pytest
 
 from repro.core import DyTIS, DyTISConfig
+from tests.conftest import exported
+
+
+@pytest.fixture(params=["columnar"])
+def one_config(request):
+    """``small_config``, run once: ``DYTIS_STORAGE`` is dead, so the
+    ``[lists]`` run repeated this one.  The parameter keeps the test id
+    the suite is recorded under; ``small_config``'s remaining users here
+    move over a few ids at a time."""
+    with exported(request.param):
+        yield DyTISConfig(
+            key_bits=32, first_level_bits=4, bucket_capacity=8, l_start=2
+        )
 
 
 @pytest.fixture
@@ -64,9 +77,9 @@ class TestGetMany:
 
 
 class TestInsertMany:
-    def test_matches_scalar_inserts(self, small_config, rng):
+    def test_matches_scalar_inserts(self, one_config, rng):
         keys = rng.sample(range(2**32), 4000)
-        batch_ix, scalar_ix = DyTIS(small_config), DyTIS(small_config)
+        batch_ix, scalar_ix = DyTIS(one_config), DyTIS(one_config)
         for lo in range(0, len(keys), 512):
             chunk = keys[lo : lo + 512]
             batch_ix.insert_many([(k, k) for k in chunk])
@@ -75,8 +88,8 @@ class TestInsertMany:
         batch_ix.check_invariants()
         assert list(batch_ix.items()) == list(scalar_ix.items())
 
-    def test_duplicates_in_batch_last_wins(self, small_config):
-        d = DyTIS(small_config)
+    def test_duplicates_in_batch_last_wins(self, one_config):
+        d = DyTIS(one_config)
         d.insert_many([(7, "a"), (8, "x"), (7, "b"), (7, "c")])
         assert len(d) == 2
         assert d.get(7) == "c"
@@ -101,23 +114,23 @@ class TestInsertMany:
         assert d.get_many(keys) == [k for k in keys]
         assert d.stats.structural_ops() > 0
 
-    def test_empty_batch(self, small_config):
-        d = DyTIS(small_config)
+    def test_empty_batch(self, one_config):
+        d = DyTIS(one_config)
         d.insert_many([])
         assert len(d) == 0
 
     def test_invalid_key_falls_back_to_sequential_semantics(
-        self, small_config
+        self, one_config
     ):
-        d = DyTIS(small_config)
+        d = DyTIS(one_config)
         with pytest.raises(ValueError):
             d.insert_many([(1, "a"), (2**32, "too big"), (3, "c")])
         # Sequential semantics: pairs before the bad key are applied.
         assert d.get(1) == "a"
         assert d.get(3) is None
 
-    def test_interleaves_with_scalar_ops(self, small_config, rng):
-        d, ref = DyTIS(small_config), {}
+    def test_interleaves_with_scalar_ops(self, one_config, rng):
+        d, ref = DyTIS(one_config), {}
         for _ in range(20):
             chunk = [
                 (rng.randrange(2**32), rng.random()) for _ in range(200)

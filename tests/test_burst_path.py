@@ -554,6 +554,24 @@ def test_a_worker_error_after_the_scatter_is_not_validation(monkeypatch):
         sock.close()
 
 
+def test_a_float_key_is_refused_before_the_scatter():
+    """A float key is a ``TypeError`` at the router, on both sides of
+    the partition cutoff -- never truncated to an integer, routed, and
+    refused by a worker after its sibling applied its writes."""
+    from repro.shard import routing
+
+    with ShardedIndex(2) as idx:
+        count = _CountingScatter(idx)
+        big = list(range(100, 100 + routing._SMALL_PARTITION))
+        for reads in ([1.5, 2**63 + 5], [1.5, 2**63 + 5] + big):
+            with pytest.raises(TypeError):
+                idx.read_write_many(reads, [7], ["x"])
+        with pytest.raises(TypeError):
+            idx.insert_many([7, 2.0], ["x", "y"])
+        assert count.calls == []  # nothing reached a pipe ...
+        assert idx.get_many([7, 1]) == [None, None]  # ... or a shard
+
+
 # -- golden bytes ----------------------------------------------------------------
 
 

@@ -278,10 +278,12 @@ def test_get_hands_padding_duplicates_to_probe_key(monkeypatch):
     ]
     assert stale, "no delete left a padding copy of its key behind"
     assert all(index.get(k) is None for k in keys)
+    assert index.get_many(stale) == [None] * len(stale)  # the same probe
     # The largest key is live *below* its own padding value.
     walked.clear()
     index.insert(_MAX, "top")
     assert index.get(_MAX) == "top" and walked == [_MAX]
+    assert index.get_many([_MAX, keys[0]]) == ["top", None]
     assert index.delete(_MAX) and index.get(_MAX) is None
     index.check_invariants()
 

@@ -3,7 +3,7 @@
 Sweeps connection count on read-heavy YCSB-C with pipelined clients
 (window 64) against two servers over the same store and dataset: the
 coalescing server (pipelined point gets drained into ``get_many``
-batches against the fused read column, replies written one batch per
+batches against the read snapshot, replies written one batch per
 connection) and the naive baseline (``coalesce=False``: execute one
 request, write one reply, flush).
 

@@ -7,17 +7,27 @@ driver measures that amortisation directly: for each batch size it
 times the scalar loop (``get``/``insert`` per key) against one
 ``get_many``/``insert_many`` call over the same keys and reports the
 speedup.
+
+A cell is a few milliseconds of work, so one timing of each side is at
+the mercy of the scheduler: each cell times its two sides alternately,
+``ROUNDS`` times each (the side that goes first flips every round), and
+compares the medians.
 """
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 from repro.bench.experiments.scale import ExperimentScale, default_scale
 
 DEFAULT_BATCH_SIZES = (64, 256, 1024, 4096)
+
+#: Timed rounds per side of a cell; the reported times are medians.
+ROUNDS = 11
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,38 @@ class BulkCompareRow:
 def _repeats(batch_size: int, n_ops: int) -> int:
     """Enough repetitions per cell to make the timing stable."""
     return max(3, n_ops // batch_size)
+
+
+def _alternate(
+    scalar: Callable[[], float], batch: Callable[[], float]
+) -> Tuple[float, float]:
+    """Median seconds of each side over ``ROUNDS`` alternating rounds.
+
+    Each callable runs one round and returns its timed seconds (setup
+    it does outside the timer is not counted).  As in ``timeit``, the
+    cyclic garbage collector is off meanwhile: a collection of the
+    whole heap costs more than a round, and lands on whichever side
+    happens to allocate past its threshold.
+    """
+    times: Tuple[List[float], List[float]] = ([], [])
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i in range(ROUNDS):
+            if i % 2:
+                times[1].append(batch())
+                times[0].append(scalar())
+            else:
+                times[0].append(scalar())
+                times[1].append(batch())
+    finally:
+        if was_enabled:
+            gc.enable()
+    return statistics.median(times[0]), statistics.median(times[1])
+
+
+def _speedup(scalar_s: float, batch_s: float) -> float:
+    return scalar_s / batch_s if batch_s else float("inf")
 
 
 def _make_index(scale: ExperimentScale):
@@ -88,48 +130,62 @@ def run(
             [preload[rng.randrange(len(preload))] for _ in range(batch_size)]
             for _ in range(reps)
         ]
-        t0 = time.perf_counter()
-        for batch in batches:
-            for k in batch:
-                base.get(k)
-        scalar_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for batch in batches:
-            base.get_many(batch)
-        batch_s = time.perf_counter() - t0
+        stale_key = preload[0]
+
+        def scalar_gets() -> float:
+            t0 = time.perf_counter()
+            for batch in batches:
+                for k in batch:
+                    base.get(k)
+            return time.perf_counter() - t0
+
+        def batch_gets() -> float:
+            # An upsert outside the timer makes every round a read phase
+            # after a write, as the first round is: the read snapshot
+            # is stale, so routing and the rebuild rule are timed too.
+            base.insert(stale_key, stale_key)
+            t0 = time.perf_counter()
+            for batch in batches:
+                base.get_many(batch)
+            return time.perf_counter() - t0
+
+        scalar_s, batch_s = _alternate(scalar_gets, batch_gets)
         rows.append(
             BatchOpRow(
                 "get_many", batch_size, scalar_s, batch_s,
-                scalar_s / batch_s if batch_s else float("inf"),
+                _speedup(scalar_s, batch_s),
             )
         )
 
         # -- insert_many: disjoint fresh slices into two equal preloads.
-        # Inserts mutate, so each timed pass rebuilds its index; min of
-        # two passes damps scheduler noise without changing the work.
+        # Inserts mutate, so each timed round builds its index first.
         slices = []
         for i in range(reps):
             lo = (i * batch_size) % max(1, len(fresh) - batch_size)
             slices.append(fresh[lo : lo + batch_size])
-        scalar_s = batch_s = float("inf")
-        for _ in range(2):
-            scalar_ix = _make_index(scale)
-            scalar_ix.bulk_load(preload, preload)
+
+        def scalar_inserts() -> float:
+            ix = _make_index(scale)
+            ix.bulk_load(preload, preload)
             t0 = time.perf_counter()
             for chunk in slices:
                 for k in chunk:
-                    scalar_ix.insert(k, k)
-            scalar_s = min(scalar_s, time.perf_counter() - t0)
-            batch_ix = _make_index(scale)
-            batch_ix.bulk_load(preload, preload)
+                    ix.insert(k, k)
+            return time.perf_counter() - t0
+
+        def batch_inserts() -> float:
+            ix = _make_index(scale)
+            ix.bulk_load(preload, preload)
             t0 = time.perf_counter()
             for chunk in slices:
-                batch_ix.insert_many(chunk, chunk)
-            batch_s = min(batch_s, time.perf_counter() - t0)
+                ix.insert_many(chunk, chunk)
+            return time.perf_counter() - t0
+
+        scalar_s, batch_s = _alternate(scalar_inserts, batch_inserts)
         rows.append(
             BatchOpRow(
                 "insert_many", batch_size, scalar_s, batch_s,
-                scalar_s / batch_s if batch_s else float("inf"),
+                _speedup(scalar_s, batch_s),
             )
         )
     return rows

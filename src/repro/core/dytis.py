@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from operator import index as _as_int
 from time import perf_counter_ns as _now
 from typing import Any, Iterator, List, Optional, Tuple
@@ -61,22 +62,30 @@ _KEY_SPACE = 1 << 64
 _SMALL_BATCH = 32
 
 
-class _FusedColumn:
-    """A read-only snapshot of the whole index for ``get_many``.
+#: ``get_many`` probes a batch above ``_SMALL_BATCH`` keys against the
+#: read snapshot this many keys at a time: per chunk one key column,
+#: one sort, one ``searchsorted``, one equality test and one gather, so
+#: the call's transient memory beyond its output list is the snapshot
+#: plus O(chunk) whatever the batch size.
+_PROBE_CHUNK = 16_384
 
-    ``keys``/``counts``/``vals`` are the concatenated per-segment
-    arrays (see :meth:`DyTIS._build_fused`).  ``gen`` is the index's
-    write generation when the snapshot was taken; the column answers
+
+class _FusedColumn:
+    """A read-only snapshot of the index's live pairs for ``get_many``.
+
+    ``keys`` holds every live key as ``uint64`` in global key order
+    (strictly increasing) and ``vals`` an object array of their values,
+    16 bytes per live key (see :meth:`DyTIS._build_fused`).  ``gen`` is
+    the index's write generation when the snapshot was taken; it answers
     reads exactly while ``DyTIS._gen`` still equals it, and is never
     updated in place.
     """
 
-    __slots__ = ("gen", "keys", "counts", "vals")
+    __slots__ = ("gen", "keys", "vals")
 
-    def __init__(self, gen, keys, counts, vals):
+    def __init__(self, gen, keys, vals):
         self.gen = gen
         self.keys = keys
-        self.counts = counts
         self.vals = vals
 
 
@@ -141,11 +150,13 @@ class DyTIS:
             1 << self.config.first_level_bits
         )
         self._size = 0
-        # ``_gen`` counts every write.  The fused read column (serves
-        # ``get_many`` in read-only phases) is a snapshot tagged with
-        # the ``_gen`` it was built at; ``_routed_keys`` counts the keys
-        # ``get_many`` resolved without it during generation
-        # ``_routed_gen`` (see the rebuild rule in :meth:`get_many`).
+        # ``_gen`` counts every write.  The read snapshot of live pairs
+        # (serves ``get_many`` in read-only phases) is tagged with the
+        # ``_gen`` it was built at, and a stale one is dropped by the
+        # next ``get_many``, batch write or restructure; ``_routed_keys``
+        # counts the keys ``get_many`` resolved without it during
+        # generation ``_routed_gen`` (see the rebuild rule in
+        # :meth:`get_many`).
         self._gen = 0
         self._fused: Optional[_FusedColumn] = None
         self._routed_gen = -1
@@ -335,6 +346,7 @@ class DyTIS:
         if seg.utilization() < 0.25 * self.config.util_threshold:
             if seg.merge_backoff is not None and seg.total_keys > seg.merge_backoff:
                 return
+            self._fused = None  # stale since the delete; a merge may follow
             before = seg
             if seg.n_buckets > 1:
                 self._merge_down(table, seg, local)
@@ -615,6 +627,8 @@ class DyTIS:
                 self._gen += 1
                 self._maybe_merge_after_delete(table, seg, local)
             i = j
+        if self._fused is not None and self._fused.gen != self._gen:
+            self._fused = None  # a stale snapshot goes at a batch write
         return removed
 
     # -- batch operations --------------------------------------------------
@@ -707,6 +721,7 @@ class DyTIS:
         if self._size:
             raise ValueError("bulk_load requires an empty index")
         self._gen += 1
+        self._fused = None
         values = list(values)
         arr = self._key_column(keys)
         if arr.size != len(values):
@@ -756,46 +771,56 @@ class DyTIS:
     def get_many(self, keys) -> List[Optional[Any]]:
         """Batched point lookups; returns values aligned with ``keys``.
 
-        The batch is type- and bounds-checked once
-        (:meth:`_key_column`), then resolved with one ``searchsorted``
-        over the fused read column when that snapshot is current (no
-        write since it was built), else walked in key order against the
-        live segments with the routing state resolved once per *group*
-        of keys sharing a segment.  Missing keys yield None (same
-        contract as :meth:`get`).  A list or tuple of at most
-        ``_SMALL_BATCH`` keys takes :meth:`_get_many_small` instead.
+        When the read snapshot is current (no write since it was built)
+        the batch is probed against it in chunks of ``_PROBE_CHUNK``
+        keys, each type- and bounds-checked by :meth:`_key_column` and
+        resolved with one ``searchsorted``; otherwise the checked batch
+        is walked in key order against the live segments with the
+        routing state resolved once per *group* of keys sharing a
+        segment.  Missing keys yield None (same contract as
+        :meth:`get`).  A list or tuple of at most ``_SMALL_BATCH`` keys
+        takes :meth:`_get_many_small` instead.
         """
-        if isinstance(keys, (list, tuple)) and len(keys) <= _SMALL_BATCH:
+        if isinstance(keys, np.ndarray):
+            keys = self._key_column(keys)  # checks the array whole
+        elif not isinstance(keys, (list, tuple)):
+            keys = list(keys)
+        elif len(keys) <= _SMALL_BATCH:
             return self._get_many_small(keys)
-        arr = self._key_column(keys)
-        n = int(arr.size)
-        out: List[Optional[Any]] = [None] * n
+        n = len(keys)
         if n == 0:
-            return out
+            return []
         fused = self._fused
         if fused is None or fused.gen != self._gen:
-            # Stale column: rent (route) until the keys read since the
+            # Stale snapshot: rent (route) until the keys read since the
             # last write reach len // 8, then buy (rebuild) -- ski
-            # rental.  Measured, a rebuild costs 0.05-0.09 us per
-            # indexed key and a routed read 0.7-2.0 us per key, a ratio
-            # of 7.6-30; 8 is its low end, so a read-only phase rebuilds
-            # once routing has cost about a rebuild, while batches with
-            # writes between them (YCSB-A) never rebuild.
+            # rental.  Measured on paper-shaped keys, a rebuild costs
+            # 0.04-0.06 us per indexed key and a routed read 1.1-2.3 us
+            # per key, a ratio of 20-43 (ARCHITECTURE §6); 8 stays below
+            # it, so a read-only phase rebuilds within about one
+            # rebuild's worth of routing, while batches with writes
+            # between them (YCSB-A) never rebuild.
             gen = self._gen
             if self._routed_gen != gen:
                 self._routed_gen, self._routed_keys = gen, 0
                 self._fused = None  # free it: a stale snapshot is never reused
             self._routed_keys += n
             if self._routed_keys < self._size >> 3:
-                return self._get_many_routed(arr, out)
+                return self._get_many_routed(self._key_column(keys), [None] * n)
             fused = self._build_fused()
-        return self._get_many_fused(fused, arr, out)
+        if n <= _PROBE_CHUNK:
+            return self._get_many_fused(fused, self._key_column(keys))
+        out: List[Optional[Any]] = [None] * n
+        for lo in range(0, n, _PROBE_CHUNK):
+            hi = lo + _PROBE_CHUNK
+            out[lo:hi] = self._get_many_fused(fused, self._key_column(keys[lo:hi]))
+        return out
 
     def _get_many_small(self, keys) -> List[Optional[Any]]:
         """``get_many`` of a small batch: :meth:`get`'s probe per key,
         in input order, with no NumPy call.
 
-        Neither the fused snapshot nor the ski-rental count is touched.
+        Neither the read snapshot nor the ski-rental count is touched.
         Each key is routed on its own: the routed walk's ``seg_upper``
         cache holds only for ascending keys, and sorting would cost
         more than it saves at this size.
@@ -826,57 +851,47 @@ class DyTIS:
         return out
 
     def _build_fused(self) -> _FusedColumn:
-        """Snapshot the index into a fresh fused read column.
+        """Snapshot the index's live pairs into a fresh read snapshot.
 
-        Concatenates every segment's sentinel-padded key column in
-        global key order (tables by high bits, segments by directory
-        slot), then repairs cross-segment padding with one vectorised
-        suffix-minimum pass: a segment's trailing MAX-key slack must not
-        exceed the next segment's first key or the fused column would
-        not be non-decreasing.  The suffix minimum never changes a live
-        key -- every slot to the right of a live key holds a key or
-        padding value >= it -- and rewrites each slack slot to the next
-        live key overall, which is exactly the single-segment padding
-        policy applied globally.  Values are fused too, as an object
-        ndarray of references aligned slot-for-slot with the key column
-        (slack slots hold None), so a whole batch of hits resolves with
-        one fancy-index gather.
+        Two arrays preallocated at ``len(self)``, filled segment by
+        segment in global key order (tables by high bits, segments by
+        directory slot): one live-prefix gather per segment for the
+        keys, and one ``fromiter`` over the per-bucket value lists for
+        the values, an object array of references (``fromiter`` keeps
+        each element opaque; ndarray assignment would try to broadcast
+        sequence values).  Slack slots and their padding stay behind,
+        so the snapshot costs 16 bytes per live key whatever the load
+        factor.
         """
         t0 = time.perf_counter()
-        cap = self.config.bucket_capacity
-        cols: List[np.ndarray] = []
-        cnts: List[np.ndarray] = []
-        flat: List[Any] = []
-        pad = [None] * cap
-        for table in self._tables:
-            if table is None:
-                continue
-            for seg in table.unique_segments():
-                st = seg.store
-                cols.append(st.keys)
-                cnts.append(st._counts_array())
-                for vlist in st.values:
-                    flat += vlist
-                    flat += pad[len(vlist):]
-        if cols:
-            keys_col = np.concatenate(cols)
-            rev = keys_col[::-1]
-            np.minimum.accumulate(rev, out=rev)
-            counts_col = np.concatenate(cnts)
-            # fromiter keeps each element as an opaque reference;
-            # ndarray assignment would try to broadcast sequence values.
-            vals_col = np.fromiter(flat, dtype=object, count=len(flat))
-        else:
-            keys_col = np.empty(0, dtype=np.uint64)
-            counts_col = np.empty(0, dtype=np.int64)
-            vals_col = np.empty(0, dtype=object)
-        fused = _FusedColumn(self._gen, keys_col, counts_col, vals_col)
+        n = self._size
+        stores = [
+            seg.store
+            for table in self._tables
+            if table is not None
+            for seg in table.unique_segments()
+        ]
+        keys_col = np.empty(n, dtype=np.uint64)
+        at = 0
+        for st in stores:
+            end = at + sum(st.counts)
+            st.live_keys_into(keys_col[at:end])
+            at = end
+        require(at == n, "segment key counts disagree with len(index)")
+        vals_col = np.fromiter(
+            chain.from_iterable(
+                chain.from_iterable(st.values for st in stores)
+            ),
+            dtype=object,
+            count=n,
+        )
+        fused = _FusedColumn(self._gen, keys_col, vals_col)
         self._fused = fused
         if self._obs is not None:
             self._obs.events.emit(
                 FusedRebuildEvent(
                     local_depth=0, global_depth=0,
-                    keys_moved=int(keys_col.size),
+                    keys_moved=n,
                     duration_ns=int((time.perf_counter() - t0) * 1e9),
                 )
             )
@@ -951,51 +966,30 @@ class DyTIS:
         return out
 
     def _get_many_fused(
-        self, fused: _FusedColumn, arr: np.ndarray, out: List[Optional[Any]]
+        self, fused: _FusedColumn, arr: np.ndarray
     ) -> List[Optional[Any]]:
-        """Vectorised ``get_many`` over the current fused read column.
+        """``get_many`` of one chunk against the current read snapshot.
 
-        One ``searchsorted`` resolves the whole batch: sentinel padding
-        makes the fused column globally non-decreasing, so the last slot
-        <= key either holds the key (hit) or proves its absence.  A hit
-        is genuine iff the slot falls inside its bucket's live prefix
-        (``slot % capacity < count``); an equal slack slot can only
-        happen for the 2^64-1 sentinel used as a real key, which falls
-        back to a scalar probe.  No per-segment dispatch: on dispersed
-        batches (hundreds of segments per 1024 keys) this is what beats
-        per-key routing.
+        The snapshot holds live keys only, so the first key ``>=`` each
+        needle either equals it (a hit, whose value sits at the same
+        position) or proves its absence: one ``searchsorted``, one
+        equality test and one gather resolve the chunk.  No per-segment
+        dispatch: on dispersed batches (hundreds of segments per 1024
+        keys) this is what beats per-key routing.
         """
         keys_col = fused.keys
-        counts_col = fused.counts
-        vals_col = fused.vals
-        if not keys_col.size:
-            return out
-        cap = self.config.bucket_capacity
-        # Sorting the batch halves searchsorted's cost: numpy narrows
+        size = keys_col.size
+        if not size:
+            return [None] * arr.size
+        # Sorting the chunk halves searchsorted's cost: numpy narrows
         # the binary-search window as ascending needles advance.
-        order = np.argsort(arr, kind="stable")
+        order = np.argsort(arr)
         sk = arr[order]
-        pos = keys_col.searchsorted(sk, side="right") - 1
-        valid = pos >= 0
-        posc = np.where(valid, pos, 0)
-        eq = (keys_col[posc] == sk) & valid
-        if not eq.any():
-            return out
-        live = eq & (posc % cap < counts_col[posc // cap])
+        pos = keys_col.searchsorted(sk)
+        np.minimum(pos, size - 1, out=pos)
+        hit = keys_col[pos] == sk
         outa = np.full(arr.size, None, dtype=object)
-        outa[order[live]] = vals_col[posc[live]]
-        fix = eq & ~live
-        if fix.any():
-            m = self._m
-            local_mask = self._local_mask
-            tables = self._tables
-            for si in np.flatnonzero(fix).tolist():
-                key = int(sk[si])
-                table = tables[key >> m]
-                if table is not None:
-                    outa[int(order[si])] = table.segment_for(
-                        key & local_mask, m
-                    ).get(key)
+        outa[order[hit]] = fused.vals[pos[hit]]
         return outa.tolist()
 
     def insert_many(self, keys, values=None) -> None:
@@ -1056,6 +1050,7 @@ class DyTIS:
         tables = self._tables
         n = len(key_list)
         self._gen += 1
+        self._fused = None  # stale from here on: free it now
         i = 0
         while i < n:
             key = key_list[i]
@@ -1158,6 +1153,8 @@ class DyTIS:
     # -- Algorithm 1 ------------------------------------------------------------
 
     def _handle_full(self, table: _EHTable, seg: Segment, local: int) -> None:
+        # A restructure is a write: a read snapshot is stale from here on.
+        self._fused = None
         cfg = self.config
         ld, gd = seg.local_depth, table.global_depth
         if ld < cfg.l_start:
@@ -1514,10 +1511,9 @@ class DyTIS:
         excluded).
 
         Counts the flat key arrays (slack slots included) plus the
-        value-pointer lists, and a current fused read column on top
-        (honest accounting for the ``get_many`` snapshot; the
-        per-bucket value lists it references are already counted by
-        their segments).
+        value-pointer lists, and the ``get_many`` read snapshot on top
+        while one is resident, current or stale (its value references
+        point at payloads the segments already account for).
         """
         total = sum(
             seg.memory_bytes()
@@ -1526,10 +1522,8 @@ class DyTIS:
             for seg in t.unique_segments()
         )
         fused = self._fused
-        if fused is not None and fused.gen == self._gen:
-            total += (
-                fused.keys.nbytes + fused.counts.nbytes + fused.vals.nbytes
-            )
+        if fused is not None:
+            total += fused.keys.nbytes + fused.vals.nbytes
         return total
 
     def describe(self) -> str:

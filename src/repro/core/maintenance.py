@@ -376,6 +376,7 @@ class MaintenanceController:
             return None
         index._wire(table, old, local_span, [fresh])
         index._gen += 1
+        index._fused = None
         self.metrics.segment_rebuilds_total += 1
         self.metrics.keys_moved_total += len(keys)
         return self._emit(
@@ -457,6 +458,7 @@ class MaintenanceController:
         # old table object, which stays internally consistent.
         index._tables[ti] = new_table
         index._gen += 1
+        index._fused = None
         self.metrics.table_rebuilds_total += 1
         self.metrics.keys_moved_total += n
         return self._emit(

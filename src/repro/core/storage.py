@@ -19,8 +19,10 @@ column lands on the last slot ``<= key``, and a slot is a genuine
 hit only when it lies inside its bucket's live prefix
 (``slot - b*capacity < counts[b]``) -- padding can duplicate a key
 but always *before* its live slot, never shadow it.  ``DyTIS.get_many``
-runs the same probe vectorised, one ``searchsorted`` over every
-segment's column concatenated.
+does not probe these columns in a read-only phase: it answers from a
+snapshot of the live keys alone, gathered segment by segment with
+:meth:`ColumnarStorage.live_keys_into`, so neither slack nor padding is
+copied.
 
 :class:`repro.core.segment.Segment` routes keys to buckets (inserts and
 deletes need the bucket; lookups and scans do not) and delegates the
@@ -212,9 +214,13 @@ class ColumnarStorage:
             off = b * cap
             cnt = counts[b]
             g = e - s
-            if g <= 4:
-                # Tiny group: numpy's fixed per-call cost dominates;
-                # C bisect + span shift, padding deferred to the sweep.
+            if g <= 16:
+                # Small group: the planned splice below makes ~15 NumPy
+                # calls and still builds the value list key by key, so
+                # up to 16 keys a C bisect + span shift per key is
+                # cheaper (the 1,024-key cell of ``bench_batch_ops`` at
+                # 3,000 keys: 0.75x -> 0.92x of the scalar loop, layout
+                # unchanged); padding is deferred to the sweep.
                 vlist = self.values[b]
                 grew = False
                 for i in range(s, e):
@@ -453,6 +459,14 @@ class ColumnarStorage:
             return self.keys[: self.counts[0]].copy(), list(self.values[0])
         keys = self.keys[self._live_mask(self._counts_array())]
         return keys, list(chain.from_iterable(self.values))
+
+    def live_keys_into(self, out: np.ndarray) -> None:
+        """Write the live keys, ascending, into ``out`` (exactly as long
+        as there are live keys): one masked gather, no temporary copy."""
+        if self.n_buckets == 1:
+            out[:] = self.keys[: self.counts[0]]
+        else:
+            np.compress(self._live_mask(self._counts_array()), self.keys, out=out)
 
     def fill_sorted(self, counts, keys, values) -> None:
         """Fill a fresh storage by slice from ascending ``keys``/``values``.

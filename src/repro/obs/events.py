@@ -92,7 +92,8 @@ class FusedRebuildEvent(StructuralEvent):
     """``get_many`` took a fresh read-only snapshot of the index.
 
     Emitted once a read phase after writes has read enough keys to pay
-    for the snapshot; ``keys_moved`` carries the number of slots copied.
+    for the snapshot; ``keys_moved`` carries the number of live keys
+    copied (the snapshot holds no slack slots).
     """
 
     kind: ClassVar[str] = "fused_rebuild"

@@ -17,10 +17,9 @@ from tests.conftest import exported
 
 @pytest.fixture(params=["columnar"])
 def one_config(request):
-    """``small_config``, run once: ``DYTIS_STORAGE`` is dead, so the
-    ``[lists]`` run repeated this one.  The parameter keeps the test id
-    the suite is recorded under; ``small_config``'s remaining users here
-    move over a few ids at a time."""
+    """The small test config, run once: ``DYTIS_STORAGE`` is dead, so
+    the retired ``[lists]`` run repeated this one.  The parameter keeps
+    the test id the suite is recorded under."""
     with exported(request.param):
         yield DyTISConfig(
             key_bits=32, first_level_bits=4, bucket_capacity=8, l_start=2
@@ -28,9 +27,9 @@ def one_config(request):
 
 
 @pytest.fixture
-def loaded(small_config, rng):
+def loaded(one_config, rng):
     keys = rng.sample(range(2**32), 3000)
-    d = DyTIS(small_config)
+    d = DyTIS(one_config)
     for k in keys:
         d.insert(k, k * 2)
     return d, keys
@@ -55,14 +54,14 @@ class TestGetMany:
         d, _ = loaded
         assert d.get_many([]) == []
 
-    def test_stored_none_vs_missing(self, small_config):
-        d = DyTIS(small_config)
+    def test_stored_none_vs_missing(self, one_config):
+        d = DyTIS(one_config)
         d.insert(1, None)
         assert d.get_many([1, 2]) == [None, None]
         assert 1 in d and 2 not in d
 
-    def test_empty_index_and_empty_tables(self, small_config, rng):
-        d = DyTIS(small_config)
+    def test_empty_index_and_empty_tables(self, one_config, rng):
+        d = DyTIS(one_config)
         assert d.get_many([1, 2**31]) == [None, None]
         d.insert(5, "v")  # only one first-level table materialised
         batch = [5] + [rng.randrange(2**32) for _ in range(100)]

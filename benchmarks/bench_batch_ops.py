@@ -11,10 +11,12 @@ the batch calls take their NumPy-free list paths and must keep up with
 the scalar loop (ARCHITECTURE §6).
 
 Measured ceiling, worth stating up front: the *scalar* insert is
-already a C ``bisect`` plus an ``array`` slice copy (~0.5us/key at the
-store layer), and fresh-insert workloads spend roughly 40% of wall time
-in Algorithm 1 restructures that cost the same whether keys arrive one
-at a time or batched.  Batching therefore buys ~1.2-1.5x on writes
+one Python frame around a C ``bisect`` plus an ``array`` slice copy,
+and fresh-insert workloads spend roughly 40% of wall time in Algorithm
+1 restructures that cost the same whether keys arrive one at a time or
+batched (``core.structural_time_share`` on the ``embedded_ingest``
+ledger workload: 0.41, and 0.39 once splits below L_start became
+column cuts; the scalar splice around them got cheaper too).  Batching therefore buys ~1.2-1.5x on writes
 (routing amortisation only) -- the big batch wins are on reads
 (get_many 3-4x) and on batched index *builds* (see
 ``test_bulk_vs_batch_build``).  The asserts below pin those measured

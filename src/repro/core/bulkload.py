@@ -38,8 +38,9 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import DyTISConfig
-from repro.core.remap import PiecewiseRemap, proportional_allocs
+from repro.core.remap import PiecewiseRemap, line_remap, proportional_allocs
 from repro.core.segment import Segment, build_fitting, count_pieces
+from repro.core.storage import ColumnarStorage
 from repro.plr import fit_plr
 
 #: Cap on the number of points fed to the PLR fitter per segment; the
@@ -104,25 +105,24 @@ def _plan_piece_bits(
     if max_bits <= 0 or n <= bucket_capacity:
         return 0
     step = max(1, n // PLR_SAMPLE_LIMIT)
-    sample = local[::step].astype(np.float64)
+    sample = local[::step].astype(np.float64).tolist()
     gamma = max(1.0, bucket_capacity / (2.0 * step))
     models = len(fit_plr(sample, gamma))
     bits = max(1, models - 1).bit_length() if models > 1 else 0
     return min(bits, max_bits)
 
 
-#: Shared single-bucket remapping functions, one per domain width.
-#: PiecewiseRemap is immutable after construction (structure operations
-#: always build fresh instances), so empty and single-bucket segments
-#: can share one -- bulk loads create thousands of them.
-_UNIT_REMAPS: dict = {}
-
-
-def _unit_remap(domain_bits: int) -> PiecewiseRemap:
-    remap = _UNIT_REMAPS.get(domain_bits)
-    if remap is None:
-        remap = _UNIT_REMAPS[domain_bits] = PiecewiseRemap(domain_bits, [1])
-    return remap
+def one_bucket_segment(
+    local_depth: int, m: int, capacity: int, keys, values
+) -> Segment:
+    """A depth-``local_depth`` segment whose one sorted bucket holds
+    ascending ``keys`` (at most ``capacity``): no model to plan, and the
+    storage is laid out in one construction."""
+    n = len(keys)
+    return Segment(
+        local_depth, line_remap(m - local_depth, 1), capacity,
+        ColumnarStorage.from_sorted(capacity, (n,), keys, values), [n], n,
+    )
 
 
 def build_segment(
@@ -155,14 +155,9 @@ def build_segment(
     capacity = config.bucket_capacity
     n = len(keys)
     if n == 0:
-        return Segment(local_depth, _unit_remap(domain_bits), capacity)
+        return Segment(local_depth, line_remap(domain_bits, 1), capacity)
     if n <= capacity:
-        # One sorted bucket holds the whole group: no model to plan.
-        seg = Segment(local_depth, _unit_remap(domain_bits), capacity)
-        seg.store.fill_sorted((n,), keys, values)
-        seg.piece_counts = [n]
-        seg.total_keys = n
-        return seg
+        return one_bucket_segment(local_depth, m, capacity, keys, values)
     cap = config.segment_cap(local_depth, boosted)
     per_bucket = max(1, int(capacity * config.util_threshold))
     n_buckets = min(cap, max(1, -(-n // per_bucket)))
@@ -184,11 +179,9 @@ def build_segment(
             cap, config.max_piece_bits,
             max_total_buckets=max_total_buckets,
         )
-    seg = Segment(local_depth, remap, capacity)
-    seg.store.fill_sorted(per_bucket_counts, keys, values)
-    seg.piece_counts = counts.tolist()
-    seg.total_keys = n
-    return seg
+    return Segment.build(
+        local_depth, remap, capacity, keys, values, per_bucket_counts, counts
+    )
 
 
 #: Bucket-growth headroom, in multiples of the per-depth segment cap,
@@ -255,13 +248,12 @@ def build_table_segments(
     m: int,
     config: DyTISConfig,
     boosted: bool,
-) -> Tuple[List[Segment], int]:
+) -> List[Segment]:
     """Plan and build one EH table's segments from its sorted key slice.
 
     ``sorted_keys`` is the whole load's ascending uint64 key array;
     ``[lo, hi)`` is this table's slice.  Returns the segments in key
-    order plus the table's global depth (= max local depth).  The caller
-    wires directory spans and sibling pointers.
+    order; the caller wires directory spans and sibling pointers.
     """
     local = sorted_keys[lo:hi] & np.uint64((1 << m) - 1)
     plan = plan_depths(local, m, config, boosted)
@@ -277,5 +269,4 @@ def build_table_segments(
             boosted,
             segments,
         )
-    gd = max(seg.local_depth for seg in segments)
-    return segments, gd
+    return segments

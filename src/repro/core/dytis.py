@@ -30,12 +30,13 @@ from repro.api.protocol import batch_columns
 from repro.core import bulkload
 from repro.core.config import DyTISConfig
 from repro.core.invariants import require
-from repro.core.remap import PiecewiseRemap, proportional_allocs
+from repro.core.remap import PiecewiseRemap, line_remap, proportional_allocs
 from repro.core.segment import (
     Segment,
     build_fitting,
     count_pieces,
     fit_counts,
+    line_split_size,
     plan_remap,
     plan_split,
 )
@@ -94,10 +95,24 @@ class _EHTable:
 
     __slots__ = ("global_depth", "dir")
 
-    def __init__(self, eh_key_bits: int, bucket_capacity: int):
-        self.global_depth = 0
-        root = Segment(0, PiecewiseRemap(eh_key_bits, [1]), bucket_capacity)
-        self.dir: List[Segment] = [root]
+    def __init__(self, segments: List[Segment]):
+        """A table over ``segments``, in key order, whose spans tile the
+        table's key range: the directory at GD = the deepest LD, with
+        the segments' sibling pointers chained."""
+        if len(segments) == 1:  # a new table, or a small bulk-loaded one
+            self.global_depth = segments[0].local_depth
+            self.dir = segments
+            return
+        gd = max(seg.local_depth for seg in segments)
+        directory: List[Segment] = []
+        prev = None
+        for seg in segments:
+            directory.extend([seg] * (1 << (gd - seg.local_depth)))
+            if prev is not None:
+                prev.sibling = seg
+            prev = seg
+        self.global_depth = gd
+        self.dir = directory
 
     def dir_index(self, local_key: int, eh_key_bits: int) -> int:
         # GD == 0 shifts the whole local key out: slot 0, no branch.
@@ -203,9 +218,9 @@ class DyTIS:
     # -- point operations ------------------------------------------------------
     #
     # ``get`` and ``insert`` run flat: key check, table and directory
-    # lookup (for ``insert`` also the remap arithmetic, for ``get`` the
-    # live-prefix hit check) are inlined, leaving one Python frame
-    # (insert) or none (get) between the method and the store's C
+    # lookup (for ``insert`` also the remap arithmetic and the bucket
+    # splice, for ``get`` the live-prefix hit check) are inlined, so no
+    # Python frame sits between either method and the store's C
     # ``bisect``.
 
     def get(self, key: int) -> Optional[Any]:
@@ -272,9 +287,10 @@ class DyTIS:
         """Insert ``key`` or update its value in place (Algorithm 1).
 
         One body, traced or not (``rec`` brackets it with two clock
-        reads).  The routing is :meth:`Segment.insert` inlined -- that
-        stays the definition ``ConcurrentDyTIS`` uses -- around
-        ``store.insert(bucket, key, value)``.
+        reads).  It is :meth:`Segment.insert` and
+        :meth:`ColumnarStorage.insert` inlined -- those stay the
+        definition ``ConcurrentDyTIS`` and the batch paths use, and
+        ``tests/test_insert_path.py`` holds the two in lockstep.
         """
         rec = self._rec_insert
         if rec is not None:
@@ -298,22 +314,42 @@ class DyTIS:
             b = cum[i] + ((remap.allocs[i] * (lk & ((1 << shift) - 1))) >> shift)
             if b >= cum[-1]:  # trailing zero-allocation sub-ranges
                 b = cum[-1] - 1
-            result = seg.store.insert(b, key, value)
-            if result == "full":
-                self._handle_full(table, seg, local)
-                continue
-            if result == "inserted":
+            store = seg.store
+            cap = store.capacity
+            off = b * cap
+            counts = store.counts
+            cnt = counts[b]
+            karr = store._karr
+            end = off + cnt
+            j = bisect_left(karr, key, off, end)
+            if j < end and karr[j] == key:
+                store.values[b][j - off] = value
+                break
+            if cnt < cap:
+                if j < end:
+                    karr[j + 1 : end + 1] = karr[j:end]
+                karr[j] = key
+                if j == off:
+                    # New bucket minimum: rewrite padding before the
+                    # span that now exceeds the key (store.insert).
+                    p = off - 1
+                    while p >= 0 and karr[p] > key:
+                        karr[p] = key
+                        p -= 1
+                store.values[b].insert(j - off, value)
+                counts[b] = cnt + 1
                 seg.total_keys += 1
                 seg.piece_counts[i] += 1
                 self._size += 1
-            self._gen += 1
-            break
+                break
+            self._handle_full(table, seg, local)
+        self._gen += 1
         if rec is not None:
             rec(_now() - t0)
 
     def _new_table(self, ti: int) -> _EHTable:
-        table = _EHTable(self._m, self.config.bucket_capacity)
-        self._tables[ti] = table
+        root = Segment(0, line_remap(self._m, 1), self.config.bucket_capacity)
+        table = self._tables[ti] = _EHTable([root])
         return table
 
     def delete(self, key: int) -> bool:
@@ -734,26 +770,28 @@ class DyTIS:
         table_ids, starts = np.unique(sk >> np.uint64(self._m), return_index=True)
         bounds = np.append(starts, sk.size).tolist()
         cfg = self.config
+        m = self._m
+        # A table whose keys fill one LD-0 segment no deeper than
+        # ``plan_depths`` would split it is that one sorted bucket.
+        small = min(
+            bulkload.fill_target(cfg, 0, self._boosted), cfg.bucket_capacity
+        )
         for t, tid in enumerate(table_ids.tolist()):
             lo, hi = bounds[t], bounds[t + 1]
-            segments, gd = bulkload.build_table_segments(
-                sk, vals, lo, hi, self._m, cfg, self._boosted
-            )
-            table = _EHTable(self._m, cfg.bucket_capacity)
-            table.global_depth = gd
-            table.dir = []
-            prev: Optional[Segment] = None
-            for seg in segments:
-                table.dir.extend([seg] * (1 << (gd - seg.local_depth)))
-                if prev is not None:
-                    prev.sibling = seg
-                prev = seg
-            self._tables[int(tid)] = table
+            if hi - lo <= small:
+                segments = [bulkload.one_bucket_segment(
+                    0, m, cfg.bucket_capacity, sk[lo:hi], vals[lo:hi]
+                )]
+            else:
+                segments = bulkload.build_table_segments(
+                    sk, vals, lo, hi, m, cfg, self._boosted
+                )
+            table = self._tables[tid] = _EHTable(segments)
             if self._obs is not None:
                 self._obs.events.emit(
                     DirectoryResizeEvent(
                         local_depth=0,
-                        global_depth=gd,
+                        global_depth=table.global_depth,
                         keys_moved=hi - lo,
                         duration_ns=0,
                         old_size=0,
@@ -1060,7 +1098,12 @@ class DyTIS:
             seg = table.dir[(key & local_mask) >> (m - table.global_depth)]
             # The segment owns the aligned key span of its local depth.
             span_bits = m - seg.local_depth
-            j = bisect_left(key_list, ((key >> span_bits) + 1) << span_bits, i)
+            span_end = ((key >> span_bits) + 1) << span_bits
+            j = i + 1
+            if j < n and key_list[j] < span_end:
+                # More than one key here; a dispersed batch usually has
+                # one per segment and skips the bisect.
+                j = bisect_left(key_list, span_end, j + 1)
             bail = -1
             remap = seg.remap
             cum = remap._cum
@@ -1127,7 +1170,6 @@ class DyTIS:
                                 q -= 1
                         store_vals[b].insert(idx - off, vals[p])
                         counts[b] = cnt + 1
-                        store._counts_np = None
                         pc[pi] += 1
                         seg.total_keys += 1
                         self._size += 1
@@ -1266,35 +1308,82 @@ class DyTIS:
         ld = seg.local_depth
         require(ld < table.global_depth, "split requires LD < GD")
         cap_child = self._cap(ld + 1)
-        keys, values, local_keys = seg.snapshot()
-        split_at = int(
-            local_keys.searchsorted(np.uint64(1 << (seg.domain_bits - 1)))
-        )
-        left_remap, right_remap = plan_split(seg, split_at, cap_child)
-        cfg = self.config
-        left = build_fitting(
-            ld + 1, left_remap, cfg.bucket_capacity,
-            keys[:split_at], values[:split_at],
-            cap_child, cfg.max_piece_bits,
-        )
-        right = build_fitting(
-            ld + 1, right_remap, cfg.bucket_capacity,
-            keys[split_at:], values[split_at:],
-            cap_child, cfg.max_piece_bits,
+        n = seg.total_keys
+        left, right = self._cut(seg, cap_child) or self._split_planned(
+            seg, cap_child
         )
         self._wire(table, seg, local, [left, right])
         self.stats.splits += 1
-        self.stats.keys_moved += len(keys)
+        self.stats.keys_moved += n
         dt = time.perf_counter() - t0
         self.stats.split_time += dt
         if self._obs is not None:
             self._obs.events.emit(
                 SplitEvent(
                     local_depth=ld, global_depth=table.global_depth,
-                    keys_moved=len(keys), duration_ns=int(dt * 1e9),
+                    keys_moved=n, duration_ns=int(dt * 1e9),
                 )
             )
         self._record_window_op(ld, "split")
+
+    def _cut(
+        self, seg: Segment, cap_child: int
+    ) -> Optional[Tuple[Segment, Segment]]:
+        """The split children of a one-bucket, one-line ``seg`` (every
+        segment below L_start), or None for any other segment.
+
+        Such a parent's live run is already sorted, and its children
+        get one-line remaps (:func:`line_split_size` buckets), so the
+        split point and each child bucket's lower bound (the arithmetic
+        of :meth:`PiecewiseRemap.first_key_of_bucket`) are one
+        ``bisect`` each, and each child's column is cut from the
+        parent's bytes: no key is routed and no NumPy call runs.  The
+        parent holds at most ``capacity`` keys, so every child bucket
+        fits (and no child gets more than two).
+        """
+        store = seg.store
+        n = seg.total_keys
+        if store.n_buckets != 1 or seg.remap.piece_bits or not n:
+            return None
+        karr = store._karr
+        bits = seg.domain_bits - 1
+        base = karr[0] & ~seg._mask
+        mid = base | (1 << bits)
+        split_at = bisect_left(karr, mid, 0, n)
+        capacity = store.capacity
+        ld = seg.local_depth + 1
+        children = []
+        for lo, a, e in ((base, 0, split_at), (mid, split_at, n)):
+            alloc = line_split_size(e - a, capacity, cap_child)
+            # Bucket b starts at the smallest offset whose
+            # ``(alloc * offset) >> bits`` reaches b.
+            bounds = [lo + -(-(b << bits) // alloc) for b in range(1, alloc)]
+            children.append(Segment(
+                ld, line_remap(bits, alloc), capacity,
+                store.cut(a, e, bounds), [e - a], e - a,
+            ))
+        return children[0], children[1]
+
+    def _split_planned(
+        self, seg: Segment, cap_child: int
+    ) -> Tuple[Segment, Segment]:
+        """The split children of ``seg`` through the planners: snapshot,
+        :func:`plan_split`, and :func:`build_fitting` per child."""
+        cfg = self.config
+        keys, values, local_keys = seg.snapshot()
+        split_at = int(
+            local_keys.searchsorted(np.uint64(1 << (seg.domain_bits - 1)))
+        )
+        left_remap, right_remap = plan_split(seg, split_at, cap_child)
+        return tuple(
+            build_fitting(
+                seg.local_depth + 1, remap, cfg.bucket_capacity,
+                keys[a:e], values[a:e], cap_child, cfg.max_piece_bits,
+            )
+            for remap, a, e in (
+                (left_remap, 0, split_at), (right_remap, split_at, len(keys))
+            )
+        )
 
     def _expand(self, table: _EHTable, seg: Segment, local: int) -> bool:
         """Double ``seg``'s size, scaling its remap (paper §3.3 Expansion)."""
@@ -1340,7 +1429,10 @@ class DyTIS:
             max_piece_bits=cfg.max_piece_bits,
         )
         if plan is None:
+            # The planner may have grown the layout up to the cap before
+            # giving up: that work is remapping time too.
             self.stats.remap_failures += 1
+            self.stats.remap_time += time.perf_counter() - t0
             return False
         remap, counts, piece_counts = plan
         new_seg = Segment.build(

@@ -49,6 +49,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core import bulkload
+from repro.core.remap import line_remap
+from repro.core.segment import Segment
 from repro.obs.events import MaintenanceEvent
 
 
@@ -419,23 +421,15 @@ class MaintenanceController:
             else np.empty(0, dtype=np.uint64)
         )
         n = int(sk.size)
-        new_table = type(table)(m, cfg.bucket_capacity)
         if n:
-            segments, gd = bulkload.build_table_segments(
+            segments = bulkload.build_table_segments(
                 sk, values, 0, n, m, cfg, index._boosted
             )
-            new_table.global_depth = gd
-            new_table.dir = []
-            prev = None
-            for seg in segments:
-                new_table.dir.extend([seg] * (1 << (gd - seg.local_depth)))
-                if prev is not None:
-                    prev.sibling = seg
-                prev = seg
         else:
             # All keys deleted since the scan: a fresh empty root
-            # segment (the constructor's default) is the rebuilt table.
-            segments, gd = new_table.dir, 0
+            # segment is the rebuilt table.
+            segments = [Segment(0, line_remap(m, 1), cfg.bucket_capacity)]
+        new_table = type(table)(segments)
         buckets_after = sum(s.n_buckets for s in segments)
         # With growth allowed (depth/skew repair) a moderate bucket
         # increase is the point -- packing toward the utilization
@@ -464,7 +458,7 @@ class MaintenanceController:
         return self._emit(
             MaintenanceEvent(
                 local_depth=0,
-                global_depth=gd,
+                global_depth=new_table.global_depth,
                 keys_moved=n,
                 duration_ns=int((time.perf_counter() - t0) * 1e9),
                 scope="table",

@@ -238,6 +238,24 @@ class PiecewiseRemap:
             prev = first
 
 
+#: Shared one-sub-range remaps, keyed by ``(domain_bits, alloc)``.
+#: A remap is immutable after construction (structure operations always
+#: build fresh instances), so segments can share one: bulk loads and
+#: the splits below L_start create thousands of one-bucket segments.
+_LINES: dict = {}
+
+
+def line_remap(domain_bits: int, alloc: int) -> PiecewiseRemap:
+    """The shared one-sub-range remap of ``alloc`` buckets over
+    ``domain_bits`` (callers keep ``alloc`` small: one entry each)."""
+    remap = _LINES.get((domain_bits, alloc))
+    if remap is None:
+        remap = _LINES[domain_bits, alloc] = PiecewiseRemap(
+            domain_bits, [alloc]
+        )
+    return remap
+
+
 def _ensure_nonempty(allocs: List[int]) -> List[int]:
     """Guarantee at least one bucket in a child segment."""
     if sum(allocs) < 1:

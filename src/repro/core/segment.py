@@ -61,13 +61,22 @@ class Segment:
         local_depth: int,
         remap: PiecewiseRemap,
         bucket_capacity: int,
+        store: Optional[ColumnarStorage] = None,
+        piece_counts: Optional[List[int]] = None,
+        total_keys: int = 0,
     ):
+        """An empty segment, or one over a filled ``store`` whose keys
+        number ``total_keys``, ``piece_counts[i]`` of them in sub-range
+        ``i`` (see :meth:`build`)."""
         self.local_depth = local_depth
         self.remap = remap
         self.bucket_capacity = bucket_capacity
-        self.store = ColumnarStorage(remap.n_buckets, bucket_capacity)
-        self.piece_counts = [0] * remap.n_pieces
-        self.total_keys = 0
+        if store is None:
+            store = ColumnarStorage(remap.n_buckets, bucket_capacity)
+            piece_counts = [0] * remap.n_pieces
+        self.store = store
+        self.piece_counts = piece_counts
+        self.total_keys = total_keys
         #: Next segment in key order within the same EH (paper §3.2).
         self.sibling: Optional["Segment"] = None
         #: After a failed merge, skip retries until ``total_keys`` drops
@@ -322,13 +331,14 @@ class Segment:
         :func:`fit_counts` or use :func:`build_fitting`) and the storage
         refuses counts that do not add up to ``len(keys)``.
         """
-        seg = cls(local_depth, remap, bucket_capacity)
         n = len(keys)
         if n == 0:
-            return seg
+            return cls(local_depth, remap, bucket_capacity)
         single = not remap.piece_bits  # one sub-range: its histogram is [n]
         if counts is None or (piece_counts is None and not single):
-            lk = np.asarray(keys, dtype=np.uint64) & np.uint64(seg._mask)
+            lk = np.asarray(keys, dtype=np.uint64) & np.uint64(
+                (1 << remap.domain_bits) - 1
+            )
             if counts is None:
                 counts = np.bincount(
                     remap.bucket_indices(lk), minlength=remap.n_buckets
@@ -337,12 +347,18 @@ class Segment:
                 piece_counts = count_pieces(
                     lk, remap.domain_bits, remap.piece_bits
                 )
+        require(
+            len(counts) == remap.n_buckets,
+            "bucket counts do not match the remap's bucket count",
+        )
         if int(counts.max()) > bucket_capacity:
             raise SegmentOverflow(int(counts.argmax()))
-        seg.store.fill_sorted(counts, keys, values)
-        seg.piece_counts = [n] if single else piece_counts.tolist()
-        seg.total_keys = n
-        return seg
+        return cls(
+            local_depth, remap, bucket_capacity,
+            ColumnarStorage.from_sorted(bucket_capacity, counts, keys, values),
+            [n] if single else piece_counts.tolist(),
+            n,
+        )
 
     def check_invariants(self) -> None:
         """Raise :class:`InvariantViolation` on inconsistencies (test hook)."""
@@ -503,15 +519,18 @@ def plan_split(
     if remap.n_pieces > 1:
         left, right = remap.halves()
         return _clamp_total(left, cap_child), _clamp_total(right, cap_child)
-    # Single sub-range: size children to 2 * ceil(count / capacity).
     child_bits = segment.domain_bits - 1
     capacity = segment.bucket_capacity
+    return tuple(
+        PiecewiseRemap(child_bits, [line_split_size(count, capacity, cap_child)])
+        for count in (left_count, segment.total_keys - left_count)
+    )
 
-    def child(count: int) -> PiecewiseRemap:
-        size = max(1, 2 * -(-count // capacity))
-        return PiecewiseRemap(child_bits, [min(size, cap_child)])
 
-    return child(left_count), child(segment.total_keys - left_count)
+def line_split_size(count: int, capacity: int, cap_child: int) -> int:
+    """Buckets of a single-sub-range parent's split child holding
+    ``count`` keys: 2 * ceil(count / capacity), within [1, cap_child]."""
+    return min(max(1, 2 * -(-count // capacity)), max(cap_child, 1))
 
 
 def _clamp_total(remap: PiecewiseRemap, cap: int) -> PiecewiseRemap:
@@ -551,13 +570,6 @@ def build_fitting(
     callers (split, expansion, bulk load) leave it ``None`` and keep
     the always-succeeds contract.
     """
-    if initial_remap.n_buckets == 1 and len(keys) <= bucket_capacity:
-        # One bucket holds the whole run (every build below L_start):
-        # nothing to route, the count is the fit.
-        return Segment.build(
-            local_depth, initial_remap, bucket_capacity, keys, values,
-            np.array([len(keys)]),
-        )
     domain_bits = initial_remap.domain_bits
     local_keys = np.asarray(keys, dtype=np.uint64) & np.uint64(
         (1 << domain_bits) - 1

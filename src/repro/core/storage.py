@@ -45,6 +45,8 @@ from repro.core.invariants import require
 #: Sentinel padding past the last live key (also a legal user key; the
 #: live-prefix check keeps lookups correct either way).
 _MAX_KEY = (1 << 64) - 1
+#: One MAX slot as bytes (the column's native ``Q`` encoding).
+_MAX_BYTES = b"\xff" * 8
 
 
 class ColumnarStorage:
@@ -68,21 +70,110 @@ class ColumnarStorage:
         "keys",
         "values",
         "counts",
-        "_counts_np",
     )
 
     def __init__(self, n_buckets: int, capacity: int):
+        # All slots start as MAX-sentinel padding, the empty case of the
+        # column-wide sorted invariant.
+        self._adopt(
+            capacity,
+            array("Q", _MAX_BYTES * (n_buckets * capacity)),
+            [[] for _ in range(n_buckets)],
+            [0] * n_buckets,
+        )
+
+    def _adopt(self, capacity, karr, values, counts) -> None:
         self.capacity = capacity
-        self.n_buckets = n_buckets
-        # All slots start as MAX-sentinel padding (b'\xff' * 8 each), the
-        # empty case of the column-wide sorted invariant.
-        self._karr = array("Q", b"\xff" * (8 * n_buckets * capacity))
-        self.keys = np.frombuffer(self._karr, dtype=np.uint64)
-        self.values: List[List[Any]] = [[] for _ in range(n_buckets)]
-        self.counts: List[int] = [0] * n_buckets
-        #: Lazy int64 mirror of ``counts`` for vectorised live-prefix
-        #: checks; invalidated (None) by any mutation.
-        self._counts_np: Optional[np.ndarray] = None
+        self.n_buckets = len(counts)
+        self._karr = karr
+        self.keys = np.frombuffer(karr, dtype=np.uint64)
+        self.values: List[List[Any]] = values
+        self.counts: List[int] = counts
+
+    @classmethod
+    def laid_out(
+        cls, capacity: int, karr: array, values: List[List[Any]],
+        counts: List[int],
+    ) -> "ColumnarStorage":
+        """Storage over a key column that is already laid out: bucket
+        ``b``'s ``counts[b]`` keys at the front of its slot span, every
+        slack slot padded (see :meth:`from_sorted`).  The column and
+        the lists are adopted, not copied."""
+        store = cls.__new__(cls)
+        store._adopt(capacity, karr, values, counts)
+        return store
+
+    @classmethod
+    def from_sorted(
+        cls, capacity: int, counts, keys, values
+    ) -> "ColumnarStorage":
+        """Storage holding ascending ``keys``/``values``, ``counts[b]``
+        of them in bucket ``b`` (the counts must add up to
+        ``len(keys)``).
+
+        Each slack slot holds the next live key, MAX past the last,
+        which is the column-wide sorted invariant.  One bucket is one
+        byte string (keys, then MAX padding); several get one masked
+        scatter into an all-MAX column and one reverse running minimum.
+        """
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        if not isinstance(values, list):
+            values = list(values)
+        n = len(keys)
+        mismatch = "bucket counts do not describe the keys being filled"
+        # Value lists are exact slices, held in a list grown the way a
+        # comprehension grows it: ``memory_bytes`` counts over-allocation.
+        if len(counts) == 1:
+            require(counts[0] == n, mismatch)
+            vals = []
+            vals.append(values[0:n])
+            karr = array("Q", b"".join((keys, _MAX_BYTES * (capacity - n))))
+            return cls.laid_out(capacity, karr, vals, [n])
+        counts = np.asarray(counts, dtype=np.int64)
+        ends = counts.cumsum().tolist()
+        require(ends[-1] == n, mismatch)
+        store = cls.laid_out(
+            capacity,
+            array("Q", _MAX_BYTES * (len(ends) * capacity)),
+            [values[a:b] for a, b in zip([0] + ends, ends)],
+            counts.tolist(),
+        )
+        keys_np = store.keys
+        keys_np[store._live_mask(counts)] = keys
+        rev = keys_np[::-1]
+        np.minimum.accumulate(rev, out=rev)
+        return store
+
+    def cut(self, lo: int, hi: int, bounds: Sequence[int]) -> "ColumnarStorage":
+        """A new storage holding slots ``[lo, hi)`` of this one-bucket
+        storage's live run, its bucket ``j + 1`` starting at the first
+        key ``>= bounds[j]`` (ascending bucket lower bounds, full keys).
+
+        The run is already sorted, so each bound is one ``bisect`` and
+        each bucket one byte slice of this column followed by its
+        padding: the next live key, or MAX past the last.  No key is
+        routed.  The caller guarantees every bucket fits (a one-bucket
+        parent holds at most ``capacity`` keys).
+        """
+        karr = self._karr
+        cap = self.capacity
+        vals = self.values[0]
+        raw = memoryview(karr).cast("B")
+        edges = [lo]
+        for k in bounds:
+            edges.append(bisect_left(karr, k, lo, hi))
+        edges.append(hi)
+        parts = []
+        values: List[List[Any]] = []
+        counts = [0] * (len(edges) - 1)
+        for j in range(len(counts)):
+            a, e = edges[j], edges[j + 1]
+            parts.append(raw[8 * a : 8 * e])
+            pad = raw[8 * e : 8 * e + 8].tobytes() if e < hi else _MAX_BYTES
+            parts.append(pad * (cap - (e - a)))
+            values.append(vals[a:e])
+            counts[j] = e - a
+        return self.laid_out(cap, array("Q", b"".join(parts)), values, counts)
 
     # -- scalar operations ------------------------------------------------
 
@@ -144,7 +235,6 @@ class ColumnarStorage:
                 j -= 1
         self.values[b].insert(i - off, value)
         self.counts[b] = cnt + 1
-        self._counts_np = None
         return "inserted"
 
     def delete(self, b: int, key: int) -> bool:
@@ -163,7 +253,6 @@ class ColumnarStorage:
         karr[end - 1] = karr[end] if end < len(karr) else _MAX_KEY
         self.values[b].pop(i - off)
         self.counts[b] = cnt - 1
-        self._counts_np = None
         return True
 
     # -- batch splice plan (one searchsorted + one splice per bucket) ------
@@ -306,7 +395,6 @@ class ColumnarStorage:
                 b_lo = b
             b_hi = b
         if b_lo >= 0:
-            self._counts_np = None
             self._repair_padding_span(b_lo, b_hi)
         return new_mask, overflow
 
@@ -358,7 +446,6 @@ class ColumnarStorage:
                 b_lo = b
             b_hi = b
         if b_lo >= 0:
-            self._counts_np = None
             self._repair_padding_span(b_lo, b_hi)
         return hits
 
@@ -441,9 +528,10 @@ class ColumnarStorage:
 
     # -- batch operations ---------------------------------------------------
 
-    def _live_mask(self, counts: np.ndarray) -> np.ndarray:
+    def _live_mask(self, counts) -> np.ndarray:
         """Boolean mask over the key column: True on each bucket's
         first ``counts[b]`` slots."""
+        counts = np.asarray(counts, dtype=np.int64)
         return (
             np.arange(self.capacity, dtype=np.int64)[None, :] < counts[:, None]
         ).ravel()
@@ -457,7 +545,7 @@ class ColumnarStorage:
         """
         if self.n_buckets == 1:
             return self.keys[: self.counts[0]].copy(), list(self.values[0])
-        keys = self.keys[self._live_mask(self._counts_array())]
+        keys = self.keys[self._live_mask(self.counts)]
         return keys, list(chain.from_iterable(self.values))
 
     def live_keys_into(self, out: np.ndarray) -> None:
@@ -466,45 +554,7 @@ class ColumnarStorage:
         if self.n_buckets == 1:
             out[:] = self.keys[: self.counts[0]]
         else:
-            np.compress(self._live_mask(self._counts_array()), self.keys, out=out)
-
-    def fill_sorted(self, counts, keys, values) -> None:
-        """Fill a fresh storage by slice from ascending ``keys``/``values``.
-
-        ``counts[b]`` keys go to bucket ``b`` and must add up to
-        ``len(keys)``.  The keys land with one masked scatter; every
-        slot starts as MAX padding, so one reverse running minimum then
-        gives each slack slot the next live key (MAX past the last),
-        which is the column-wide sorted invariant.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if not isinstance(values, list):
-            values = list(values)
-        n = int(keys.size)
-        mismatch = "bucket counts do not describe the keys being filled"
-        if self.n_buckets == 1:
-            # One span: one slice, and the tail is MAX already.
-            require(len(counts) == 1 and counts[0] == n, mismatch)
-            self.keys[:n] = keys
-            self.values[0], self.counts[0], self._counts_np = values[:], n, None
-            return
-        counts = np.asarray(counts, dtype=np.int64)
-        ends = counts.cumsum().tolist()
-        require(counts.size == self.n_buckets and ends[-1] == n, mismatch)
-        keys_np = self.keys
-        keys_np[self._live_mask(counts)] = keys
-        rev = keys_np[::-1]
-        np.minimum.accumulate(rev, out=rev)
-        self.values = [values[a:b] for a, b in zip([0] + ends, ends)]
-        self.counts = counts.tolist()
-        self._counts_np = counts
-
-    def _counts_array(self) -> np.ndarray:
-        ca = self._counts_np
-        if ca is None:
-            ca = np.asarray(self.counts, dtype=np.int64)
-            self._counts_np = ca
-        return ca
+            np.compress(self._live_mask(self.counts), self.keys, out=out)
 
     def extend_items(self, out: list, limit: Optional[int] = None) -> None:
         """Append every pair in key order, stopping once ``limit`` is met."""

@@ -39,10 +39,11 @@ class PLRSegment:
 class GreedyPLR:
     """Streaming greedy PLR builder with maximum error bound ``gamma``.
 
-    Feed points via :meth:`add`; each call may emit a completed
-    :class:`PLRSegment`.  Call :meth:`finish` to flush the trailing
-    segment.  x values must be non-decreasing; points with duplicate x
-    are rejected because the fitted function must stay a function.
+    Feed points via :meth:`add`, or a run of them via :meth:`extend`;
+    each call may emit completed :class:`PLRSegment` objects.  Call
+    :meth:`finish` to flush the trailing segment.  x values must be
+    non-decreasing; points with duplicate x are rejected because the
+    fitted function must stay a function.
     """
 
     def __init__(self, gamma: float):
@@ -59,62 +60,88 @@ class GreedyPLR:
 
     def add(self, x: float, y: float) -> Optional[PLRSegment]:
         """Add a point; return a finished segment if one was closed."""
-        if self._x0 is None:
-            self._start(x, y)
-            return None
-        if x <= self._last_x and self._count > 0 and x == self._last_x:
-            raise ValueError(f"duplicate x value {x!r}")
-        if x < self._last_x:
-            raise ValueError("x values must be non-decreasing")
-        if self._count == 1:
-            # Second point of the segment: corridor from the +/- gamma
-            # window around it, anchored at the first point.
-            self._slope_low = (y - self.gamma - self._y0) / (x - self._x0)
-            self._slope_high = (y + self.gamma - self._y0) / (x - self._x0)
-            self._accept(x, y)
-            return None
-        low_needed = (y - self.gamma - self._y0) / (x - self._x0)
-        high_needed = (y + self.gamma - self._y0) / (x - self._x0)
-        if low_needed > self._slope_high or high_needed < self._slope_low:
-            segment = self._emit()
-            self._start(x, y)
-            return segment
-        self._slope_low = max(self._slope_low, low_needed)
-        self._slope_high = min(self._slope_high, high_needed)
-        self._accept(x, y)
-        return None
+        closed = self.extend(((x, y),))
+        return closed[0] if closed else None
+
+    def extend(self, points: Iterable[Tuple[float, float]]) -> List[PLRSegment]:
+        """Add ``points`` in order; return the segments they closed.
+
+        The corridor state lives in locals for the whole run and is
+        stored back once at the end (a rejected point raises before
+        any of this call's points are committed).
+        """
+        gamma = self.gamma
+        x0, y0 = self._x0, self._y0
+        last_x, last_y = self._last_x, self._last_y
+        low, high = self._slope_low, self._slope_high
+        count = self._count
+        closed: List[PLRSegment] = []
+        for x, y in points:
+            if x0 is None:
+                x0 = last_x = x
+                y0 = last_y = y
+                low, high, count = _NEG_INF, _POS_INF, 1
+                continue
+            if x <= last_x and count > 0 and x == last_x:
+                raise ValueError(f"duplicate x value {x!r}")
+            if x < last_x:
+                raise ValueError("x values must be non-decreasing")
+            if count == 1:
+                # Second point of the segment: corridor from the +/- gamma
+                # window around it, anchored at the first point.
+                low = (y - gamma - y0) / (x - x0)
+                high = (y + gamma - y0) / (x - x0)
+                last_x, last_y, count = x, y, 2
+                continue
+            low_needed = (y - gamma - y0) / (x - x0)
+            high_needed = (y + gamma - y0) / (x - x0)
+            if low_needed > high or high_needed < low:
+                closed.append(
+                    _segment(x0, y0, last_x, last_y, low, high, count)
+                )
+                x0 = last_x = x
+                y0 = last_y = y
+                low, high, count = _NEG_INF, _POS_INF, 1
+                continue
+            if low_needed > low:
+                low = low_needed
+            if high_needed < high:
+                high = high_needed
+            last_x, last_y = x, y
+            count += 1
+        self._x0, self._y0 = x0, y0
+        self._last_x, self._last_y = last_x, last_y
+        self._slope_low, self._slope_high = low, high
+        self._count = count
+        return closed
 
     def finish(self) -> Optional[PLRSegment]:
         """Flush and return the final open segment, if any."""
         if self._x0 is None:
             return None
-        segment = self._emit()
+        segment = _segment(
+            self._x0, self._y0, self._last_x, self._last_y,
+            self._slope_low, self._slope_high, self._count,
+        )
         self._x0 = None
         self._count = 0
         return segment
 
-    def _start(self, x: float, y: float) -> None:
-        self._x0 = x
-        self._y0 = y
-        self._last_x = x
-        self._last_y = y
-        self._slope_low = float("-inf")
-        self._slope_high = float("inf")
-        self._count = 1
 
-    def _accept(self, x: float, y: float) -> None:
-        self._last_x = x
-        self._last_y = y
-        self._count += 1
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
 
-    def _emit(self) -> PLRSegment:
-        if self._count == 1:
-            slope = 0.0
-        elif self._slope_low == float("-inf"):
-            slope = (self._last_y - self._y0) / (self._last_x - self._x0)
-        else:
-            slope = (self._slope_low + self._slope_high) / 2.0
-        return PLRSegment(self._x0, self._y0, slope, self._last_x)
+
+def _segment(x0, y0, last_x, last_y, low, high, count) -> PLRSegment:
+    """The segment a corridor closes: the corridor's mid slope (the
+    chord for a two-point corridor never narrowed, 0 for one point)."""
+    if count == 1:
+        slope = 0.0
+    elif low == _NEG_INF:
+        slope = (last_y - y0) / (last_x - x0)
+    else:
+        slope = (low + high) / 2.0
+    return PLRSegment(x0, y0, slope, last_x)
 
 
 def _iter_points(
@@ -148,12 +175,8 @@ def fit_plr(
             deduped[-1] = (x, y)
         else:
             deduped.append((x, y))
-    segments: List[PLRSegment] = []
     plr = GreedyPLR(gamma)
-    for x, y in deduped:
-        segment = plr.add(x, y)
-        if segment is not None:
-            segments.append(segment)
+    segments = plr.extend(deduped)
     tail = plr.finish()
     if tail is not None:
         segments.append(tail)

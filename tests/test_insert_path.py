@@ -1,0 +1,116 @@
+"""The scalar insert path against its definition, and its accounting.
+
+``DyTIS.insert`` runs the bucket splice inline; ``ConcurrentDyTIS``
+inserts through ``Segment.insert`` -> ``ColumnarStorage.insert``, the
+definition the inlined body copies.  Driven single-threaded with the
+same key stream, the two must build byte-identical segments: the same
+key column (live keys *and* sentinel padding), value lists, counts and
+piece counts.  Restructures (splits, remaps, expansions) run in both,
+so the comparison covers the layouts they build as well.
+"""
+
+import random
+
+import pytest
+
+from repro import datasets
+from repro.core import ConcurrentDyTIS, DyTIS, DyTISConfig
+
+KEY_MAX = (1 << 64) - 1
+
+CONFIGS = {
+    "default": {},
+    "scaled": {"first_level_bits": 4, "bucket_capacity": 16, "l_start": 2},
+}
+
+
+def _segments(index):
+    for ti, table in enumerate(index._tables):
+        if table is None:
+            continue
+        for seg in table.unique_segments():
+            yield ti, seg
+
+
+def _state(index):
+    """Everything a segment stores, byte for byte."""
+    return [
+        (
+            ti,
+            seg.local_depth,
+            list(seg.remap.allocs),
+            seg.store._karr.tobytes(),
+            [list(v) for v in seg.store.values],
+            list(seg.store.counts),
+            list(seg.piece_counts),
+            seg.total_keys,
+        )
+        for ti, seg in _segments(index)
+    ]
+
+
+def _batches(seed):
+    """Key batches that exercise every branch of the splice.
+
+    Random keys spread over the domain, ascending and descending
+    clustered runs (a descending run makes every insert a new bucket
+    minimum, which walks the padding before the bucket back), updates
+    of keys already present, and both ends of the key domain.
+    """
+    rng = random.Random(seed)
+    tx = datasets.generate("TX", 6_000, seed=seed).tolist()
+    present = []
+    yield [0, KEY_MAX, 1, KEY_MAX - 1]
+    for r in range(12):
+        batch = tx[r * 500 : (r + 1) * 500]
+        base = rng.randrange(1 << 63)
+        run = sorted(base + rng.randrange(1 << 44) for _ in range(300))
+        batch += run if r % 2 else run[::-1]
+        batch += [rng.randrange(1 << 64) for _ in range(200)]
+        batch += rng.sample(present, min(len(present), 150))
+        present.extend(batch)
+        yield batch
+    yield [0, KEY_MAX] + rng.sample(present, 200)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_inlined_insert_matches_the_store_insert_in_lockstep(config):
+    cfg = DyTISConfig(**CONFIGS[config])
+    inline = DyTIS(cfg)
+    layered = ConcurrentDyTIS(cfg)
+    shadow = {}
+    for round_no, batch in enumerate(_batches(7)):
+        for k in batch:
+            v = (k, round_no)
+            inline.insert(k, v)
+            layered.insert(k, v)
+            shadow[k] = v
+        assert _state(inline) == _state(layered._d)
+        assert len(inline) == len(layered) == len(shadow)
+    inline.check_invariants()
+    assert inline.stats.splits and inline.stats.doublings
+    if config == "scaled":
+        assert inline.stats.remappings and inline.stats.expansions
+    for k, v in shadow.items():
+        assert inline.get(k) == v
+
+
+def test_a_failed_remap_is_charged_to_remap_time():
+    """``plan_remap`` may grow a layout to the cap before it gives up;
+    that work is remapping time even though no segment is replaced."""
+    index = DyTIS(DyTISConfig(**CONFIGS["scaled"]))
+    attempt = index._remap
+    failed = []
+
+    def remap(table, seg, local):
+        before = index.stats.remap_time
+        ok = attempt(table, seg, local)
+        if not ok:
+            failed.append(index.stats.remap_time - before)
+        return ok
+
+    index._remap = remap
+    for k in datasets.generate("TX", 30_000, seed=0).tolist():
+        index.insert(k, k)
+    assert index.stats.remap_failures == len(failed) > 0
+    assert all(dt > 0 for dt in failed)

@@ -31,7 +31,7 @@ class TestFigure5WalkThrough:
         """With GD = 3, MSBs 011 of the local key pick dir[3]."""
         from repro.core.dytis import _EHTable
 
-        table = _EHTable(eh_key_bits=6, bucket_capacity=4)
+        table = _EHTable([Segment(0, PiecewiseRemap(6, [1]), 4)])
         table.global_depth = 3
         table.dir = table.dir * 8  # shape only; we check the index math
         assert table.dir_index(0b011101, 6) == 0b011

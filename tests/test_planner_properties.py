@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core import DyTISConfig
 from repro.core.remap import PiecewiseRemap
 from repro.core.segment import (
     Segment,
@@ -20,7 +21,6 @@ from repro.core.segment import (
     plan_remap,
     plan_split,
 )
-from tests.conftest import ENGINE_ENV, exported
 
 DOMAIN_BITS = 10
 CAPACITY = 4
@@ -109,39 +109,38 @@ def _padded_keys(seg):
     return seg.store.keys.tolist()
 
 
-@pytest.mark.parametrize("storage", ENGINE_ENV)
+@pytest.mark.parametrize("layout", [DyTISConfig.storage])
 @given(_keys, st.integers(0, (1 << DOMAIN_BITS) - 1), st.integers(1, 64))
 @settings(max_examples=100, deadline=None)
 def test_build_from_carried_counts_equals_build_from_scratch(
-    storage, keys, insert_key, cap
+    layout, keys, insert_key, cap
 ):
     """The counts a planner proved its layout with build the same
     segment -- keys, values, counts, piece counts, padding -- as the
     build routing every key itself; counts over capacity still raise."""
     assume(insert_key not in set(keys))
-    with exported(storage):
-        seg = _segment_holding(keys)
-        ks, vs, lk = seg.snapshot()
-        plan = plan_remap(
-            seg, lk, insert_key, cap=cap, util_threshold=0.6, max_piece_bits=8
-        )
-        if plan is None:
-            return
-        remap, counts, piece_counts = plan
-        carried = Segment.build(
-            3, remap, CAPACITY, ks, vs, counts, piece_counts
-        )
-        scratch = Segment.build(3, remap, CAPACITY, ks, vs)
-        carried.check_invariants()
-        assert list(carried.items()) == list(scratch.items()) == list(seg.items())
-        assert carried.piece_counts == scratch.piece_counts
-        assert carried.total_keys == scratch.total_keys == len(keys)
-        assert [carried.store.bucket_len(b) for b in range(remap.n_buckets)] == [
-            scratch.store.bucket_len(b) for b in range(remap.n_buckets)
-        ] == counts.tolist()
-        assert _padded_keys(carried) == _padded_keys(scratch)
+    seg = _segment_holding(keys)
+    ks, vs, lk = seg.snapshot()
+    plan = plan_remap(
+        seg, lk, insert_key, cap=cap, util_threshold=0.6, max_piece_bits=8
+    )
+    if plan is None:
+        return
+    remap, counts, piece_counts = plan
+    carried = Segment.build(
+        3, remap, CAPACITY, ks, vs, counts, piece_counts
+    )
+    routed = Segment.build(3, remap, CAPACITY, ks, vs)
+    carried.check_invariants()
+    assert list(carried.items()) == list(routed.items()) == list(seg.items())
+    assert carried.piece_counts == routed.piece_counts
+    assert carried.total_keys == routed.total_keys == len(keys)
+    assert [carried.store.bucket_len(b) for b in range(remap.n_buckets)] == [
+        routed.store.bucket_len(b) for b in range(remap.n_buckets)
+    ] == counts.tolist()
+    assert _padded_keys(carried) == _padded_keys(routed)
 
-        over = counts.copy()
-        over[int(counts.argmax())] = CAPACITY + 1
-        with pytest.raises(SegmentOverflow):
-            Segment.build(3, remap, CAPACITY, ks, vs, over, piece_counts)
+    over = counts.copy()
+    over[int(counts.argmax())] = CAPACITY + 1
+    with pytest.raises(SegmentOverflow):
+        Segment.build(3, remap, CAPACITY, ks, vs, over, piece_counts)

@@ -192,11 +192,10 @@ def test_columnar_probe_key_and_sentinel_edge():
 
 
 def test_columnar_gapped_slack_after_fill_sorted():
-    """fill_sorted leaves per-bucket gaps (slack) and pads them so the
-    column stays sorted; inserts then land in the slack without
-    spilling into neighbouring buckets."""
-    st = ColumnarStorage(n_buckets=2, capacity=4)
-    st.fill_sorted([2, 2], [1, 2, 10, 11], ["a", "b", "c", "d"])
+    """A storage filled from sorted keys leaves per-bucket gaps (slack)
+    and pads them so the column stays sorted; inserts then land in the
+    slack without spilling into neighbouring buckets."""
+    st = ColumnarStorage.from_sorted(4, [2, 2], [1, 2, 10, 11], list("abcd"))
     assert st.bucket_len(0) == 2 and st.bucket_len(1) == 2
     assert st.keys.tolist() == [1, 2, 10, 10, 10, 11, _MAX_KEY, _MAX_KEY]
     assert st.insert(0, 5, "e") == "inserted"

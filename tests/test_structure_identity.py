@@ -13,9 +13,15 @@ only for a change that is meant to alter the policy.
 The first diverging dataset/config pair is also the fixture for
 bisecting which decision diverged (ROADMAP item 3).  The rows are keyed
 by layout name; the ``lists`` rows went with the list engine (same
-SHA-1s, larger ``memory_bytes``), and every case still runs with
-``DYTIS_STORAGE`` exported as each of its old values
-(``conftest.ENGINE_ENV``), which must not move a single field.
+SHA-1s, larger ``memory_bytes``).
+
+The default-config rows stay below L_start almost everywhere, so one
+more row ingests the ``embedded_ingest`` benchmark's own key recipe
+(TX pickup times with seeded 33-bit suffixes) at the default config:
+it reaches the LD 5->6 splits, remapping, expansion, remap failure and
+the boost decision.  It was recorded on the commit before the scalar
+bucket splice was inlined into ``DyTIS.insert`` and the splits below
+L_start became column cuts.
 """
 
 import hashlib
@@ -27,10 +33,13 @@ import pytest
 
 from repro import datasets
 from repro.core import DyTIS, DyTISConfig
-from tests.conftest import ENGINE_ENV, exported
 
 N_KEYS = 30_000
 N_ADVERSARIAL = 1_000
+#: Keys of the ``TX33`` row: the ``embedded_ingest`` recipe with the
+#: suffixes of its default seed.
+N_WORKLOAD = 400_000
+WORKLOAD_SEED = 11
 
 #: ``memory_bytes`` sums ``sys.getsizeof`` of containers whose header
 #: sizes belong to the interpreter and NumPy build, not to DyTIS; the
@@ -73,6 +82,15 @@ CONFIGS = {
 
 
 def _keys(dataset):
+    if dataset == "TX33":
+        # TX keys are (pickup time | 33-bit trip suffix); the benchmark
+        # keeps the times and draws the suffixes from its seed.
+        low = np.uint64(33)
+        times = datasets.generate("TX", N_WORKLOAD, seed=0)
+        suffix = np.random.default_rng(WORKLOAD_SEED).integers(
+            0, 1 << 33, size=N_WORKLOAD, dtype=np.uint64
+        )
+        return ((times >> low) << low) | suffix
     if dataset == "interleaved_runs":
         return datasets.interleaved_runs(N_ADVERSARIAL, seed=0)
     return datasets.generate(dataset, N_KEYS, seed=0)
@@ -116,6 +134,7 @@ GOLDEN_INGEST = {
     ('MM', 'default', 'columnar'): (187, 0, 0, 127, 0, 0, 23936, 443, 443, 934488, '588c0f0c72a68e46f113442c02fdbd2fab8cfe4c'),
     ('MM', 'scaled', 'columnar'): (43, 225, 214, 20, 2, 0, 125660, 51, 4753, 1308368, 'aaef30d283249f5e01fac8526c52a0a9fed58c5b'),
     ('interleaved_runs', 'default', 'columnar'): (0, 0, 0, 0, 0, 0, 0, 8, 8, 20128, '750c7e878f90f3915271a651517e6bd8f2730524'),
+    ('TX33', 'default', 'columnar'): (3031, 911, 584, 952, 2, 0, 991039, 3269, 6324, 11789088, '714899d9809ad244479be6d0d027720ef86db9ca'),
 }
 
 GOLDEN_BULK = {
@@ -181,28 +200,31 @@ def _check(got, want):
     assert got == want
 
 
-@pytest.mark.parametrize("storage", ENGINE_ENV)
+@pytest.mark.parametrize("layout", [LAYOUT])
 @pytest.mark.parametrize("dataset,config", CASES)
-def test_scalar_ingest_builds_the_recorded_structure(dataset, config, storage):
-    with exported(storage):
-        index = _ingested(dataset, config)
-    _check(fingerprint(index), GOLDEN_INGEST[dataset, config, LAYOUT])
+def test_scalar_ingest_builds_the_recorded_structure(dataset, config, layout):
+    index = _ingested(dataset, config)
+    _check(fingerprint(index), GOLDEN_INGEST[dataset, config, layout])
 
 
-@pytest.mark.parametrize("storage", ENGINE_ENV)
+def test_benchmark_ingest_builds_the_recorded_structure():
+    index = _ingested("TX33", "default")
+    assert index._boost_decided
+    _check(fingerprint(index), GOLDEN_INGEST["TX33", "default", LAYOUT])
+
+
+@pytest.mark.parametrize("layout", [LAYOUT])
 @pytest.mark.parametrize("dataset,config", CASES)
-def test_bulk_load_builds_the_recorded_structure(dataset, config, storage):
-    with exported(storage):
-        index = _bulk_loaded(dataset, config)
-    _check(fingerprint(index), GOLDEN_BULK[dataset, config, LAYOUT])
+def test_bulk_load_builds_the_recorded_structure(dataset, config, layout):
+    index = _bulk_loaded(dataset, config)
+    _check(fingerprint(index), GOLDEN_BULK[dataset, config, layout])
 
 
-@pytest.mark.parametrize("storage", ENGINE_ENV)
-def test_deletes_merge_to_the_recorded_structure(storage):
-    with exported(storage):
-        index = _thinned()
+@pytest.mark.parametrize("layout", [LAYOUT])
+def test_deletes_merge_to_the_recorded_structure(layout):
+    index = _thinned()
     index.check_invariants()
-    _check(fingerprint(index), GOLDEN_DELETE[LAYOUT])
+    _check(fingerprint(index), GOLDEN_DELETE[layout])
 
 
 if __name__ == "__main__":  # pragma: no cover - records the constants
@@ -214,10 +236,11 @@ if __name__ == "__main__":  # pragma: no cover - records the constants
 
     print("_SIZEOF_RECORDED =", _sizeof_probe())
     print("_ARGSORT_RECORDED =", repr(_argsort_probe()))
-    for name, build in [
-        ("GOLDEN_INGEST", _ingested), ("GOLDEN_BULK", _bulk_loaded)
-    ]:
-        _table(name, {
-            (d, c, LAYOUT): fingerprint(build(d, c)) for d, c in CASES
-        })
+    _table("GOLDEN_INGEST", {
+        (d, c, LAYOUT): fingerprint(_ingested(d, c))
+        for d, c in CASES + [("TX33", "default")]
+    })
+    _table("GOLDEN_BULK", {
+        (d, c, LAYOUT): fingerprint(_bulk_loaded(d, c)) for d, c in CASES
+    })
     _table("GOLDEN_DELETE", {LAYOUT: fingerprint(_thinned())})

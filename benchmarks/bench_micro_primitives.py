@@ -71,10 +71,10 @@ def test_plan_remap_planner(benchmark):
     for k in keys:
         seg.insert(k, k)
 
-    local_keys = seg.snapshot()[2]
+    run = seg.run()[0]
 
     def target():
-        return plan_remap(seg, local_keys, insert_key=keys[0] + 1, cap=64,
+        return plan_remap(seg, run, insert_key=keys[0] + 1, cap=64,
                           util_threshold=0.6, max_piece_bits=10)
 
     plan = benchmark(target)

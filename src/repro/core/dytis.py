@@ -35,7 +35,7 @@ from repro.core.segment import (
     Segment,
     build_fitting,
     count_pieces,
-    fit_counts,
+    fit_run,
     line_split_size,
     plan_remap,
     plan_split,
@@ -1334,12 +1334,12 @@ class DyTIS:
 
         Such a parent's live run is already sorted, and its children
         get one-line remaps (:func:`line_split_size` buckets), so the
-        split point and each child bucket's lower bound (the arithmetic
-        of :meth:`PiecewiseRemap.first_key_of_bucket`) are one
-        ``bisect`` each, and each child's column is cut from the
-        parent's bytes: no key is routed and no NumPy call runs.  The
-        parent holds at most ``capacity`` keys, so every child bucket
-        fits (and no child gets more than two).
+        split point and each child bucket's lower bound
+        (:meth:`PiecewiseRemap.first_key_of_bucket`) are one ``bisect``
+        each, and each child's column is cut from the parent's bytes
+        (:meth:`Segment.cut`): no key is routed and no NumPy call runs.
+        The parent holds at most ``capacity`` keys, so every child
+        bucket fits (and no child gets more than two).
         """
         store = seg.store
         n = seg.total_keys
@@ -1351,28 +1351,38 @@ class DyTIS:
         mid = base | (1 << bits)
         split_at = bisect_left(karr, mid, 0, n)
         capacity = store.capacity
+        values = store.values[0]
         ld = seg.local_depth + 1
         children = []
-        for lo, a, e in ((base, 0, split_at), (mid, split_at, n)):
-            alloc = line_split_size(e - a, capacity, cap_child)
-            # Bucket b starts at the smallest offset whose
-            # ``(alloc * offset) >> bits`` reaches b.
-            bounds = [lo + -(-(b << bits) // alloc) for b in range(1, alloc)]
-            children.append(Segment(
-                ld, line_remap(bits, alloc), capacity,
-                store.cut(a, e, bounds), [e - a], e - a,
+        for lo, start, end in ((base, 0, split_at), (mid, split_at, n)):
+            remap = line_remap(
+                bits, line_split_size(end - start, capacity, cap_child)
+            )
+            counts = [0] * remap.n_buckets
+            a = start
+            for b in range(1, remap.n_buckets):
+                e = bisect_left(karr, lo + remap.first_key_of_bucket(b), a, end)
+                counts[b - 1] = e - a
+                a = e
+            counts[-1] = end - a
+            children.append(Segment.cut(
+                ld, remap, capacity, karr, start, end, values, counts,
+                [end - start],
             ))
         return children[0], children[1]
 
     def _split_planned(
         self, seg: Segment, cap_child: int
     ) -> Tuple[Segment, Segment]:
-        """The split children of ``seg`` through the planners: snapshot,
+        """The split children of ``seg`` through the planners: the run,
         :func:`plan_split`, and :func:`build_fitting` per child."""
         cfg = self.config
-        keys, values, local_keys = seg.snapshot()
+        run, values = seg.run()
+        keys = np.frombuffer(run, dtype=np.uint64)
         split_at = int(
-            local_keys.searchsorted(np.uint64(1 << (seg.domain_bits - 1)))
+            (keys & np.uint64(seg._mask)).searchsorted(
+                np.uint64(1 << (seg.domain_bits - 1))
+            )
         )
         left_remap, right_remap = plan_split(seg, split_at, cap_child)
         return tuple(
@@ -1386,7 +1396,15 @@ class DyTIS:
         )
 
     def _expand(self, table: _EHTable, seg: Segment, local: int) -> bool:
-        """Double ``seg``'s size, scaling its remap (paper §3.3 Expansion)."""
+        """Double ``seg``'s size, scaling its remap (paper §3.3 Expansion).
+
+        The doubled remap keeps the sub-ranges, so ``piece_counts``
+        still holds their histogram and the layout is counted on and
+        cut from the segment's run.  It always fits: a key's new bucket
+        is ``2b`` or ``2b + 1`` for its old bucket ``b`` (the floor of
+        twice a slope's offset halves back to the old one), so no new
+        bucket holds more keys than an old one did.
+        """
         t0 = time.perf_counter()
         ld = seg.local_depth
         new_remap = seg.remap.doubled()
@@ -1394,35 +1412,38 @@ class DyTIS:
             self.stats.expansion_failures += 1
             return False
         cfg = self.config
-        keys, values = seg.collect()
-        new_seg = build_fitting(
-            ld, new_remap, cfg.bucket_capacity, keys, values,
-            self._cap(ld), cfg.max_piece_bits,
+        run, values = seg.run()
+        counts = fit_run(new_remap, run, seg.piece_counts, cfg.bucket_capacity)
+        require(counts is not None, "a doubled remap overfilled a bucket")
+        new_seg = Segment.cut(
+            ld, new_remap, cfg.bucket_capacity, run, 0, len(run), values,
+            counts, list(seg.piece_counts),
         )
         self._wire(table, seg, local, [new_seg])
         self.stats.expansions += 1
-        self.stats.keys_moved += len(keys)
+        self.stats.keys_moved += len(run)
         dt = time.perf_counter() - t0
         self.stats.expansion_time += dt
         if self._obs is not None:
             self._obs.events.emit(
                 ExpandEvent(
                     local_depth=ld, global_depth=table.global_depth,
-                    keys_moved=len(keys), duration_ns=int(dt * 1e9),
+                    keys_moved=len(run), duration_ns=int(dt * 1e9),
                 )
             )
         self._record_window_op(ld, "expansion")
         return True
 
     def _remap(self, table: _EHTable, seg: Segment, local: int) -> bool:
-        """Re-learn ``seg``'s remapping functions (paper §3.3 Remapping)."""
+        """Re-learn ``seg``'s remapping functions (paper §3.3 Remapping):
+        plan on the segment's run, then cut the new layout from it."""
         t0 = time.perf_counter()
         cfg = self.config
         ld = seg.local_depth
-        keys, values, local_keys = seg.snapshot()
+        run, values = seg.run()
         plan = plan_remap(
             seg,
-            local_keys,
+            run,
             local,
             cap=self._cap(ld),
             util_threshold=cfg.util_threshold,
@@ -1435,20 +1456,20 @@ class DyTIS:
             self.stats.remap_time += time.perf_counter() - t0
             return False
         remap, counts, piece_counts = plan
-        new_seg = Segment.build(
-            ld, remap, cfg.bucket_capacity, keys, values,
+        new_seg = Segment.cut(
+            ld, remap, cfg.bucket_capacity, run, 0, len(run), values,
             counts, piece_counts,
         )
         self._wire(table, seg, local, [new_seg])
         self.stats.remappings += 1
-        self.stats.keys_moved += len(keys)
+        self.stats.keys_moved += len(run)
         dt = time.perf_counter() - t0
         self.stats.remap_time += dt
         if self._obs is not None:
             self._obs.events.emit(
                 RemapEvent(
                     local_depth=ld, global_depth=table.global_depth,
-                    keys_moved=len(keys), duration_ns=int(dt * 1e9),
+                    keys_moved=len(run), duration_ns=int(dt * 1e9),
                 )
             )
         return True
@@ -1463,27 +1484,26 @@ class DyTIS:
         )
         if target >= seg.n_buckets:
             return
-        keys, values, local_keys = seg.snapshot()
-        counts = count_pieces(local_keys, seg.domain_bits, seg.remap.piece_bits)
+        run, values = seg.run()
         candidate = PiecewiseRemap(
-            seg.domain_bits, proportional_allocs(counts, target)
+            seg.domain_bits, proportional_allocs(seg.piece_counts, target)
         )
-        fit = fit_counts(candidate, local_keys, cfg.bucket_capacity)
+        fit = fit_run(candidate, run, seg.piece_counts, cfg.bucket_capacity)
         if fit is None:
             return  # keep the larger layout; merging is best-effort
-        new_seg = Segment.build(
-            seg.local_depth, candidate, cfg.bucket_capacity, keys, values,
-            fit, counts,
+        new_seg = Segment.cut(
+            seg.local_depth, candidate, cfg.bucket_capacity, run, 0, len(run),
+            values, fit, list(seg.piece_counts),
         )
         self._wire(table, seg, local, [new_seg])
         self.stats.merges += 1
-        self.stats.keys_moved += len(keys)
+        self.stats.keys_moved += len(run)
         if self._obs is not None:
             self._obs.events.emit(
                 MergeEvent(
                     local_depth=seg.local_depth,
                     global_depth=table.global_depth,
-                    keys_moved=len(keys),
+                    keys_moved=len(run),
                     duration_ns=int((time.perf_counter() - t0) * 1e9),
                 )
             )

@@ -20,6 +20,7 @@ scans rely on.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import List, Sequence
 
 import numpy as np
@@ -159,27 +160,33 @@ class PiecewiseRemap:
         return range(self._cum[i], self._cum[i + 1])
 
     def first_key_of_bucket(self, b: int) -> int:
-        """Smallest segment-local key mapping to bucket ``b``.
+        """Smallest segment-local key whose bucket is ``>= b``, or
+        ``2^domain_bits`` when no key reaches ``b``.
 
-        Used by scans to seed a search; exact inverse of
-        :meth:`bucket_of` at bucket granularity.
+        This is the lower bound of bucket ``b`` in a sorted run: the
+        keys of buckets ``< b`` lie below it, every other key at or
+        above it.  It is not always a key *of* bucket ``b``: an
+        allocation wider than its sub-range skips buckets, and keys of
+        a zero-allocation sub-range share the next allocated bucket.
         """
         if not 0 <= b < self.n_buckets:
             raise IndexError("bucket out of range")
-        # Find the sub-range owning bucket b.
-        lo, hi = 0, self.n_pieces
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cum[mid + 1] <= b:
-                lo = mid + 1
-            else:
-                hi = mid
-        i = lo
-        within = b - self._cum[i]
-        width = 1 << self._shift
-        # Smallest offset with (allocs[i] * offset) >> shift == within.
-        offset = -(-(within << self._shift) // self.allocs[i])  # ceil div
-        return (i << self._shift) + min(offset, width - 1)
+        cum = self._cum
+        # The allocated sub-range owning bucket b (cum[i] <= b < cum[i+1]).
+        i = bisect_right(cum, b) - 1
+        j = b - cum[i]
+        if not j:
+            # Its first bucket also takes the keys of any zero-allocation
+            # sub-ranges right before it: start at the first of them.
+            return bisect_left(cum, b) << self._shift
+        return (i << self._shift) + self.bucket_offset(j, self.allocs[i])
+
+    def bucket_offset(self, j: int, alloc: int) -> int:
+        """Smallest offset into a sub-range of ``alloc >= 1`` buckets
+        that maps to its ``j``-th bucket or a later one (the sub-range's
+        width when none does): what :meth:`first_key_of_bucket` adds to
+        the sub-range's start."""
+        return -(-(j << self._shift) // alloc)
 
     def doubled(self) -> "PiecewiseRemap":
         """All slopes doubled -- the expansion operation (paper §3.3)."""

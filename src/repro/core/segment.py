@@ -14,22 +14,28 @@ operations: :func:`plan_remap` (refine sub-ranges, steal buckets, grow
 bounded by the per-depth cap -- §3.3 Remapping) and :func:`plan_split`
 (children keep sub-range slopes with doubled allocations -- §3.3 Split),
 plus :func:`build_fitting`, the rebuild loop that guarantees a new
-segment layout actually holds its keys.  Planners and rebuilds are
-vectorised with numpy: structure operations touch every key of a
-segment, exactly the memory-copy cost the paper measures, so they are
-the hot path.
+segment layout actually holds its keys.  A rebuild that keeps a
+segment's keys (remap, expansion, merge-down, a one-bucket split) reads
+its sorted run once (:meth:`Segment.run`), counts each bucket's keys by
+bisecting bucket bounds in it (:func:`fit_run`) and cuts the new
+columns from it (:meth:`Segment.cut`): the memory copy the paper
+measures, and little else.  The other rebuilds route the keys with
+NumPy (:func:`fit_counts`, :meth:`Segment.build`).
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
+from bisect import bisect_left
+from itertools import compress
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.invariants import require
 from repro.core.remap import PiecewiseRemap, proportional_allocs
-from repro.core.storage import ColumnarStorage
+from repro.core.storage import SLICED_BUCKETS, ColumnarStorage
 
 
 class SegmentOverflow(Exception):
@@ -300,12 +306,12 @@ class Segment:
         """Resident bytes of this segment's key/value storage."""
         return self.store.memory_bytes()
 
-    def snapshot(self) -> Tuple[np.ndarray, List[Any], np.ndarray]:
-        """The one read a structure operation takes: ``(keys, values,
-        local_keys)`` -- ascending ``uint64`` full keys, parallel values,
-        and the keys masked to the segment-local domain (planner input)."""
-        keys, values = self.store.collect()
-        return keys, values, keys & np.uint64(self._mask)
+    def run(self) -> Tuple[array, List[Any]]:
+        """The live keys in order as one ``array('Q')``, and their
+        values: the one read a structure operation takes.  A rebuild
+        that keeps the keys cuts it (:meth:`cut`) instead of routing
+        them again."""
+        return self.store.run()
 
     # -- construction ----------------------------------------------------------
 
@@ -360,6 +366,47 @@ class Segment:
             n,
         )
 
+    @classmethod
+    def cut(
+        cls,
+        local_depth: int,
+        remap: PiecewiseRemap,
+        bucket_capacity: int,
+        run: array,
+        lo: int,
+        hi: int,
+        values: List[Any],
+        counts: Sequence[int],
+        piece_counts: Sequence[int],
+    ) -> "Segment":
+        """A segment holding the sorted keys ``run[lo:hi]`` (``values``
+        aligned with ``run``), ``counts[b]`` of them in bucket ``b`` and
+        ``piece_counts[i]`` in sub-range ``i`` of ``remap``.  The counts
+        are what :func:`fit_run` (or a split's bisection) found for
+        exactly these keys, so nothing is routed; the guards are
+        :meth:`build`'s.  Past :data:`SLICED_BUCKETS` buckets this is
+        :meth:`build`, which takes the counts as arrays.
+        """
+        if remap.n_buckets > SLICED_BUCKETS:
+            keys = np.frombuffer(run, dtype=np.uint64)[lo:hi]
+            return cls.build(
+                local_depth, remap, bucket_capacity, keys,
+                values[lo:hi] if lo else values,
+                np.asarray(counts), np.asarray(piece_counts),
+            )
+        counts, piece_counts = _as_list(counts), _as_list(piece_counts)
+        require(
+            len(counts) == remap.n_buckets,
+            "bucket counts do not match the remap's bucket count",
+        )
+        top = max(counts)
+        if top > bucket_capacity:
+            raise SegmentOverflow(counts.index(top))
+        store = ColumnarStorage.cut(bucket_capacity, run, lo, hi, counts, values)
+        return cls(
+            local_depth, remap, bucket_capacity, store, piece_counts, hi - lo
+        )
+
     def check_invariants(self) -> None:
         """Raise :class:`InvariantViolation` on inconsistencies (test hook)."""
         self.remap.check_invariants()
@@ -384,6 +431,11 @@ class Segment:
             total += len(bkeys)
         require(total == self.total_keys, "total_keys out of sync")
         require(counts == self.piece_counts, "piece_counts out of sync")
+
+
+def _as_list(counts: Sequence[int]) -> List[int]:
+    """Counts as a list of ints: the sliced steps index them one by one."""
+    return counts.tolist() if isinstance(counts, np.ndarray) else counts
 
 
 # -- planners ---------------------------------------------------------------
@@ -412,6 +464,72 @@ def fit_counts(
     return counts
 
 
+def fit_run(
+    remap: PiecewiseRemap,
+    run: array,
+    piece_counts: Sequence[int],
+    bucket_capacity: int,
+    extra_key: Optional[int] = None,
+) -> Optional[Sequence[int]]:
+    """:func:`fit_counts` of the sorted full keys ``run``, routing none.
+
+    ``piece_counts`` (a list or an integer array) is the run's histogram
+    over ``remap``'s sub-ranges, so each non-empty sub-range is a known
+    slice of the run.  One with at most one bucket adds its count to
+    that bucket; any other bisects its buckets' lower bounds
+    (:meth:`PiecewiseRemap.first_key_of_bucket`) inside its slice,
+    skipping the buckets no key reaches.  Returns the keys per bucket
+    as a list, or None when a bucket overflows (counting the pending
+    segment-local ``extra_key``, which the counts leave out).  A remap
+    of more than :data:`SLICED_BUCKETS` sub-ranges or buckets has its
+    keys routed after all, by :func:`fit_counts`, whose array it
+    returns.
+    """
+    if max(remap.n_pieces, remap.n_buckets) > SLICED_BUCKETS:
+        return fit_counts(
+            remap,
+            np.frombuffer(run, dtype=np.uint64)
+            & np.uint64((1 << remap.domain_bits) - 1),
+            bucket_capacity,
+            extra_key,
+        )
+    piece_counts = _as_list(piece_counts)
+    cum = remap._cum
+    allocs = remap.allocs
+    shift = remap._shift
+    offset = remap.bucket_offset
+    n_buckets = cum[-1]
+    out = [0] * n_buckets
+    base = run[0] >> remap.domain_bits << remap.domain_bits if len(run) else 0
+    start = 0
+    for i in compress(range(len(piece_counts)), piece_counts):
+        c = piece_counts[i]
+        end = start + c
+        a = allocs[i]
+        b = cum[i]
+        if a < 2:
+            # Zero allocations take the next allocated sub-range's first
+            # bucket; trailing ones clamp to the last bucket.
+            out[b if b < n_buckets else n_buckets - 1] += c
+        else:
+            # From the next key not yet counted, bisect to the lower
+            # bound of the bucket after its own: one step per non-empty
+            # bucket.
+            first = base + (i << shift)
+            p = start
+            while p < end:
+                j = (a * (run[p] - first)) >> shift
+                e = bisect_left(run, first + offset(j + 1, a), p + 1, end)
+                out[b + j] += e - p
+                p = e
+        start = end
+    if max(out) > bucket_capacity:
+        return None
+    if extra_key is not None and out[remap.bucket_of(extra_key)] >= bucket_capacity:
+        return None
+    return out
+
+
 def count_pieces(
     local_keys: np.ndarray, domain_bits: int, piece_bits: int
 ) -> np.ndarray:
@@ -424,20 +542,20 @@ def count_pieces(
 
 def plan_remap(
     segment: Segment,
-    local_keys: np.ndarray,
+    run: array,
     insert_key: int,
     cap: int,
     util_threshold: float,
     max_piece_bits: int,
-) -> Optional[Tuple[PiecewiseRemap, np.ndarray, np.ndarray]]:
+) -> Optional[Tuple[PiecewiseRemap, Sequence[int], np.ndarray]]:
     """Compute the remapped layout for ``segment`` (paper §3.3 Remapping).
 
     Returns ``(remap, counts, piece_counts)`` -- a layout under which
-    ``local_keys`` (the segment's :meth:`Segment.snapshot`) plus
-    ``insert_key`` fit, with the per-bucket and per-sub-range counts
-    that prove it, ready for :meth:`Segment.build` -- or None when no
-    layout within the segment-size cap ``cap`` works (remapping *fails*
-    and Algorithm 1 escalates).
+    ``run`` (the segment's :meth:`Segment.run`) plus ``insert_key`` fit,
+    with the per-bucket and per-sub-range counts that prove it, ready
+    for :meth:`Segment.cut` -- or None when no layout within the
+    segment-size cap ``cap`` works (remapping *fails* and Algorithm 1
+    escalates).
 
     Procedure:
       1. refine sub-ranges (halving widths) until the sub-range that
@@ -450,23 +568,44 @@ def plan_remap(
          geometrically up to ``cap`` (the paper doubles the target
          sub-range's share; geometric growth of the total is the
          same policy at whole-segment granularity).
+
+    Each granularity's histogram is one ``bincount`` of the run, except
+    the segment's own granularity: that one is ``piece_counts`` (up to
+    :data:`SLICED_BUCKETS` sub-ranges).  Each candidate layout is
+    checked by :func:`fit_run`.
     """
     insert_local = segment.local_key(insert_key)
     domain_bits = segment.domain_bits
     capacity = segment.bucket_capacity
     n_buckets = segment.n_buckets
     max_bits = min(max_piece_bits, domain_bits)
+    local_keys = None
+
+    def histogram(piece_bits: int) -> np.ndarray:
+        nonlocal local_keys
+        if (
+            piece_bits == segment.remap.piece_bits
+            and segment.remap.n_pieces <= SLICED_BUCKETS
+        ):
+            # Past a few hundred sub-ranges, converting the maintained
+            # histogram costs more than counting the keys again.
+            return np.array(segment.piece_counts, dtype=np.int64)
+        if local_keys is None:
+            local_keys = np.frombuffer(run, dtype=np.uint64) & np.uint64(
+                segment._mask
+            )
+        return count_pieces(local_keys, domain_bits, piece_bits)
 
     piece_bits = min(segment.remap.piece_bits, max_bits)
+    counts = histogram(piece_bits)
 
     # Step 1: refine until the target sub-range's utilization clears U_t.
     # Stop early once the target sub-range is small enough that a single
     # threshold-utilization bucket holds it: refining past that point
     # cannot sharpen the CDF further, it only fragments the allocation.
     min_target_keys = max(1.0, capacity * util_threshold)
+    allocs = proportional_allocs(counts, n_buckets)
     while piece_bits < max_bits:
-        counts = count_pieces(local_keys, domain_bits, piece_bits)
-        allocs = proportional_allocs(counts, n_buckets)
         t = insert_local >> (domain_bits - piece_bits)
         target_keys = int(counts[t]) + 1
         if target_keys / (max(int(allocs[t]), 1) * capacity) > util_threshold:
@@ -474,14 +613,13 @@ def plan_remap(
         if target_keys <= min_target_keys:
             break
         piece_bits += 1
-    else:
-        counts = count_pieces(local_keys, domain_bits, piece_bits)
+        counts = histogram(piece_bits)
         allocs = proportional_allocs(counts, n_buckets)
 
     # Steps 2-3: try the re-apportioned layout, growing B on overflow.
     while True:
         candidate = PiecewiseRemap(domain_bits, allocs)
-        fit = fit_counts(candidate, local_keys, capacity, insert_local)
+        fit = fit_run(candidate, run, counts, capacity, insert_local)
         if fit is not None:
             return candidate, fit, counts
         if piece_bits < max_bits and int(counts.max()) + 1 > capacity:
@@ -489,7 +627,7 @@ def plan_remap(
             # a dedicated bucket: the CDF is too coarse there, and
             # refining is free (same B).
             piece_bits += 1
-            counts = count_pieces(local_keys, domain_bits, piece_bits)
+            counts = histogram(piece_bits)
         elif n_buckets >= cap:
             return None
         else:

@@ -43,6 +43,21 @@ class OperationStats:
             + self.doubling_time
         )
 
+    def op_costs(self) -> dict:
+        """``{op: (count, mean µs)}`` per structure operation.  A remap's
+        count includes its failed attempts, whose time ``remap_time``
+        also holds; a refused expansion costs a size check and is not
+        counted."""
+        ops = {
+            "split": (self.splits, self.split_time),
+            "remap": (self.remappings + self.remap_failures, self.remap_time),
+            "expansion": (self.expansions, self.expansion_time),
+            "doubling": (self.doublings, self.doubling_time),
+        }
+        return {
+            op: (n, t / n * 1e6 if n else 0.0) for op, (n, t) in ops.items()
+        }
+
     def breakdown(self) -> dict:
         """Per-operation share of structural time (paper's breakdown)."""
         total = self.structural_time()

@@ -47,6 +47,11 @@ from repro.core.invariants import require
 _MAX_KEY = (1 << 64) - 1
 #: One MAX slot as bytes (the column's native ``Q`` encoding).
 _MAX_BYTES = b"\xff" * 8
+#: Up to this many buckets (and, to fit a layout, sub-ranges) a
+#: segment's run is read, fitted and laid out one bucket at a time
+#: (byte slices, ``bisect``); past it, one NumPy pass over every slot
+#: or key costs less than the Python steps.
+SLICED_BUCKETS = 128
 
 
 class ColumnarStorage:
@@ -144,36 +149,56 @@ class ColumnarStorage:
         np.minimum.accumulate(rev, out=rev)
         return store
 
-    def cut(self, lo: int, hi: int, bounds: Sequence[int]) -> "ColumnarStorage":
-        """A new storage holding slots ``[lo, hi)`` of this one-bucket
-        storage's live run, its bucket ``j + 1`` starting at the first
-        key ``>= bounds[j]`` (ascending bucket lower bounds, full keys).
+    @classmethod
+    def cut(
+        cls, capacity: int, run: array, lo: int, hi: int,
+        counts: List[int], values: List[Any],
+    ) -> "ColumnarStorage":
+        """Storage holding the sorted keys ``run[lo:hi]`` (``values`` is
+        aligned with ``run``), the next ``counts[b]`` of them in bucket
+        ``b`` (the counts must add up to ``hi - lo``; the list is
+        adopted).
 
-        The run is already sorted, so each bound is one ``bisect`` and
-        each bucket one byte slice of this column followed by its
-        padding: the next live key, or MAX past the last.  No key is
-        routed.  The caller guarantees every bucket fits (a one-bucket
-        parent holds at most ``capacity`` keys).
+        Each bucket is one byte slice of the run followed by its
+        padding -- the next live key, or MAX past ``hi`` -- so the
+        column is the one :meth:`from_sorted` lays out, joined once
+        without routing a key.  The caller guarantees every bucket fits.
         """
-        karr = self._karr
-        cap = self.capacity
-        vals = self.values[0]
-        raw = memoryview(karr).cast("B")
-        edges = [lo]
-        for k in bounds:
-            edges.append(bisect_left(karr, k, lo, hi))
-        edges.append(hi)
+        raw = memoryview(run).cast("B")
         parts = []
-        values: List[List[Any]] = []
-        counts = [0] * (len(edges) - 1)
-        for j in range(len(counts)):
-            a, e = edges[j], edges[j + 1]
+        vals: List[List[Any]] = []
+        a = lo
+        for c in counts:
+            e = a + c
             parts.append(raw[8 * a : 8 * e])
             pad = raw[8 * e : 8 * e + 8].tobytes() if e < hi else _MAX_BYTES
-            parts.append(pad * (cap - (e - a)))
-            values.append(vals[a:e])
-            counts[j] = e - a
-        return self.laid_out(cap, array("Q", b"".join(parts)), values, counts)
+            parts.append(pad * (capacity - c))
+            vals.append(values[a:e])
+            a = e
+        require(a == hi, "bucket counts do not describe the run being cut")
+        return cls.laid_out(capacity, array("Q", b"".join(parts)), vals, counts)
+
+    def run(self) -> Tuple[array, List[Any]]:
+        """The live keys in order, as one ``array('Q')`` (a byte join of
+        each bucket's live prefix), and their values (a chain of the
+        per-bucket lists): the input of :meth:`cut`."""
+        if self.n_buckets == 1:
+            n = self.counts[0]
+            return self._karr[:n], self.values[0][:]
+        if self.n_buckets > SLICED_BUCKETS:
+            run = array("Q", bytes(8 * sum(self.counts)))
+            self.live_keys_into(np.frombuffer(run, dtype=np.uint64))
+        else:
+            raw = memoryview(self._karr).cast("B")
+            step = 8 * self.capacity
+            run = array("Q", b"".join([
+                raw[off : off + 8 * c]
+                for off, c in zip(
+                    range(0, step * self.n_buckets, step), self.counts
+                )
+                if c
+            ]))
+        return run, list(chain.from_iterable(self.values))
 
     # -- scalar operations ------------------------------------------------
 

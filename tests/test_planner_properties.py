@@ -44,16 +44,17 @@ def _segment_holding(keys):
 def test_plan_remap_result_always_fits(keys, insert_key, cap):
     assume(insert_key not in set(keys))
     seg = _segment_holding(keys)
-    lk = seg.snapshot()[2]
+    lk = seg.collect()[0] & np.uint64((1 << DOMAIN_BITS) - 1)
     plan = plan_remap(
-        seg, lk, insert_key, cap=cap, util_threshold=0.6, max_piece_bits=8
+        seg, seg.run()[0], insert_key, cap=cap, util_threshold=0.6,
+        max_piece_bits=8,
     )
     if plan is None:
         return  # failure is legal; Algorithm 1 escalates
     remap, counts, _ = plan
     assert remap.n_buckets <= max(cap, seg.n_buckets)
     fit = fit_counts(remap, lk, CAPACITY, extra_key=insert_key)
-    assert fit is not None and fit.tolist() == counts.tolist()
+    assert fit is not None and fit.tolist() == list(counts)
 
 
 @given(_keys)
@@ -115,32 +116,34 @@ def _padded_keys(seg):
 def test_build_from_carried_counts_equals_build_from_scratch(
     layout, keys, insert_key, cap
 ):
-    """The counts a planner proved its layout with build the same
+    """The counts a planner proved its layout with cut the same
     segment -- keys, values, counts, piece counts, padding -- as the
     build routing every key itself; counts over capacity still raise."""
     assume(insert_key not in set(keys))
     seg = _segment_holding(keys)
-    ks, vs, lk = seg.snapshot()
+    run, vs = seg.run()
     plan = plan_remap(
-        seg, lk, insert_key, cap=cap, util_threshold=0.6, max_piece_bits=8
+        seg, run, insert_key, cap=cap, util_threshold=0.6, max_piece_bits=8
     )
     if plan is None:
         return
     remap, counts, piece_counts = plan
-    carried = Segment.build(
-        3, remap, CAPACITY, ks, vs, counts, piece_counts
+    carried = Segment.cut(
+        3, remap, CAPACITY, run, 0, len(run), vs, counts, piece_counts
     )
-    routed = Segment.build(3, remap, CAPACITY, ks, vs)
+    routed = Segment.build(3, remap, CAPACITY, list(run), vs)
     carried.check_invariants()
     assert list(carried.items()) == list(routed.items()) == list(seg.items())
     assert carried.piece_counts == routed.piece_counts
     assert carried.total_keys == routed.total_keys == len(keys)
     assert [carried.store.bucket_len(b) for b in range(remap.n_buckets)] == [
         routed.store.bucket_len(b) for b in range(remap.n_buckets)
-    ] == counts.tolist()
+    ] == list(counts)
     assert _padded_keys(carried) == _padded_keys(routed)
 
-    over = counts.copy()
-    over[int(counts.argmax())] = CAPACITY + 1
+    over = list(counts)
+    over[over.index(max(over))] = CAPACITY + 1
     with pytest.raises(SegmentOverflow):
-        Segment.build(3, remap, CAPACITY, ks, vs, over, piece_counts)
+        Segment.cut(
+            3, remap, CAPACITY, run, 0, len(run), vs, over, piece_counts
+        )

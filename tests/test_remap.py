@@ -123,12 +123,97 @@ class TestFirstKeyOfBucket:
         with pytest.raises(IndexError):
             r.first_key_of_bucket(5)
 
+    def test_zero_allocation_shares_the_next_bucket(self):
+        # Sub-range 0 owns no bucket: its keys map to bucket 0.
+        r = PiecewiseRemap(4, [0, 2])
+        assert r.bucket_of(0) == 0
+        assert r.first_key_of_bucket(0) == 0
+        assert r.first_key_of_bucket(1) == 12
+
+    def test_allocation_wider_than_its_sub_range_skips_buckets(self):
+        # Four keys over eight buckets: key k maps to bucket 2k, so no
+        # key maps to an odd bucket and none reaches bucket 7.
+        r = PiecewiseRemap(2, [8])
+        assert [r.bucket_of(k) for k in range(4)] == [0, 2, 4, 6]
+        assert [r.first_key_of_bucket(b) for b in range(8)] == [
+            0, 1, 1, 2, 2, 3, 3, 4,
+        ]
+
+    @given(st.integers(0, 7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, domain_bits, data):
+        """The smallest key whose bucket is >= b, or 2^domain_bits when
+        none is, over zero, trailing-zero and over-wide allocations."""
+        piece_bits = data.draw(st.integers(0, domain_bits))
+        width = 1 << (domain_bits - piece_bits)
+        allocs = data.draw(
+            st.lists(
+                st.one_of(st.just(0), st.integers(1, 2 * width + 2)),
+                min_size=1 << piece_bits,
+                max_size=1 << piece_bits,
+            )
+        )
+        if data.draw(st.booleans()):
+            allocs[-1] = 0
+        if not any(allocs):
+            allocs[0] = 1
+        r = PiecewiseRemap(domain_bits, allocs)
+        buckets = [r.bucket_of(k) for k in range(1 << domain_bits)]
+        for b in range(r.n_buckets):
+            expected = next(
+                (k for k, kb in enumerate(buckets) if kb >= b),
+                1 << domain_bits,
+            )
+            assert r.first_key_of_bucket(b) == expected
+
+    @given(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, 1 << 20)),
+            min_size=8,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_60_bit_domain_bound(self, allocs):
+        """In a 60-bit domain the bound is checked at its two sides: it
+        reaches ``b`` and the key before it does not."""
+        if not any(allocs):
+            allocs[-1] = 1
+        r = PiecewiseRemap(60, allocs)
+        probes = {0, r.n_buckets - 1}
+        for i in range(r.n_pieces):
+            span = r.piece_span(i)
+            if span:
+                probes.update((span[0], span[1 % len(span)], span[-1]))
+        for b in sorted(probes):
+            k = r.first_key_of_bucket(b)
+            if k < 1 << 60:
+                assert r.bucket_of(k) >= b
+            if k > 0:
+                assert r.bucket_of(k - 1) < b
+
 
 class TestTransforms:
     def test_doubled_scales_allocs(self):
         r = PiecewiseRemap(6, [1, 3]).doubled()
         assert r.allocs == [2, 6]
         assert r.n_buckets == 8
+
+    @given(
+        st.integers(0, 7),
+        st.lists(st.integers(0, 20), min_size=4, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_doubled_only_splits_buckets(self, extra_bits, allocs):
+        """An expansion needs no fit check: every key's bucket under
+        the doubled remap is 2b or 2b + 1 for its old bucket b, zero,
+        trailing-zero and over-wide allocations included."""
+        if not any(allocs):
+            allocs[-1] = 1
+        r = PiecewiseRemap(2 + extra_bits, allocs)
+        d = r.doubled()
+        for k in range(1 << r.domain_bits):
+            assert d.bucket_of(k) // 2 == r.bucket_of(k)
 
     def test_refined_splits_by_counts(self):
         r = PiecewiseRemap(6, [4, 4])

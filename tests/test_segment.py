@@ -19,6 +19,11 @@ def make_segment(domain_bits=8, allocs=(2, 2), capacity=4, local_depth=3):
     return Segment(local_depth, PiecewiseRemap(domain_bits, list(allocs)), capacity)
 
 
+def local_keys(seg):
+    """A segment's keys masked to its local domain (routing input)."""
+    return seg.collect()[0] & np.uint64((1 << seg.domain_bits) - 1)
+
+
 class TestSegmentBasics:
     def test_insert_get_delete(self):
         s = make_segment()
@@ -145,20 +150,21 @@ class TestPlanRemap:
         seg2 = make_segment(domain_bits=8, allocs=(4,), capacity=4)
         for k in [0, 1, 2, 3]:
             seg2.insert(k, k)
-        lk = seg2.snapshot()[2]
-        plan = plan_remap(seg2, lk, insert_key=4, cap=8,
+        run = seg2.run()[0]
+        lk = local_keys(seg2)
+        plan = plan_remap(seg2, run, insert_key=4, cap=8,
                           util_threshold=0.6, max_piece_bits=6)
         assert plan is not None
         remap, counts, piece_counts = plan
-        assert fit_counts(remap, lk, 4, extra_key=4).tolist() == counts.tolist()
-        assert int(piece_counts.sum()) == 4
+        assert fit_counts(remap, lk, 4, extra_key=4).tolist() == list(counts)
+        assert sum(piece_counts) == 4
 
     def test_returns_none_when_cap_blocks(self):
         seg = make_segment(domain_bits=3, allocs=(1,), capacity=2, local_depth=3)
         seg.insert(0, 0)
         seg.insert(1, 1)
         # cap equal to current size and keys too clustered to re-spread.
-        plan = plan_remap(seg, seg.snapshot()[2], insert_key=2, cap=1,
+        plan = plan_remap(seg, seg.run()[0], insert_key=2, cap=1,
                           util_threshold=0.6, max_piece_bits=1)
         assert plan is None
 
@@ -168,8 +174,8 @@ class TestPlanRemap:
         seg = make_segment(domain_bits=10, allocs=(2,), capacity=4)
         for k in range(0, 4):
             assert seg.insert(k, k) == "inserted"
-        lk = seg.snapshot()[2]
-        plan = plan_remap(seg, lk, insert_key=8, cap=16,
+        lk = local_keys(seg)
+        plan = plan_remap(seg, seg.run()[0], insert_key=8, cap=16,
                           util_threshold=0.6, max_piece_bits=8)
         assert plan is not None
         assert plan[0].n_buckets <= 16

@@ -2,9 +2,9 @@
 
 The batch layer sorts each batch and caches per-segment routing state,
 so larger batches amortise more directory/remap work per key;
-``insert_many`` dispatches per segment group: dense groups get one
-planned splice per touched bucket, sparse groups an inline C-bisect
-loop that still reuses the group's routing.
+``insert_many`` applies every segment group with one inline C-bisect
+splice loop that reuses the group's routing, and builds what a scalar
+insert loop over the sorted batch builds.
 
 16 and 32 are the sizes a 2-shard fleet epoch hands each worker; there
 the batch calls take their NumPy-free list paths and must keep up with
@@ -16,11 +16,12 @@ and fresh-insert workloads spend roughly 40% of wall time in Algorithm
 1 restructures that cost the same whether keys arrive one at a time or
 batched (``core.structural_time_share`` on the ``embedded_ingest``
 ledger workload: 0.41, and 0.39 once splits below L_start became
-column cuts; the scalar splice around them got cheaper too).  Batching therefore buys ~1.2-1.5x on writes
-(routing amortisation only) -- the big batch wins are on reads
-(get_many 3-4x) and on batched index *builds* (see
-``test_bulk_vs_batch_build``).  The asserts below pin those measured
-levels so write-path regressions fail loudly.
+column cuts; the scalar splice around them got cheaper too).  Batching
+therefore buys ~1.1-1.2x on 1,024- and 4,096-key write batches (routing
+amortisation only; medians at 3,000 and 8,000 keys) -- the big batch
+wins are on reads (get_many 2.5-3.7x at 1,024 keys) and on batched
+index *builds* (see ``test_bulk_vs_batch_build``).  The asserts below
+pin those measured levels so write-path regressions fail loudly.
 """
 
 import os

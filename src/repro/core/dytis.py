@@ -1039,40 +1039,32 @@ class DyTIS:
         deduplicated once (the last occurrence of a key wins, exactly
         as sequential insert-or-update resolves it), then partitioned
         into per-segment groups by the routing cache (one directory
-        resolution per group, one bisect for the group's end), and each
-        group is applied with :meth:`Segment.insert_batch` -- a
-        vectorised ``bucket_indices`` pass plus one gap-aware splice per
-        touched bucket, with the sentinel padding repaired once per
-        segment.  Keys whose bucket is full spill to the scalar
-        :meth:`insert` path, which runs Algorithm 1's restructures
-        exactly as sequential insertion would; the next group
-        re-resolves the directory, so it sees any rewiring.
-
-        Dispersed batches land only a handful of keys per segment; for
-        those groups numpy's fixed per-call cost exceeds the work, so
-        small groups apply with the scalar C-bisect store path under
-        the same cached routing (the win over per-key ``insert`` is the
-        one directory resolution per group either way).
+        resolution per group, one bisect for the group's end).  Each
+        group is applied key by key in ascending order with the scalar
+        splice (route, C ``bisect``, shift), inlined so the loop pays no
+        per-key call.  The first key whose bucket is full goes through
+        the scalar :meth:`insert`, which runs Algorithm 1's restructure
+        with every earlier key in place and no later one; the batch then
+        resumes from the next key and re-resolves the directory, so it
+        sees any rewiring.  The result is the layout a scalar ``insert``
+        loop over the sorted, deduplicated batch builds.
 
         A batch of at most ``_SMALL_BATCH`` keys makes no NumPy call: a
         dict deduplicates it and ``sorted`` orders it (and bounds-checks
-        it through its ends), then the same group loop applies it in the
-        same key order, so Algorithm 1 makes the same decisions as on
-        the array path.
+        it through its ends), then the same group loop applies it.
+        Larger batches are sorted and deduplicated with NumPy.
         """
         keys, values = batch_columns(keys, values)
         if not keys:
             return
-        small = len(keys) <= _SMALL_BATCH
         try:
-            if small:
+            if len(keys) <= _SMALL_BATCH:
                 # The last occurrence wins; sorting yields the bounds.
                 last = dict(zip(map(_as_int, keys), values))
                 key_list = sorted(last)
                 if key_list[0] < 0 or key_list[-1] >= self._key_limit:
                     raise ValueError
                 vals = [last[k] for k in key_list]
-                sk = None  # a dense group needs more keys than this
             else:
                 sk, src, _ = self._sorted_batch(self._key_column(keys))
                 vals = [values[i] for i in src.tolist()]
@@ -1112,83 +1104,53 @@ class DyTIS:
             offmask = (1 << shift) - 1
             last_bucket = cum[-1] - 1
             dmask = seg._mask
-            dense = False
-            if j - i > 32:
-                # Vectorised per-bucket splices only pay off when each
-                # touched bucket receives several keys; route the first
-                # and last key to bound the bucket span and estimate
-                # keys-per-bucket density.
-                lk = key_list[i] & dmask
+            # The bucket splice of ColumnarStorage.insert, inlined so
+            # the hot loop pays no per-key call or attribute lookup.
+            store = seg.store
+            pc = seg.piece_counts
+            karr = store._karr
+            store_vals = store.values
+            counts = store.counts
+            cap = store.capacity
+            for p in range(i, j):
+                k = key_list[p]
+                lk = k & dmask
                 pi = lk >> shift
-                b0 = cum[pi] + ((allocs[pi] * (lk & offmask)) >> shift)
-                lk = key_list[j - 1] & dmask
-                pi = lk >> shift
-                b1 = cum[pi] + ((allocs[pi] * (lk & offmask)) >> shift)
-                if b1 > last_bucket:
-                    b1 = last_bucket
-                if b0 > last_bucket:
-                    b0 = last_bucket
-                dense = j - i >= 6 * (b1 - b0 + 1)
-            if not dense:
-                # Sparse group: apply inline with C bisect on the key
-                # column (the splice plan's per-bucket numpy pass costs
-                # more than the work at a handful of keys per bucket).
-                # This duplicates ColumnarStorage.insert so the hot
-                # loop pays no per-key call/attribute overhead.
-                store = seg.store
-                pc = seg.piece_counts
-                karr = store._karr
-                store_vals = store.values
-                counts = store.counts
-                cap = store.capacity
-                for p in range(i, j):
-                    k = key_list[p]
-                    lk = k & dmask
-                    pi = lk >> shift
-                    b = cum[pi] + ((allocs[pi] * (lk & offmask)) >> shift)
-                    if b > last_bucket:
-                        b = last_bucket
-                    off = b * cap
-                    cnt = counts[b]
-                    end = off + cnt
-                    idx = bisect_left(karr, k, off, end)
-                    if idx < end and karr[idx] == k:
-                        store_vals[b][idx - off] = vals[p]
-                    elif cnt >= cap:
-                        bail = p
-                        break
-                    else:
-                        if idx < end:
-                            karr[idx + 1 : end + 1] = karr[idx:end]
-                        karr[idx] = k
-                        if idx == off:
-                            # New bucket minimum: rewrite stale padding
-                            # before the span (see ColumnarStorage.insert).
-                            q = off - 1
-                            while q >= 0 and karr[q] > k:
-                                karr[q] = k
-                                q -= 1
-                        store_vals[b].insert(idx - off, vals[p])
-                        counts[b] = cnt + 1
-                        pc[pi] += 1
-                        seg.total_keys += 1
-                        self._size += 1
-            else:
-                group = sk[i:j]
-                new_mask, seg_overflow = seg.insert_batch(group, vals[i:j])
-                self._size += int(new_mask.sum())
-                if seg_overflow:
-                    bail = i + seg_overflow[0]
+                b = cum[pi] + ((allocs[pi] * (lk & offmask)) >> shift)
+                if b > last_bucket:
+                    b = last_bucket
+                off = b * cap
+                cnt = counts[b]
+                end = off + cnt
+                idx = bisect_left(karr, k, off, end)
+                if idx < end and karr[idx] == k:
+                    store_vals[b][idx - off] = vals[p]
+                elif cnt >= cap:
+                    bail = p
+                    break
+                else:
+                    if idx < end:
+                        karr[idx + 1 : end + 1] = karr[idx:end]
+                    karr[idx] = k
+                    if idx == off:
+                        # New bucket minimum: rewrite stale padding
+                        # before the span (see ColumnarStorage.insert).
+                        q = off - 1
+                        while q >= 0 and karr[q] > k:
+                            karr[q] = k
+                            q -= 1
+                    store_vals[b].insert(idx - off, vals[p])
+                    counts[b] = cnt + 1
+                    pc[pi] += 1
+                    seg.total_keys += 1
+                    self._size += 1
             if bail < 0:
                 i = j
                 continue
-            # Full bucket: run Algorithm 1's restructure for the first
-            # spilled key via the scalar path, then re-resolve routing
-            # and continue the batch against the rewritten layout (the
-            # rest of the group now lands in buckets with slack instead
-            # of spilling one key at a time).  Keys the splice already
-            # applied that re-enter the loop degrade to in-place
-            # updates, so replaying the tail is idempotent.
+            # Full bucket: run Algorithm 1's restructure for this key via
+            # the scalar path -- every earlier key of the batch is in
+            # place and no later one is -- then re-resolve routing and
+            # resume with the next key against the rewritten layout.
             self.insert(key_list[bail], vals[bail])
             i = bail + 1
 

@@ -149,77 +149,6 @@ class Segment:
 
     # -- batch operations --------------------------------------------------
 
-    def insert_batch(
-        self, keys: np.ndarray, values: Sequence[Any]
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Batched insert-or-update of ascending unique full ``keys``.
-
-        One vectorised ``bucket_indices`` pass routes the whole group;
-        the storage applies it as per-bucket splices.  Returns
-        ``(new_mask, overflow)``:
-        ``new_mask[i]`` True where key ``i`` was newly inserted,
-        ``overflow`` the positions whose bucket is full -- those keys
-        are *not* applied and must go through the scalar
-        insert/restructure path.  Metadata (``total_keys``,
-        ``piece_counts``) is updated for the inserted keys only.
-        """
-        n = int(keys.size)
-        if n <= 8:
-            # Small group: a dispersed batch lands a handful of keys per
-            # segment, where numpy's fixed per-call cost (bucket_indices,
-            # masks, bincount) dwarfs the work.  Apply with the scalar
-            # C-bisect store path -- the batch layer's routing cache is
-            # already amortised by the caller.
-            return self._insert_small(keys, values)
-        lk = keys & np.uint64(self._mask)
-        bidx = self.remap.bucket_indices(lk)
-        new_mask, overflow = self.store.insert_batch_sorted(bidx, keys, values)
-        n_new = int(new_mask.sum())
-        if n_new:
-            self.total_keys += n_new
-            shift = np.uint64(self.remap.domain_bits - self.remap.piece_bits)
-            pc = np.bincount(
-                (lk[new_mask] >> shift).astype(np.int64),
-                minlength=self.remap.n_pieces,
-            )
-            self.piece_counts = (
-                np.asarray(self.piece_counts, dtype=np.int64) + pc
-            ).tolist()
-        return new_mask, overflow
-
-    def _insert_small(
-        self, keys: np.ndarray, values: Sequence[Any]
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Scalar-apply path for small batch groups (same contract as
-        :meth:`insert_batch`)."""
-        remap = self.remap
-        cum = remap._cum
-        allocs = remap.allocs
-        shift = remap._shift
-        offmask = (1 << shift) - 1
-        last_bucket = cum[-1] - 1
-        mask = self._mask
-        store = self.store
-        pc = self.piece_counts
-        n = int(keys.size)
-        new_mask = np.zeros(n, dtype=bool)
-        overflow: List[int] = []
-        for idx in range(n):
-            key = int(keys[idx])
-            lk = key & mask
-            i = lk >> shift
-            b = cum[i] + ((allocs[i] * (lk & offmask)) >> shift)
-            if b > last_bucket:
-                b = last_bucket
-            status = store.insert(b, key, values[idx])
-            if status == "inserted":
-                new_mask[idx] = True
-                pc[i] += 1
-                self.total_keys += 1
-            elif status == "full":
-                overflow.append(idx)
-        return new_mask, overflow
-
     def delete_batch(self, keys: np.ndarray) -> np.ndarray:
         """Batched delete of ascending unique full ``keys``; hit mask."""
         n = int(keys.size)

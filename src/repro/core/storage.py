@@ -280,148 +280,7 @@ class ColumnarStorage:
         self.counts[b] = cnt - 1
         return True
 
-    # -- batch splice plan (one searchsorted + one splice per bucket) ------
-
-    def insert_batch_sorted(
-        self, bidx: np.ndarray, keys: np.ndarray, values: Sequence[Any]
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Batched insert-or-update of ascending unique ``keys``.
-
-        The batch arrives pre-partitioned: ``bidx[i]`` is key ``i``'s
-        bucket (non-decreasing, since the remap is monotone).  Each
-        bucket's group is applied as one planned splice: a single
-        ``searchsorted`` against the live prefix classifies
-        update-vs-insert, existing values are patched in place, and the
-        new keys land with one merged scatter into the bucket's slot
-        span -- slack absorbs them, so no slot outside the span moves.
-        Keys beyond the remaining slack spill to ``overflow`` (the first
-        ``room`` smallest fit, exactly as a sequential insert loop
-        would) for the caller's restructure path.
-
-        Sentinel padding is repaired once for the whole touched bucket
-        span at the end, not per key; during the loop the column-wide
-        sorted invariant is intentionally suspended (each group only
-        probes its own bucket's live prefix, which stays sorted).
-
-        Returns ``(new_mask, overflow)``: ``new_mask[i]`` is True where
-        key ``i`` was newly inserted (count grew; False means updated in
-        place), and ``overflow`` lists the positions that did not fit.
-        """
-        n = int(keys.size)
-        new_mask = np.zeros(n, dtype=bool)
-        overflow: List[int] = []
-        if n == 0:
-            return new_mask, overflow
-        cap = self.capacity
-        karr = self._karr
-        keys_np = self.keys
-        counts = self.counts
-        if n > 1:
-            cuts = np.flatnonzero(bidx[1:] != bidx[:-1]) + 1
-            starts = np.concatenate(([0], cuts)).tolist()
-            ends = np.concatenate((cuts, [n])).tolist()
-        else:
-            starts, ends = [0], [1]
-        b_lo = b_hi = -1
-        for s, e in zip(starts, ends):
-            b = int(bidx[s])
-            off = b * cap
-            cnt = counts[b]
-            g = e - s
-            if g <= 16:
-                # Small group: the planned splice below makes ~15 NumPy
-                # calls and still builds the value list key by key, so
-                # up to 16 keys a C bisect + span shift per key is
-                # cheaper (the 1,024-key cell of ``bench_batch_ops`` at
-                # 3,000 keys: 0.75x -> 0.92x of the scalar loop, layout
-                # unchanged); padding is deferred to the sweep.
-                vlist = self.values[b]
-                grew = False
-                for i in range(s, e):
-                    k = int(keys[i])
-                    j = bisect_left(karr, k, off, off + cnt)
-                    if j < off + cnt and karr[j] == k:
-                        vlist[j - off] = values[i]
-                        continue
-                    if cnt >= cap:
-                        overflow.append(i)
-                        continue
-                    end = off + cnt
-                    if j < end:
-                        karr[j + 1 : end + 1] = karr[j:end]
-                    karr[j] = k
-                    vlist.insert(j - off, values[i])
-                    cnt += 1
-                    grew = True
-                    new_mask[i] = True
-                if grew:
-                    counts[b] = cnt
-                    if b_lo < 0:
-                        b_lo = b
-                    b_hi = b
-                continue
-            nk = keys[s:e]
-            if cnt == 0:
-                # Empty bucket (the common case while a batched build
-                # grows the index): the group IS the bucket content.
-                n_new = g if g <= cap else cap
-                if n_new < g:
-                    overflow.extend(range(s + n_new, e))
-                keys_np[off : off + n_new] = nk[:n_new]
-                self.values[b] = list(values[s : s + n_new])
-                counts[b] = n_new
-                new_mask[s : s + n_new] = True
-                if b_lo < 0:
-                    b_lo = b
-                b_hi = b
-                continue
-            ok = keys_np[off : off + cnt]
-            pos = ok.searchsorted(nk).astype(np.int64)
-            exists = (pos < cnt) & (ok[np.minimum(pos, cnt - 1)] == nk)
-            upd = np.flatnonzero(exists)
-            if upd.size:
-                vlist = self.values[b]
-                for i in upd.tolist():
-                    vlist[int(pos[i])] = values[s + i]
-            nz = np.flatnonzero(~exists)
-            room = cap - cnt
-            if nz.size > room:
-                # Ascending order: the first `room` new keys fit, the
-                # rest see a full bucket -- sequential-loop semantics.
-                overflow.extend((s + nz[room:]).tolist())
-                nz = nz[:room]
-            n_new = int(nz.size)
-            if n_new == 0:
-                continue
-            new_pos = pos[nz]
-            tgt = new_pos + np.arange(n_new, dtype=np.int64)
-            total = cnt + n_new
-            merged = np.empty(total, dtype=np.uint64)
-            scatter = np.ones(total, dtype=bool)
-            scatter[tgt] = False
-            merged[tgt] = nk[nz]
-            if cnt:
-                merged[scatter] = keys_np[off : off + cnt]
-            keys_np[off : off + total] = merged
-            old_vals = self.values[b]
-            nv: List[Any] = []
-            prev = 0
-            for i, p in zip(nz.tolist(), new_pos.tolist()):
-                if p > prev:
-                    nv.extend(old_vals[prev:p])
-                    prev = p
-                nv.append(values[s + i])
-            if prev < cnt:
-                nv.extend(old_vals[prev:])
-            self.values[b] = nv
-            counts[b] = total
-            new_mask[s + nz] = True
-            if b_lo < 0:
-                b_lo = b
-            b_hi = b
-        if b_lo >= 0:
-            self._repair_padding_span(b_lo, b_hi)
-        return new_mask, overflow
+    # -- batch delete (one searchsorted + one compaction per bucket) ------
 
     def delete_batch_sorted(
         self, bidx: np.ndarray, keys: np.ndarray
@@ -479,7 +338,7 @@ class ColumnarStorage:
 
         Rewrites every slack slot from the end of the last live prefix
         *before* bucket ``b_lo`` (stale padding there may duplicate a
-        key the splice displaced or deleted) through the end of bucket
+        key the batch deleted) through the end of bucket
         ``b_hi``'s span.  Walking buckets in reverse, each slack run is
         one constant fill with the next live key inside the span; the
         seed past ``b_hi`` is the *current value of the very next slot*

@@ -7,6 +7,10 @@ same key stream, the two must build byte-identical segments: the same
 key column (live keys *and* sentinel padding), value lists, counts and
 piece counts.  Restructures (splits, remaps, expansions) run in both,
 so the comparison covers the layouts they build as well.
+
+``insert_many`` runs the same splice once more, inside its per-segment
+group loop, and must build what a scalar ``insert`` loop over the
+sorted, deduplicated batch builds.
 """
 
 import random
@@ -114,3 +118,41 @@ def test_a_failed_remap_is_charged_to_remap_time():
         index.insert(k, k)
     assert index.stats.remap_failures == len(failed) > 0
     assert all(dt > 0 for dt in failed)
+
+
+def _insert_many_inputs(name):
+    """``(preloaded keys, [batch, ...])`` for the batch-equivalence test."""
+    if name == "RL-shifted":
+        # A durable store's setup: 56-bit keys, one call into an empty index.
+        keys = (datasets.generate("RL", 40_000, seed=0) >> 8).tolist()
+        return [], [keys]
+    if name == "MM-into-bulk":
+        keys = datasets.generate("MM", 40_000, seed=0).tolist()
+        half = keys[: len(keys) // 2]
+        rest = keys[len(keys) // 2 :]
+        return half, [rest[i : i + 1024] for i in range(0, len(rest), 1024)]
+    return [], list(_batches(7))
+
+
+@pytest.mark.parametrize("inputs", ["RL-shifted", "MM-into-bulk", "batches"])
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_insert_many_builds_what_the_sorted_scalar_loop_builds(config, inputs):
+    """``insert_many`` is a scalar ``insert`` loop over the sorted,
+    deduplicated batch: Algorithm 1 sees each full bucket with every
+    earlier key of the batch in place and no later one, so both build
+    the same segments byte for byte."""
+    cfg = DyTISConfig(**CONFIGS[config])
+    preload, batches = _insert_many_inputs(inputs)
+    batched, looped = DyTIS(cfg), DyTIS(cfg)
+    if preload:
+        batched.bulk_load(preload, preload)
+        looped.bulk_load(preload, preload)
+    for round_no, batch in enumerate(batches):
+        values = [(k, round_no) for k in batch]
+        batched.insert_many(batch, values)
+        last = dict(zip(batch, values))
+        for k in sorted(last):
+            looped.insert(k, last[k])
+        assert _state(batched) == _state(looped)
+        assert len(batched) == len(looped)
+    batched.check_invariants()

@@ -72,7 +72,7 @@ def test_lockstep_fuzz_10k_ops():
             if k not in shadow:
                 live.append(k)
             shadow[k] = v
-        elif r < 0.45:  # insert_many: splice planner
+        elif r < 0.45:  # insert_many: the batch splice loop
             batch = [
                 (random_key(), rng.randrange(1 << 30))
                 for _ in range(rng.randrange(1, 96))
@@ -205,14 +205,15 @@ def test_columnar_gapped_slack_after_fill_sorted():
 
 
 # ---------------------------------------------------------------------------
-# Splice planner property tests
+# Batch splice property tests
 # ---------------------------------------------------------------------------
 
 
 def test_splice_partition_covers_each_key_exactly_once(rng):
     """Every batch key is accounted for exactly once across segment
-    boundaries: inserted, updated in place, or spilled to overflow --
-    and the index afterwards holds exactly the shadow's content."""
+    boundaries: inserted, updated in place, or handed to the scalar
+    restructure path -- and the index afterwards holds exactly the
+    shadow's content."""
     ix = DyTIS(_config())
     seed = rng.sample(range(KEY_SPACE), 3000)
     ix.bulk_load(seed, seed)

@@ -19,4 +19,4 @@ def test_latency_profile(benchmark, bench_scale, record_table):
     assert by_ix["DyTIS"].modes >= 2
     # The histograms cover every sample.
     for r in rows:
-        assert r.histogram.n > 0
+        assert r.histogram.count > 0

@@ -37,7 +37,8 @@ write-generation bump, so a concurrent reader (server event loop,
 shard worker turn) never observes partial state.  Each rebuild emits a
 :class:`repro.obs.MaintenanceEvent` on the index's event bus and
 advances the all-integer :class:`MaintMetrics` counters, which merge
-by summation and ship in shard metric frames as ``maint_*`` series.
+by summation and ride a shard worker's metrics reply as ``maint_*``
+counters.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class MaintMetrics:
 
     ``*_total`` fields are monotone counters; the ``last_*`` fields are
     gauges describing the most recent :meth:`MaintenanceController.step`.
-    Integer-only so the counters travel verbatim in the shard metric
-    frame's named-counter section (see :mod:`repro.shard.metrics`).
+    Integer-only so a shard worker can report them verbatim among its
+    named ``maint_*`` counters (see :mod:`repro.shard.metrics`).
     """
 
     steps_total: int = 0

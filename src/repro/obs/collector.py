@@ -15,7 +15,6 @@ primary + shards on *read*, which is the rare operation.
 
 from __future__ import annotations
 
-import struct
 import threading
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
@@ -49,8 +48,8 @@ class ProbeCounters:
     maps to ``[gets, plr_misses, probe_depth_sum]``.  Span starts are
     stable identifiers for key regions (a rebuilt segment covering the
     same span accumulates into the same entry) and per-span merge is
-    element-wise addition, so scrapes from shard workers merge
-    commutatively exactly like the scalar counters.  The maintenance
+    element-wise addition, so the shards of a concurrent collector
+    merge on read exactly like the scalar counters.  The maintenance
     controller consumes these deltas to find degraded segments.
     """
 
@@ -72,8 +71,7 @@ class ProbeCounters:
     #: mean probe depth -- the degradation signal maintenance watches.
     probe_depth_sum: int = 0
     #: Per-segment attribution: span-start key -> [gets, misses,
-    #: depth_sum].  Excluded from the scalar wire fields; see the frame
-    #: layout in :meth:`to_bytes`.
+    #: depth_sum].
     segments: Dict[int, List[int]] = field(default_factory=dict)
 
     def note_get(self, span: int, depth: int, hit: bool) -> None:
@@ -109,61 +107,6 @@ class ProbeCounters:
                 cur[1] += ent[1]
                 cur[2] += ent[2]
         return self
-
-    #: Wire magic: "DyTIS Probe Counters".  Format v1 carried only the
-    #: scalar fields; the frame still leads with the scalar field count
-    #: so a build with a different counter set fails loudly, and now
-    #: appends the per-segment attribution section.
-    _WIRE_MAGIC = b"DPC1"
-
-    def to_bytes(self) -> bytes:
-        """Serialize as ``magic | u32 n_scalars | n x u64 | u32 n_spans
-        | n_spans x (u64 span, u64 gets, u64 misses, u64 depth_sum)``.
-
-        Spans are emitted in ascending order so serialization is
-        canonical: equal counters produce identical frames.
-        """
-        vals = [getattr(self, name) for name in _SCALAR_FIELDS]
-        parts = [
-            self._WIRE_MAGIC,
-            struct.pack(f"<I{len(vals)}Q", len(vals), *vals),
-            struct.pack("<I", len(self.segments)),
-        ]
-        for span in sorted(self.segments):
-            g, m, d = self.segments[span]
-            parts.append(struct.pack("<4Q", span, g, m, d))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ProbeCounters":
-        """Rebuild counters serialized by :meth:`to_bytes`."""
-        if data[:4] != cls._WIRE_MAGIC:
-            raise ValueError(f"bad probe-counter magic {data[:4]!r}")
-        names = _SCALAR_FIELDS
-        (n,) = struct.unpack_from("<I", data, 4)
-        if n != len(names):
-            raise ValueError(
-                f"probe-counter field count {n} != expected {len(names)}"
-            )
-        off = 8 + 8 * n
-        if len(data) < off + 4:
-            raise ValueError("probe-counter frame truncated")
-        vals = struct.unpack_from(f"<{n}Q", data, 8)
-        (n_spans,) = struct.unpack_from("<I", data, off)
-        off += 4
-        expected = off + 32 * n_spans
-        if len(data) != expected:
-            raise ValueError(
-                f"probe-counter frame length {len(data)} != {expected}"
-            )
-        segments: Dict[int, List[int]] = {}
-        for _ in range(n_spans):
-            span, g, m, d = struct.unpack_from("<4Q", data, off)
-            off += 32
-            segments[span] = [g, m, d]
-        out = cls(**dict(zip(names, vals)))
-        out.segments = segments
-        return out
 
     def to_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {
@@ -202,7 +145,7 @@ class ProbeCounters:
         return out
 
 
-#: Scalar (wire) fields of ProbeCounters, in declaration order.
+#: Scalar fields of ProbeCounters, in declaration order.
 _SCALAR_FIELDS = tuple(
     f.name for f in fields(ProbeCounters) if f.name != "segments"
 )

@@ -7,7 +7,10 @@ serve :func:`snapshot_to_prometheus` directly.
 
 The Prometheus rendering follows the text exposition format v0.0.4:
 histograms as cumulative ``_bucket{le="..."}`` series plus ``_sum`` and
-``_count``, counters as ``_total``.  :func:`parse_prometheus` is a
+``_count``, counters as ``_total``.  Every family of every page (this
+module's, ``ServerMetrics.to_prometheus``, ``shards_to_prometheus``)
+is written by :func:`family`, which owns the HELP/TYPE header, label
+escaping and the counter/gauge rule.  :func:`parse_prometheus` is a
 minimal reader of that same format used by the CI smoke check (and any
 test) to assert a snapshot round-trips.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
 
@@ -25,7 +28,7 @@ def _escape(value: str) -> str:
     return "".join(_ESCAPES.get(c, c) for c in value)
 
 
-def _labels(**labels: str) -> str:
+def _labels(labels: Dict[str, object]) -> str:
     if not labels:
         return ""
     inner = ",".join(
@@ -34,104 +37,117 @@ def _labels(**labels: str) -> str:
     return "{" + inner + "}"
 
 
-def snapshot_to_prometheus(snapshot: Dict, prefix: str = "dytis") -> str:
-    """Render a snapshot dict in the Prometheus text format."""
-    lines = []
+def family(
+    name: str,
+    help_text: str,
+    samples: Iterable[Tuple[str, Dict[str, object], object]],
+    kind: Optional[str] = None,
+) -> str:
+    """One metric family as Prometheus text: HELP, TYPE, its samples.
 
-    # Per-operation latency histograms.
-    name = f"{prefix}_op_latency_ns"
-    lines.append(f"# HELP {name} Per-operation latency in nanoseconds.")
-    lines.append(f"# TYPE {name} histogram")
-    for op, h in snapshot.get("latency", {}).items():
+    Each sample is ``(suffix, labels, value)``; the suffix extends the
+    name (``_bucket``/``_sum``/``_count`` in a histogram, else ``""``).
+    The type is ``kind`` when given (histograms), else the naming
+    rule: a ``*_total`` name is a counter, any other a gauge.  A family
+    without samples declares nothing and renders as ``""``.
+    """
+    body = "".join(
+        f"{name}{suffix}{_labels(labels)} {value}\n"
+        for suffix, labels, value in samples
+    )
+    if not body:
+        return ""
+    if kind is None:
+        kind = "counter" if name.endswith("_total") else "gauge"
+    return f"# HELP {name} {help_text}\n# TYPE {name} {kind}\n{body}"
+
+
+def labelled(label: str, items: Iterable[Tuple[object, object]]) -> list:
+    """Samples of a family with one label: ``{label=key} value``."""
+    return [("", {label: key}, value) for key, value in items]
+
+
+def _histogram_samples(latency: Dict[str, Dict]):
+    for op, h in latency.items():
         cumulative = 0
-        for low, high, count in h.get("buckets", []):
+        for _low, high, count in h.get("buckets", []):
             cumulative += count
-            lines.append(
-                f"{name}_bucket{_labels(op=op, le=high)} {cumulative}"
-            )
-        lines.append(f'{name}_bucket{_labels(op=op, le="+Inf")} {h["count"]}')
-        lines.append(f"{name}_sum{_labels(op=op)} {h['sum_ns']}")
-        lines.append(f"{name}_count{_labels(op=op)} {h['count']}")
-    # Percentile gauges (pre-computed; Prometheus histograms quantile
-    # server-side, but the bench harness wants them greppable).
-    qname = f"{prefix}_op_latency_quantile_ns"
-    lines.append(f"# HELP {qname} Pre-computed latency percentiles (ns).")
-    lines.append(f"# TYPE {qname} gauge")
-    for op, h in snapshot.get("latency", {}).items():
-        for q, key in (("0.5", "p50_ns"), ("0.95", "p95_ns"), ("0.99", "p99_ns")):
-            lines.append(f"{qname}{_labels(op=op, quantile=q)} {h[key]}")
-        lines.append(f"{qname}{_labels(op=op, quantile='1.0')} {h['max_ns']}")
+            yield "_bucket", {"op": op, "le": high}, cumulative
+        yield "_bucket", {"op": op, "le": "+Inf"}, h["count"]
+        yield "_sum", {"op": op}, h["sum_ns"]
+        yield "_count", {"op": op}, h["count"]
 
-    # Structural events.
+
+#: Pre-computed percentile gauges: (quantile label, snapshot key).
+_QUANTILES = (
+    ("0.5", "p50_ns"),
+    ("0.95", "p95_ns"),
+    ("0.99", "p99_ns"),
+    ("1.0", "max_ns"),
+)
+
+#: Structural-event families: (events key, name suffix, help).
+_EVENT_FAMILIES = (
+    ("counts", "events_total", "Structure operations by kind."),
+    ("keys_moved", "keys_moved_total", "Keys copied by structure operations."),
+    (
+        "duration_ns",
+        "duration_ns_total",
+        "Time spent in structure operations (ns).",
+    ),
+)
+
+#: Blocks of flat counters, one unlabelled family per key (see
+#: repro.wal.metrics, repro.remote.metrics, repro.core.maintenance).
+_FLAT_BLOCKS = (
+    ("wal", "Write-ahead log"),
+    ("remote", "Remote shipping"),
+    ("maint", "Online maintenance"),
+)
+
+
+def snapshot_to_prometheus(snapshot: Dict, prefix: str = "dytis") -> str:
+    """Render a snapshot dict in the Prometheus text format.
+
+    Any block may be absent; the page holds only the families the
+    snapshot has samples for.
+    """
+    latency = snapshot.get("latency", {})
+    page = [
+        family(
+            f"{prefix}_op_latency_ns",
+            "Per-operation latency in nanoseconds.",
+            _histogram_samples(latency),
+            kind="histogram",
+        ),
+        # Pre-computed percentiles: Prometheus histograms quantile
+        # server-side, but the bench harness wants them greppable.
+        family(
+            f"{prefix}_op_latency_quantile_ns",
+            "Pre-computed latency percentiles (ns).",
+            [
+                ("", {"op": op, "quantile": q}, h[key])
+                for op, h in latency.items()
+                for q, key in _QUANTILES
+            ],
+        ),
+    ]
     events = snapshot.get("events", {})
-    ename = f"{prefix}_structural_events_total"
-    lines.append(f"# HELP {ename} Structure operations by kind.")
-    lines.append(f"# TYPE {ename} counter")
-    for kind, n in events.get("counts", {}).items():
-        lines.append(f"{ename}{_labels(kind=kind)} {n}")
-    kname = f"{prefix}_structural_keys_moved_total"
-    lines.append(f"# HELP {kname} Keys copied by structure operations.")
-    lines.append(f"# TYPE {kname} counter")
-    for kind, n in events.get("keys_moved", {}).items():
-        lines.append(f"{kname}{_labels(kind=kind)} {n}")
-    dname = f"{prefix}_structural_duration_ns_total"
-    lines.append(f"# HELP {dname} Time spent in structure operations (ns).")
-    lines.append(f"# TYPE {dname} counter")
-    for kind, n in events.get("duration_ns", {}).items():
-        lines.append(f"{dname}{_labels(kind=kind)} {n}")
-
-    # Probe-depth counters.
-    pname = f"{prefix}_probe"
-    lines.append(f"# HELP {pname} Probe-depth counters and ratios.")
-    lines.append(f"# TYPE {pname} gauge")
-    for key, value in snapshot.get("probes", {}).items():
-        lines.append(f"{pname}{_labels(counter=key)} {value}")
-
-    # WAL durability counters (snapshot["wal"] is a WalMetrics dict;
-    # see repro.wal.metrics).  Each key becomes its own wal_* series:
-    # *_total keys render as counters, the rest as gauges.
-    for key, value in snapshot.get("wal", {}).items():
-        wname = f"{prefix}_wal_{key}"
-        kind = "counter" if key.endswith("_total") else "gauge"
-        lines.append(f"# HELP {wname} Write-ahead log: {key.replace('_', ' ')}.")
-        lines.append(f"# TYPE {wname} {kind}")
-        lines.append(f"{wname} {value}")
-
-    # Remote shipping counters (snapshot["remote"] is a RemoteMetrics
-    # dict; see repro.remote.metrics).  Same convention as the wal
-    # block: *_total keys are counters, the rest gauges.
-    for key, value in snapshot.get("remote", {}).items():
-        rname = f"{prefix}_remote_{key}"
-        kind = "counter" if key.endswith("_total") else "gauge"
-        lines.append(
-            f"# HELP {rname} Remote shipping: {key.replace('_', ' ')}."
-        )
-        lines.append(f"# TYPE {rname} {kind}")
-        lines.append(f"{rname} {value}")
-
-    # Maintenance-controller counters (snapshot["maint"] is a
-    # MaintMetrics dict; see repro.core.maintenance).  Same convention:
-    # *_total keys render as counters, the rest as gauges.
-    for key, value in snapshot.get("maint", {}).items():
-        mname = f"{prefix}_maint_{key}"
-        kind = "counter" if key.endswith("_total") else "gauge"
-        lines.append(
-            f"# HELP {mname} Online maintenance: {key.replace('_', ' ')}."
-        )
-        lines.append(f"# TYPE {mname} {kind}")
-        lines.append(f"{mname} {value}")
-
-    # OperationStats reconciliation block.
-    sname = f"{prefix}_op_stats"
-    if "op_stats" in snapshot:
-        lines.append(
-            f"# HELP {sname} OperationStats counters (reconciliation)."
-        )
-        lines.append(f"# TYPE {sname} gauge")
-        for key, value in snapshot["op_stats"].items():
-            lines.append(f"{sname}{_labels(counter=key)} {value}")
-
-    return "\n".join(lines) + "\n"
+    for key, name, help_text in _EVENT_FAMILIES:
+        samples = labelled("kind", events.get(key, {}).items())
+        page.append(family(f"{prefix}_structural_{name}", help_text, samples))
+    samples = labelled("counter", snapshot.get("probes", {}).items())
+    help_text = "Probe-depth counters and ratios."
+    page.append(family(f"{prefix}_probe", help_text, samples))
+    for block, what in _FLAT_BLOCKS:
+        for key, value in snapshot.get(block, {}).items():
+            help_text = f"{what}: {key.replace('_', ' ')}."
+            name = f"{prefix}_{block}_{key}"
+            page.append(family(name, help_text, [("", {}, value)]))
+    samples = labelled("counter", snapshot.get("op_stats", {}).items())
+    help_text = "OperationStats counters (reconciliation)."
+    page.append(family(f"{prefix}_op_stats", help_text, samples))
+    return "".join(page)
 
 
 def snapshot_to_json(snapshot: Dict, indent: int = 2) -> str:
@@ -225,10 +241,3 @@ def _unescape(value: str) -> str:
         value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
     )
 
-
-def get_sample(
-    samples: Dict[Sample, float], name: str, **labels: str
-) -> float:
-    """Convenience lookup into :func:`parse_prometheus` output."""
-    key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
-    return samples[key]

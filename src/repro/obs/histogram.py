@@ -24,7 +24,6 @@ cross-run aggregation both need.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -237,80 +236,6 @@ class LatencyHistogram:
         out = cls()
         for h in histograms:
             out.merge_from(h)
-        return out
-
-    # -- wire serialization ----------------------------------------------
-
-    #: Wire magic: "DyTIS Latency Histogram", format version 1.
-    _WIRE_MAGIC = b"DLH1"
-    _WIRE_HEADER = struct.Struct("<4sBQQQQI")
-    _WIRE_ENTRY = struct.Struct("<IQ")
-
-    def to_bytes(self) -> bytes:
-        """Serialize to a compact self-describing frame (no pickle).
-
-        Layout: magic ``DLH1`` | u8 SUB_BITS | u64 count, sum, min (raw
-        sentinel when empty), max | u32 n_nonzero | n_nonzero x
-        (u32 bucket index, u64 bucket count).  Sparse on purpose: a
-        short-lived shard touches a handful of buckets out of ~300.
-        """
-        self._flush()
-        entries = [
-            (i, c) for i, c in enumerate(self._counts) if c
-        ]
-        parts = [
-            self._WIRE_HEADER.pack(
-                self._WIRE_MAGIC,
-                SUB_BITS,
-                self._count,
-                self._sum_ns,
-                self._min_ns,
-                self._max_ns,
-                len(entries),
-            )
-        ]
-        parts.extend(self._WIRE_ENTRY.pack(i, c) for i, c in entries)
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "LatencyHistogram":
-        """Rebuild a histogram serialized by :meth:`to_bytes` (exact)."""
-        header = cls._WIRE_HEADER
-        if len(data) < header.size:
-            raise ValueError("histogram frame truncated")
-        magic, sub_bits, count, sum_ns, min_ns, max_ns, n_entries = (
-            header.unpack_from(data, 0)
-        )
-        if magic != cls._WIRE_MAGIC:
-            raise ValueError(f"bad histogram magic {magic!r}")
-        if sub_bits != SUB_BITS:
-            raise ValueError(
-                f"histogram SUB_BITS mismatch: frame={sub_bits}, "
-                f"local={SUB_BITS}"
-            )
-        entry = cls._WIRE_ENTRY
-        expected = header.size + n_entries * entry.size
-        if len(data) != expected:
-            raise ValueError(
-                f"histogram frame length {len(data)} != expected {expected}"
-            )
-        out = cls()
-        counts = out._counts
-        total = 0
-        for k in range(n_entries):
-            idx, c = entry.unpack_from(data, header.size + k * entry.size)
-            if idx >= _N_BUCKETS:
-                raise ValueError(f"bucket index {idx} out of range")
-            counts[idx] += c
-            total += c
-        if total != count:
-            raise ValueError(
-                f"histogram bucket total {total} != recorded count {count}"
-            )
-        out._count = count
-        out._sum_ns = sum_ns
-        out._min_ns = min_ns
-        out._max_ns = max_ns
         return out
 
     # -- queries ---------------------------------------------------------

@@ -4,9 +4,10 @@ One :class:`RemoteMetrics` travels with one
 :class:`~repro.remote.uploader.Uploader` (and is shared with the
 attach path when a store recovers from remote).  The dict form plugs
 into :func:`repro.obs.exposition.snapshot_to_prometheus` as the
-``"remote"`` block, rendering ``<prefix>_remote_*`` series on the same
-page as the WAL counters -- ``*_total`` keys as counters, the rest as
-gauges (keep that convention when adding fields).
+``"remote"`` block: one ``<prefix>_remote_<field>`` family per field on
+the WAL counters' page, typed by :func:`repro.obs.exposition.family`'s
+rule (``*_total`` a counter, the rest gauges).  A shard worker reports
+them as ``remote_*`` counters in its metrics reply.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ server.IndexServer`.  Latency histograms reuse :class:`repro.obs.
 LatencyHistogram` (the same mergeable log-linear histogram the index
 layer records into), so server-side and index-side latencies are
 directly comparable; exposition reuses :func:`repro.obs.
-snapshot_to_prometheus` for the histogram block and appends the
-server-specific counter/gauge series, all scrapeable from the admin
-endpoint as one page.
+snapshot_to_prometheus` for the histogram block and writes the
+server-specific series with the same :func:`repro.obs.exposition.
+family`, all scrapeable from the admin endpoint as one page.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from typing import Dict
 
-from repro.obs.exposition import snapshot_to_prometheus
+from repro.obs.exposition import family, labelled, snapshot_to_prometheus
 from repro.obs.histogram import LatencyHistogram
 
 from repro.server import frame
@@ -27,10 +27,26 @@ SERVER_OPS = tuple(frame.OP_NAMES.values())
 #: Ops the coalescer groups into batch calls.
 COALESCED_OPS = ("get", "insert")
 
-
-def _labels(**labels) -> str:
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-    return "{" + inner + "}" if inner else ""
+#: The page's series after the latency block: (snapshot key, label of
+#: a per-op/per-code series or None for a single sample, help text).
+_SERIES = (
+    ("requests_total", "op", "Requests received, by opcode."),
+    ("errors_total", "code", "Error replies sent, by code."),
+    ("connections_open", None, "Currently open client connections."),
+    ("connections_total", None, "Client connections ever accepted."),
+    (
+        "forwarded_reads_total",
+        None,
+        "GETs answered from a write pending in the same epoch.",
+    ),
+    ("batches_total", "op", "Coalesced batch calls issued."),
+    (
+        "batched_requests_total",
+        "op",
+        "Requests served through coalesced batches.",
+    ),
+    ("batch_size_max", "op", "Largest coalesced batch."),
+)
 
 
 class ServerMetrics:
@@ -111,50 +127,12 @@ class ServerMetrics:
     def to_prometheus(self, prefix: str = "dytis_server") -> str:
         """Prometheus text page: histogram block + server series."""
         snap = self.snapshot()
-        lines = [
-            snapshot_to_prometheus({"latency": snap["latency"]}, prefix)
-            .rstrip("\n")
-        ]
-
-        name = f"{prefix}_requests_total"
-        lines.append(f"# HELP {name} Requests received, by opcode.")
-        lines.append(f"# TYPE {name} counter")
-        for op, n in sorted(snap["requests_total"].items()):
-            lines.append(f"{name}{_labels(op=op)} {n}")
-
-        name = f"{prefix}_errors_total"
-        lines.append(f"# HELP {name} Error replies sent, by code.")
-        lines.append(f"# TYPE {name} counter")
-        for code, n in sorted(snap["errors_total"].items()):
-            lines.append(f"{name}{_labels(code=code)} {n}")
-
-        for gauge, help_text in (
-            ("connections_open", "Currently open client connections."),
-            ("connections_total", "Client connections ever accepted."),
-            (
-                "forwarded_reads_total",
-                "GETs answered from a write pending in the same epoch.",
-            ),
-        ):
-            name = f"{prefix}_{gauge}"
-            kind = "counter" if gauge.endswith("_total") else "gauge"
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name} {snap[gauge]}")
-
-        for series, help_text, kind in (
-            ("batches_total", "Coalesced batch calls issued.", "counter"),
-            (
-                "batched_requests_total",
-                "Requests served through coalesced batches.",
-                "counter",
-            ),
-            ("batch_size_max", "Largest coalesced batch.", "gauge"),
-        ):
-            name = f"{prefix}_{series}"
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            for op, n in sorted(snap[series].items()):
-                lines.append(f"{name}{_labels(op=op)} {n}")
-
-        return "\n".join(lines) + "\n"
+        page = [snapshot_to_prometheus({"latency": snap["latency"]}, prefix)]
+        for key, label, help_text in _SERIES:
+            value = snap[key]
+            if label is None:
+                samples = [("", {}, value)]
+            else:
+                samples = labelled(label, sorted(value.items()))
+            page.append(family(f"{prefix}_{key}", help_text, samples))
+        return "".join(page)

@@ -55,6 +55,7 @@ from time import perf_counter_ns as _now
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.kvstore import KVStore
+from repro.obs.exposition import snapshot_to_prometheus
 from repro.server import frame
 from repro.server.metrics import ServerMetrics
 
@@ -748,18 +749,9 @@ class IndexServer:
                 # least one step on an in-process index (the sharded
                 # fleet ships its own maint_* series per shard above).
                 if self._maintainer is not None:
-                    for key, value in (
-                        self._maintainer.metrics.to_dict().items()
-                    ):
-                        mname = f"dytis_maint_{key}"
-                        kind = (
-                            "counter" if key.endswith("_total") else "gauge"
-                        )
-                        text += (
-                            f"# HELP {mname} Online maintenance: "
-                            f"{key.replace('_', ' ')}.\n"
-                            f"# TYPE {mname} {kind}\n{mname} {value}\n"
-                        )
+                    text += snapshot_to_prometheus(
+                        {"maint": self._maintainer.metrics.to_dict()}
+                    )
                 body = text.encode("utf-8")
             elif path.startswith("/healthz"):
                 status, ctype = "200 OK", "text/plain"

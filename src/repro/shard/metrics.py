@@ -1,20 +1,11 @@
 """Cross-process metrics plumbing for the sharded front-end.
 
 Each shard worker owns a private :class:`repro.obs.Observability`; the
-router scrapes it over the control channel.  The wire format is built
-entirely from the obs layer's own ``to_bytes`` frames (histograms and
-probe counters) plus named u64 counters -- no pickle, so a scrape from
-a newer router against an older worker fails loudly on a magic or
-field-count mismatch instead of deserializing garbage.
-
-Frame layout (little-endian)::
-
-    magic 'DSM1'
-    u32 n_histograms, then per histogram:
-        u8 op-name length | op name utf-8 | u32 blob length | DLH1 blob
-    u32 probes blob length | DPC1 blob
-    u32 n_counters, then per counter:
-        u8 name length | name utf-8 | u64 value
+router scrapes it over the control channel.  The worker's ``"metrics"``
+reply is a :class:`WorkerMetrics`, pickled like every other message on
+the pipe (``repro.shard.worker.dumps``): its histograms are the merged,
+flushed copies :meth:`~repro.obs.Observability.histogram` returns, so
+no pending raw samples ride along.
 
 On scrape the router renders one Prometheus page: per-shard series
 (``..._ops_total{shard="2",op="get"}``) for capacity balance, plus the
@@ -24,145 +15,64 @@ dashboards built against a single-process index keep working.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.obs.collector import OP_KINDS, Observability, ProbeCounters
-from repro.obs.exposition import snapshot_to_prometheus
+from repro.obs.exposition import family, snapshot_to_prometheus
 from repro.obs.histogram import LatencyHistogram
-
-_MAGIC = b"DSM1"
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 
 @dataclass
 class WorkerMetrics:
-    """One worker's scraped metrics, decoded."""
+    """One worker's latency histograms and named counters."""
 
     latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
-    probes: ProbeCounters = field(default_factory=ProbeCounters)
     counters: Dict[str, int] = field(default_factory=dict)
-
-    def merge_from(self, other: "WorkerMetrics") -> "WorkerMetrics":
-        for op, hist in other.latency.items():
-            self.latency.setdefault(op, LatencyHistogram()).merge_from(hist)
-        self.probes.merge_from(other.probes)
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        return self
-
-
-def dump_worker_metrics(
-    obs: Observability, counters: Dict[str, int]
-) -> bytes:
-    """Serialize one worker's collector + named counters to a frame."""
-    parts: List[bytes] = [_MAGIC, _U32.pack(len(OP_KINDS))]
-    for op in OP_KINDS:
-        blob = obs.histogram(op).to_bytes()
-        name = op.encode("utf-8")
-        parts.append(bytes((len(name),)) + name + _U32.pack(len(blob)) + blob)
-    probes = obs.probe_totals().to_bytes()
-    parts.append(_U32.pack(len(probes)) + probes)
-    parts.append(_U32.pack(len(counters)))
-    for cname, value in sorted(counters.items()):
-        raw = cname.encode("utf-8")
-        parts.append(bytes((len(raw),)) + raw + _U64.pack(value))
-    return b"".join(parts)
-
-
-def load_worker_metrics(data: bytes) -> WorkerMetrics:
-    """Decode a frame produced by :func:`dump_worker_metrics`."""
-    if data[:4] != _MAGIC:
-        raise ValueError(f"bad worker-metrics magic {data[:4]!r}")
-    off = 4
-    (n_hist,) = _U32.unpack_from(data, off)
-    off += 4
-    out = WorkerMetrics()
-    for _ in range(n_hist):
-        nlen = data[off]
-        off += 1
-        op = data[off : off + nlen].decode("utf-8")
-        off += nlen
-        (blen,) = _U32.unpack_from(data, off)
-        off += 4
-        out.latency[op] = LatencyHistogram.from_bytes(data[off : off + blen])
-        off += blen
-    (plen,) = _U32.unpack_from(data, off)
-    off += 4
-    out.probes = ProbeCounters.from_bytes(data[off : off + plen])
-    off += plen
-    (n_counters,) = _U32.unpack_from(data, off)
-    off += 4
-    for _ in range(n_counters):
-        nlen = data[off]
-        off += 1
-        cname = data[off : off + nlen].decode("utf-8")
-        off += nlen
-        (value,) = _U64.unpack_from(data, off)
-        off += 8
-        out.counters[cname] = value
-    if off != len(data):
-        raise ValueError(
-            f"worker-metrics frame has {len(data) - off} trailing bytes"
-        )
-    return out
-
-
-def _labels(**labels) -> str:
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-    return "{" + inner + "}" if inner else ""
 
 
 def shards_to_prometheus(
     per_shard: Sequence[WorkerMetrics], prefix: str = "dytis_shard"
 ) -> str:
     """Prometheus page: per-shard balance series + merged histograms."""
-    lines: List[str] = []
-
-    name = f"{prefix}_ops_total"
-    lines.append(f"# HELP {name} Operations served, by shard and op kind.")
-    lines.append(f"# TYPE {name} counter")
-    for sid, wm in enumerate(per_shard):
-        for op in sorted(wm.latency):
-            lines.append(
-                f"{name}{_labels(shard=sid, op=op)} {wm.latency[op].count}"
-            )
-
-    name = f"{prefix}_keys"
-    lines.append(f"# HELP {name} Live keys held, by shard.")
-    lines.append(f"# TYPE {name} gauge")
-    for sid, wm in enumerate(per_shard):
-        lines.append(f"{name}{_labels(shard=sid)} {wm.counters.get('size', 0)}")
-
+    shards = list(enumerate(per_shard))
+    page = [
+        family(
+            f"{prefix}_ops_total",
+            "Operations served, by shard and op kind.",
+            [
+                ("", {"shard": sid, "op": op}, wm.latency[op].count)
+                for sid, wm in shards
+                for op in sorted(wm.latency)
+            ],
+        ),
+        family(
+            f"{prefix}_keys",
+            "Live keys held, by shard.",
+            [("", {"shard": s}, wm.counters.get("size", 0)) for s, wm in shards],
+        ),
+    ]
     # Maintenance counters (workers that ran a maintenance step attach
     # them as ``maint_*`` named counters; see repro.core.maintenance).
     maint_names = sorted(
-        {
-            cname
-            for wm in per_shard
-            for cname in wm.counters
-            if cname.startswith("maint_")
-        }
+        {c for _, wm in shards for c in wm.counters if c.startswith("maint_")}
     )
     for cname in maint_names:
-        name = f"{prefix}_{cname}"
-        kind = "counter" if cname.endswith("_total") else "gauge"
-        lines.append(
-            f"# HELP {name} Online maintenance: "
-            f"{cname[len('maint_'):].replace('_', ' ')}, by shard."
+        page.append(
+            family(
+                f"{prefix}_{cname}",
+                f"Online maintenance: "
+                f"{cname[len('maint_'):].replace('_', ' ')}, by shard.",
+                [
+                    ("", {"shard": sid}, wm.counters[cname])
+                    for sid, wm in shards
+                    if cname in wm.counters
+                ],
+            )
         )
-        lines.append(f"# TYPE {name} {kind}")
-        for sid, wm in enumerate(per_shard):
-            if cname in wm.counters:
-                lines.append(
-                    f"{name}{_labels(shard=sid)} {wm.counters[cname]}"
-                )
-
-    merged = WorkerMetrics()
+    merged: Dict[str, LatencyHistogram] = {}
     for wm in per_shard:
-        merged.merge_from(wm)
-    snap = {"latency": {op: h.to_dict() for op, h in merged.latency.items()}}
-    lines.append(snapshot_to_prometheus(snap, prefix).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+        for op, hist in wm.latency.items():
+            merged.setdefault(op, LatencyHistogram()).merge_from(hist)
+    snap = {"latency": {op: h.to_dict() for op, h in merged.items()}}
+    page.append(snapshot_to_prometheus(snap, prefix))
+    return "".join(page)

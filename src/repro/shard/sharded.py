@@ -517,13 +517,10 @@ class ShardedIndex:
         return total
 
     def shard_metrics(self) -> List[shard_metrics.WorkerMetrics]:
-        """Scrape and decode every worker's metrics frame."""
-        return [
-            shard_metrics.load_worker_metrics(blob)
-            for blob in self._scatter(
-                [(s, "metrics", ()) for s in range(self.n_shards)]
-            )
-        ]
+        """Scrape every worker's metrics."""
+        return self._scatter(
+            [(s, "metrics", ()) for s in range(self.n_shards)]
+        )
 
     def metrics_to_prometheus(self, prefix: str = "dytis_shard") -> str:
         """Per-shard + merged Prometheus page (see shard.metrics)."""

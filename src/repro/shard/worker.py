@@ -13,7 +13,8 @@ Both ends frame every message with :func:`dumps` + ``send_bytes`` and
 :func:`recv_msg`: plain ``pickle``, not the ``ForkingPickler`` of
 ``Connection.send``, which copies its reducer table for every message
 to serve objects (sockets, connections) that never cross this channel:
-messages hold ints, values and bytes (ARCHITECTURE §14).
+messages hold ints, values and bytes, and the ``"metrics"`` reply a
+plain :class:`~repro.shard.metrics.WorkerMetrics` (ARCHITECTURE §14).
 
 The loop is deliberately synchronous and single-index: *processes* are
 the concurrency mechanism here (that is the whole point of the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.core import DyTIS, DyTISConfig
-from repro.obs import Observability
+from repro.obs import OP_KINDS, Observability
 from repro.shard import metrics as shard_metrics
 
 
@@ -95,7 +96,7 @@ def worker_main(conn, spec: ShardSpec) -> None:
         the request loop -- the worker is the index's single writer, so
         the swap is atomic with respect to every other op by
         construction.  Returns a picklable summary; the full counters
-        travel in the metrics frame as ``maint_*`` series.
+        travel in the metrics reply as ``maint_*`` counters.
         """
         nonlocal maintainer
         if maintainer is None:
@@ -112,7 +113,7 @@ def worker_main(conn, spec: ShardSpec) -> None:
             "degraded": maintainer.metrics.last_degraded,
         }
 
-    def _metrics() -> bytes:
+    def _metrics() -> shard_metrics.WorkerMetrics:
         obs = getattr(index, "obs", None) or getattr(
             getattr(index, "index", None), "obs", None
         )
@@ -129,7 +130,10 @@ def worker_main(conn, spec: ShardSpec) -> None:
                 counters[f"maint_{key}"] = value
         if obs is None:
             obs = Observability()
-        return shard_metrics.dump_worker_metrics(obs, counters)
+        # obs.histogram() returns a merged, flushed copy: the pickled
+        # reply carries buckets, never the pending raw samples.
+        latency = {op: obs.histogram(op) for op in OP_KINDS}
+        return shard_metrics.WorkerMetrics(latency, counters)
 
     def _read_write_many(read_keys, keys, values):
         """A shard's slice of an epoch: the reads (pre-write state),

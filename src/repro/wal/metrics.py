@@ -3,12 +3,10 @@
 One :class:`WalMetrics` travels with one :class:`~repro.wal.log.
 WriteAheadLog` (and is shared with the wrapping ``DurableKVStore``).
 The counters feed the observability exposition: a snapshot carrying a
-``"wal"`` block renders as ``<prefix>_wal_*`` Prometheus series (see
-:func:`repro.obs.exposition.snapshot_to_prometheus`), which the CI
-crash-recovery job parses back to assert the series exist.
-
-Keys ending in ``_total`` are rendered as Prometheus counters, the
-rest as gauges -- keep that convention when adding fields.
+``"wal"`` block renders one ``<prefix>_wal_<field>`` family per field
+through :func:`repro.obs.exposition.family`, which types a ``*_total``
+field as a counter and any other as a gauge -- name new fields by that
+rule.  The CI metrics smoke parses the series back.
 """
 
 from __future__ import annotations

@@ -1,19 +1,21 @@
-"""Round-trip + merge-commutativity properties of the obs wire frames.
+"""Round-trip + merge-commutativity properties of the obs collectors.
 
-The sharded front-end ships histograms and probe counters between
-processes as self-describing byte frames (no pickle).  The contract
-these tests pin down: a round trip is lossless (every flushed field,
-every bucket), and merging is commutative across round trips --
+A shard worker's metrics reply travels to the router pickled, like
+every other message on the pipe (``repro.shard.worker.dumps``).  The
+contract these tests pin down: a round trip is lossless (every flushed
+field, every bucket), and merging is commutative across round trips --
 ``merge(a, b) == merge(b, a)`` whether the operands traveled through
-bytes or not, which is what makes a metrics scrape independent of the
-order workers reply in.
+the pipe's pickle or not, which is what makes a metrics scrape
+independent of the order workers reply in.
 """
 
-import pytest
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import LatencyHistogram, ProbeCounters
+from repro.obs import LatencyHistogram, Observability, ProbeCounters
+from repro.shard.worker import dumps
 
 samples = st.lists(
     st.integers(min_value=0, max_value=2**44), min_size=0, max_size=200
@@ -30,25 +32,26 @@ def _state(h: LatencyHistogram):
     return (h.counts[:], h.count, h.sum_ns, h.min_ns, h.max_ns)
 
 
+def _sent(obj):
+    """``obj`` after one trip through the worker pipe's pickle."""
+    return pickle.loads(dumps(obj))
+
+
 @given(samples)
 @settings(max_examples=60, deadline=None)
 def test_histogram_round_trip_is_lossless(values):
     h = _hist(values)
-    back = LatencyHistogram.from_bytes(h.to_bytes())
+    back = _sent(h)
     assert _state(back) == _state(h)
-    # Round trip again: serialization is stable.
-    assert back.to_bytes() == h.to_bytes()
+    # Round trip again: serialization of the flushed state is stable.
+    assert dumps(back) == dumps(h)
 
 
 @given(samples, samples)
 @settings(max_examples=60, deadline=None)
 def test_histogram_merge_commutes_after_round_trip(va, vb):
-    ab = LatencyHistogram.from_bytes(_hist(va).to_bytes()).merge_from(
-        LatencyHistogram.from_bytes(_hist(vb).to_bytes())
-    )
-    ba = LatencyHistogram.from_bytes(_hist(vb).to_bytes()).merge_from(
-        LatencyHistogram.from_bytes(_hist(va).to_bytes())
-    )
+    ab = _sent(_hist(va)).merge_from(_sent(_hist(vb)))
+    ba = _sent(_hist(vb)).merge_from(_sent(_hist(va)))
     assert _state(ab) == _state(ba)
     # And matches the merge that never touched bytes.
     direct = _hist(va).merge_from(_hist(vb))
@@ -64,29 +67,23 @@ def test_histogram_overflow_boundary_exponent():
         h.record_many([2**40] * n + [2**40 + 5] * n + [2**41] * n)
         assert h.count == 3 * n
         assert h.max_ns == 2**41
-        back = LatencyHistogram.from_bytes(h.to_bytes())
+        back = _sent(h)
         assert _state(back) == _state(h)
 
 
-def test_histogram_to_bytes_flushes_pending():
-    h = LatencyHistogram()
-    h.record(5)  # sits in the pending buffer
-    back = LatencyHistogram.from_bytes(h.to_bytes())
-    assert back.count == 1
-    assert back.min_ns == 5
-
-
-def test_histogram_from_bytes_rejects_garbage():
-    h = _hist([1, 2, 3])
-    good = h.to_bytes()
-    with pytest.raises(ValueError):
-        LatencyHistogram.from_bytes(b"")
-    with pytest.raises(ValueError):
-        LatencyHistogram.from_bytes(b"NOPE" + good[4:])
-    with pytest.raises(ValueError):
-        LatencyHistogram.from_bytes(good + b"\x00")
-    with pytest.raises(ValueError):
-        LatencyHistogram.from_bytes(good[:-1])
+def test_metrics_reply_histograms_are_flushed():
+    """The worker replies with ``Observability.histogram`` copies: the
+    samples are folded into buckets, so the pickle carries a bounded
+    bucket array, not one entry per recorded operation."""
+    obs = Observability()
+    record = obs.recorder("get")
+    for ns in range(50_000):  # the fast recorder never flushes itself
+        record(ns)
+    reply = obs.histogram("get")
+    back = _sent(reply)
+    assert back.count == 50_000
+    assert back.min_ns == 0 and back.max_ns == 49_999
+    assert len(dumps(reply)) < 4096
 
 
 #: Per-span attribution entries: span-start key -> [gets, misses,
@@ -116,22 +113,15 @@ counters = st.builds(
 @given(counters)
 @settings(max_examples=60, deadline=None)
 def test_probe_counters_round_trip(pc):
-    back = ProbeCounters.from_bytes(pc.to_bytes())
+    back = _sent(pc)
     assert back == pc
-    # Canonical: equal counters produce identical frames regardless of
-    # the dict's insertion order.
-    assert back.to_bytes() == pc.to_bytes()
 
 
 @given(counters, counters)
 @settings(max_examples=60, deadline=None)
 def test_probe_counters_merge_commutes_after_round_trip(a, b):
-    ab = ProbeCounters.from_bytes(a.to_bytes()).merge_from(
-        ProbeCounters.from_bytes(b.to_bytes())
-    )
-    ba = ProbeCounters.from_bytes(b.to_bytes()).merge_from(
-        ProbeCounters.from_bytes(a.to_bytes())
-    )
+    ab = _sent(a).merge_from(_sent(b))
+    ba = _sent(b).merge_from(_sent(a))
     assert ab == ba
     # Per-span attribution merges element-wise, same as the scalars.
     direct = ProbeCounters()
@@ -160,13 +150,3 @@ def test_probe_counters_note_get_attributes_spans():
     assert pc.segments == {16: [2, 1, 8], 32: [1, 0, 1]}
     deltas = pc.segment_deltas({16: [1, 0, 3]})
     assert deltas == {16: [1, 1, 5], 32: [1, 0, 1]}
-
-
-def test_probe_counters_rejects_garbage():
-    good = ProbeCounters(gets=1, segments={7: [1, 0, 3]}).to_bytes()
-    with pytest.raises(ValueError):
-        ProbeCounters.from_bytes(b"XXXX" + good[4:])
-    with pytest.raises(ValueError):
-        ProbeCounters.from_bytes(good[:-1])
-    with pytest.raises(ValueError):
-        ProbeCounters.from_bytes(good + b"\x00" * 32)

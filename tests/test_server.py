@@ -536,6 +536,42 @@ class TestAdminEndpoint:
         assert samples[(hist, (("op", "get"),))] >= 1
         assert samples[("dytis_server_forwarded_reads_total", ())] == 0
 
+    def test_page_declares_each_family_once_and_fills_it(self, tmp_path):
+        """The /metrics page of a durable server after an in-process
+        maintenance step, plus a 2-shard fleet's page: every family is
+        declared once, has samples, and is typed by the one rule."""
+        store = DurableKVStore(tmp_path / "srv", fsync="never")
+        with ServerThread(
+            store, config=ServerConfig(admin_port=0)
+        ) as st, RemoteIndex(st.host, st.port, "t") as idx:
+            idx.insert_many(list(range(200)), list(range(200)))
+            idx.get_many(list(range(0, 200, 3)))
+            url = f"http://{st.host}:{st.admin_port}"
+            urllib.request.urlopen(f"{url}/maintenance").read()
+            page = urllib.request.urlopen(f"{url}/metrics").read().decode()
+        assert "dytis_maint_steps_total 1" in page
+        with ShardedIndex(2, durable_dir=str(tmp_path / "fleet")) as fleet:
+            fleet.insert_many(list(range(300)), list(range(300)))
+            fleet.maintenance()
+            page += fleet.metrics_to_prometheus()
+        samples = parse_prometheus(page)
+        types = {}
+        for line in page.splitlines():
+            if line.startswith("# TYPE "):
+                _, _, name, kind = line.split()
+                assert name not in types, f"{name} declared twice"
+                types[name] = kind
+        assert "dytis_shard_maint_steps_total" in types
+        for name, kind in types.items():
+            names = {name} | {
+                name + s for s in ("_bucket", "_sum", "_count")
+                if kind == "histogram"
+            }
+            assert any(n in names for n, _ in samples), f"{name} is empty"
+            if kind != "histogram":
+                want = "counter" if name.endswith("_total") else "gauge"
+                assert kind == want, (name, kind)
+
     def test_healthz_and_404(self, server):
         url = f"http://{server.host}:{server.admin_port}"
         assert urllib.request.urlopen(f"{url}/healthz").read() == b"ok\n"

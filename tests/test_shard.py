@@ -10,12 +10,7 @@ import pytest
 from repro.api.protocol import is_batch_index, is_index
 from repro.core import DyTISConfig
 from repro.shard import ShardedIndex, ShardError, ShardRouter
-from repro.shard.metrics import (
-    WorkerMetrics,
-    dump_worker_metrics,
-    load_worker_metrics,
-    shards_to_prometheus,
-)
+from repro.shard.metrics import WorkerMetrics, shards_to_prometheus
 
 CFG = DyTISConfig(key_bits=32, first_level_bits=3, bucket_capacity=8, l_start=1)
 
@@ -188,25 +183,6 @@ def test_shard_metrics_scrape_and_merge():
         assert 'dytis_shard_ops_total{op="get",shard="1"}' in page
         assert 'dytis_shard_keys{shard="1"}' in page
         assert "dytis_shard_op_latency_ns_count" in page
-
-
-def test_worker_metrics_frame_round_trip():
-    from repro.obs import Observability
-
-    obs = Observability()
-    obs.record("get", 123)
-    obs.record("insert", 456)
-    obs.probes.gets += 3
-    blob = dump_worker_metrics(obs, {"size": 42, "wal_last_lsn": 9})
-    wm = load_worker_metrics(blob)
-    assert wm.latency["get"].count == 1
-    assert wm.latency["insert"].count == 1
-    assert wm.probes.gets == 3
-    assert wm.counters == {"size": 42, "wal_last_lsn": 9}
-    with pytest.raises(ValueError):
-        load_worker_metrics(b"XXXX" + blob[4:])
-    with pytest.raises(ValueError):
-        load_worker_metrics(blob + b"\x00")
 
 
 def test_shards_to_prometheus_merges_counts():

@@ -60,7 +60,7 @@ def test_shard_failover_from_remote_while_sibling_serves(tmp_path):
             k for k in range(N + 100) if idx.router.shard_of(k) != victim
         ]
         assert all(idx.get(k) == k * 3 for k in others)
-        # The recovered worker reports its attach in the metrics frame.
+        # The recovered worker reports its attach in its metrics reply.
         counters = idx.shard_metrics()[victim].counters
         assert counters["remote_attaches_total"] == 1
         assert counters["remote_generation"] >= 1

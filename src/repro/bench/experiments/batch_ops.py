@@ -201,26 +201,30 @@ def bulk_compare(
     Both consume the same keys; the batched build feeds them in
     arrival order, ``batch_size`` at a time, into an initially empty
     index -- the online counterpart of the offline bulk build.  The
-    reported ratio is how much slower the online batched path is.
+    reported ratio is how much slower the online batched path is; like
+    every cell of :func:`run`, it compares medians of alternating
+    rounds, so one host pause cannot move it.
     """
     from repro.datasets import generate
 
     scale = scale or default_scale()
     keys = [int(k) for k in generate(dataset, scale.n_keys, scale.seed)]
+    pairs = [(k, k) for k in keys]
 
-    bulk_s = batch_s = float("inf")
-    for _ in range(2):
+    def bulk() -> float:
         ix = _make_index(scale)
         t0 = time.perf_counter()
         ix.bulk_load(keys, keys)
-        bulk_s = min(bulk_s, time.perf_counter() - t0)
+        return time.perf_counter() - t0
 
+    def batched() -> float:
         ix = _make_index(scale)
-        pairs = [(k, k) for k in keys]
         t0 = time.perf_counter()
         for lo in range(0, len(pairs), batch_size):
             ix.insert_many(pairs[lo : lo + batch_size])
-        batch_s = min(batch_s, time.perf_counter() - t0)
+        return time.perf_counter() - t0
+
+    bulk_s, batch_s = _alternate(bulk, batched)
 
     n = len(keys)
     bulk_tp = n / bulk_s if bulk_s else float("inf")

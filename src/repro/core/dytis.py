@@ -310,10 +310,9 @@ class DyTIS:
             lk = key & seg._mask
             shift = remap._shift
             i = lk >> shift
-            cum = remap._cum
-            b = cum[i] + ((remap.allocs[i] * (lk & ((1 << shift) - 1))) >> shift)
-            if b >= cum[-1]:  # trailing zero-allocation sub-ranges
-                b = cum[-1] - 1
+            b = remap._cum[i] + ((remap.allocs[i] * (lk & remap._offmask)) >> shift)
+            if b >= remap.n_buckets:  # trailing zero-allocation sub-ranges
+                b = remap.n_buckets - 1
             store = seg.store
             cap = store.capacity
             off = b * cap
@@ -321,6 +320,17 @@ class DyTIS:
             cnt = counts[b]
             karr = store._karr
             end = off + cnt
+            if 0 < cnt < cap and karr[end - 1] < key:
+                # Past the bucket maximum (a time-advancing key): the
+                # bisect would return ``end``, whose slot is padding
+                # >= key, so nothing shifts and no padding is rewritten.
+                karr[end] = key
+                store.values[b].append(value)
+                counts[b] = cnt + 1
+                seg.total_keys += 1
+                seg.piece_counts[i] += 1
+                self._size += 1
+                break
             j = bisect_left(karr, key, off, end)
             if j < end and karr[j] == key:
                 store.values[b][j - off] = value
@@ -982,8 +992,8 @@ class DyTIS:
                 allocs = remap.allocs
                 shift = remap._shift
                 dmask = seg._mask
-                offmask = (1 << shift) - 1
-                last_bucket = cum[-1] - 1
+                offmask = remap._offmask
+                last_bucket = remap.n_buckets - 1
                 store = seg.store
                 karr = store._karr
                 counts = store.counts
@@ -1101,8 +1111,8 @@ class DyTIS:
             cum = remap._cum
             allocs = remap.allocs
             shift = remap._shift
-            offmask = (1 << shift) - 1
-            last_bucket = cum[-1] - 1
+            offmask = remap._offmask
+            last_bucket = remap.n_buckets - 1
             dmask = seg._mask
             # The bucket splice of ColumnarStorage.insert, inlined so
             # the hot loop pays no per-key call or attribute lookup.
@@ -1122,6 +1132,15 @@ class DyTIS:
                 off = b * cap
                 cnt = counts[b]
                 end = off + cnt
+                if 0 < cnt < cap and karr[end - 1] < k:
+                    # Past the bucket maximum: append (DyTIS.insert).
+                    karr[end] = k
+                    store_vals[b].append(vals[p])
+                    counts[b] = cnt + 1
+                    pc[pi] += 1
+                    seg.total_keys += 1
+                    self._size += 1
+                    continue
                 idx = bisect_left(karr, k, off, end)
                 if idx < end and karr[idx] == k:
                     store_vals[b][idx - off] = vals[p]

@@ -35,6 +35,8 @@ class PiecewiseRemap:
         "allocs",
         "_cum",
         "_shift",
+        "_offmask",
+        "n_buckets",
         "_alloc_bits",
         "_allocs_np",
         "_cum_np",
@@ -52,6 +54,8 @@ class PiecewiseRemap:
         self.domain_bits = domain_bits
         self.piece_bits = piece_bits
         self._shift = domain_bits - piece_bits  # log2 of sub-range width
+        #: Offset of a key within its sub-range: ``key & _offmask``.
+        self._offmask = (1 << self._shift) - 1
         if n_pieces == 1:
             # One sub-range is one line (every segment below L_start,
             # most split children): plain ints, no lookup arrays.
@@ -77,6 +81,7 @@ class PiecewiseRemap:
             raise ValueError("bucket allocations must be non-negative")
         if total < 1:
             raise ValueError("segment must own at least one bucket")
+        self.n_buckets = total
         #: Bit length of the largest allocation: picks the exact
         #: arithmetic ``bucket_indices`` can afford.
         self._alloc_bits = max_alloc.bit_length()
@@ -84,10 +89,6 @@ class PiecewiseRemap:
     @property
     def n_pieces(self) -> int:
         return len(self.allocs)
-
-    @property
-    def n_buckets(self) -> int:
-        return self._cum[-1]
 
     def piece_of(self, key: int) -> int:
         """Sub-range index owning segment-local ``key``."""
@@ -101,11 +102,11 @@ class PiecewiseRemap:
         sub-ranges being zero-allocated would map past the end, so those
         keys clamp to the last bucket.
         """
-        i = key >> self._shift
-        offset = key & ((1 << self._shift) - 1)
-        b = self._cum[i] + ((self.allocs[i] * offset) >> self._shift)
-        if b >= self._cum[-1]:  # trailing zero-allocation sub-ranges
-            return self._cum[-1] - 1
+        shift = self._shift
+        i = key >> shift
+        b = self._cum[i] + ((self.allocs[i] * (key & self._offmask)) >> shift)
+        if b >= self.n_buckets:  # trailing zero-allocation sub-ranges
+            return self.n_buckets - 1
         return b
 
     def bucket_indices(self, local_keys: "np.ndarray") -> "np.ndarray":
@@ -128,7 +129,7 @@ class PiecewiseRemap:
         else:
             a, base = np.uint64(self.allocs[0]), np.uint64(0)
         if self._alloc_bits + shift < 64:
-            offsets = local_keys & np.uint64((1 << shift) - 1)
+            offsets = local_keys & np.uint64(self._offmask)
             b = (base + ((a * offsets) >> np.uint64(shift))).view(np.int64)
         elif shift >= 32 and self._alloc_bits <= 25:
             # 64-bit domains: ``alloc * offset`` would overflow uint64,
@@ -138,7 +139,7 @@ class PiecewiseRemap:
             #         = (q*2**(s-32) + r)*2**32 + a*lo
             #   (a*off) >> s = q + ((r << 32) + a*lo) >> s
             # with a < 2**25, hi < 2**(s-32), lo < 2**32, r < 2**(s-32).
-            offsets = local_keys & np.uint64((1 << shift) - 1)
+            offsets = local_keys & np.uint64(self._offmask)
             hi = offsets >> np.uint64(32)
             lo = offsets & np.uint64(0xFFFFFFFF)
             t1 = a * hi
@@ -153,7 +154,7 @@ class PiecewiseRemap:
                 count=n,
             )
         # Only trailing zero-allocation sub-ranges can map past the end.
-        return b if self.allocs[-1] else np.minimum(b, self._cum[-1] - 1)
+        return b if self.allocs[-1] else np.minimum(b, self.n_buckets - 1)
 
     def piece_span(self, i: int) -> range:
         """Bucket indices owned by sub-range ``i``."""
@@ -235,7 +236,7 @@ class PiecewiseRemap:
         return left, right
 
     def check_invariants(self) -> None:
-        assert self._cum[-1] == sum(self.allocs) >= 1
+        assert self.n_buckets == self._cum[-1] == sum(self.allocs) >= 1
         assert self._cum == [sum(self.allocs[:i]) for i in range(self.n_pieces + 1)]
         # Monotonicity: spot-check sub-range boundaries.
         prev = 0

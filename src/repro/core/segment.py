@@ -132,18 +132,20 @@ class Segment:
 
     def insert(self, key: int, value: Any) -> str:
         """Sorted insert-or-update; 'inserted', 'updated', or 'full'."""
-        result = self.store.insert(
-            self.remap.bucket_of(key & self._mask), key, value
-        )
+        lk = key & self._mask
+        remap = self.remap
+        result = self.store.insert(remap.bucket_of(lk), key, value)
         if result == "inserted":
             self.total_keys += 1
-            self.piece_counts[self.remap.piece_of(key & self._mask)] += 1
+            self.piece_counts[lk >> remap._shift] += 1
         return result
 
     def delete(self, key: int) -> bool:
-        if self.store.delete(self.remap.bucket_of(key & self._mask), key):
+        lk = key & self._mask
+        remap = self.remap
+        if self.store.delete(remap.bucket_of(lk), key):
             self.total_keys -= 1
-            self.piece_counts[self.remap.piece_of(key & self._mask)] -= 1
+            self.piece_counts[lk >> remap._shift] -= 1
             return True
         return False
 
@@ -157,8 +159,8 @@ class Segment:
             cum = remap._cum
             allocs = remap.allocs
             shift = remap._shift
-            offmask = (1 << shift) - 1
-            last_bucket = cum[-1] - 1
+            offmask = remap._offmask
+            last_bucket = remap.n_buckets - 1
             mask = self._mask
             store = self.store
             pc = self.piece_counts

@@ -238,6 +238,15 @@ class ColumnarStorage:
         cnt = self.counts[b]
         karr = self._karr
         end = off + cnt
+        if 0 < cnt < cap and karr[end - 1] < key:
+            # Past the bucket maximum: ``bisect_left`` would return
+            # ``end``, a slack slot holding padding >= key (a later
+            # bucket's key or MAX), so the key is written over it with
+            # nothing to shift and no padding to rewrite.
+            karr[end] = key
+            self.values[b].append(value)
+            self.counts[b] = cnt + 1
+            return "inserted"
         i = bisect_left(karr, key, off, end)
         if i < end and karr[i] == key:
             self.values[b][i - off] = value

@@ -11,10 +11,16 @@ so the comparison covers the layouts they build as well.
 ``insert_many`` runs the same splice once more, inside its per-segment
 group loop, and must build what a scalar ``insert`` loop over the
 sorted, deduplicated batch builds.
+
+Each copy of the splice writes a key past its bucket's maximum (an
+*append*, what a time-advancing stream mostly does) without a bisect;
+the ``TX33`` rows drive that branch at every site and count how often
+it ran, and an edge-case stream walks the cases around it.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import datasets
@@ -51,6 +57,36 @@ def _state(index):
         )
         for ti, seg in _segments(index)
     ]
+
+
+def _tx33(n):
+    """The ``embedded_ingest`` keys: TX pickup times in arrival order,
+    each with a seeded 33-bit trip suffix."""
+    low = np.uint64(33)
+    times = datasets.generate("TX", n, seed=0)
+    suffix = np.random.default_rng(11).integers(
+        0, 1 << 33, size=n, dtype=np.uint64
+    )
+    return (((times >> low) << low) | suffix).tolist()
+
+
+def _bucket(index, key):
+    """The live keys of the bucket ``key`` routes to in ``index``."""
+    seg = index._segment(key)
+    if seg is None:
+        return []
+    return seg.store.bucket_keys(seg.bucket_index_for(key))
+
+
+def _is_append(index, key):
+    """Whether inserting ``key`` appends: it exceeds its bucket's max."""
+    bucket = _bucket(index, key)
+    return len(bucket) > 0 and bucket[-1] < key
+
+
+def _restructures(index):
+    s = index.stats
+    return s.splits + s.remappings + s.expansions + s.doublings
 
 
 def _batches(seed):
@@ -99,6 +135,84 @@ def test_inlined_insert_matches_the_store_insert_in_lockstep(config):
         assert inline.get(k) == v
 
 
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_a_time_advancing_stream_appends_in_lockstep(config):
+    """The ``embedded_ingest`` stream through ``DyTIS.insert`` and
+    through ``ColumnarStorage.insert``: nearly every key lands past its
+    bucket's maximum, so the append branch of both runs, and the two
+    build the same segments byte for byte."""
+    cfg = DyTISConfig(**CONFIGS[config])
+    inline = DyTIS(cfg)
+    layered = ConcurrentDyTIS(cfg)
+    keys = _tx33(50_000)
+    appends = 0
+    for n, k in enumerate(keys, 1):
+        appends += _is_append(inline, k)
+        inline.insert(k, n)
+        layered.insert(k, n)
+        if n % 10_000 == 0:
+            assert _state(inline) == _state(layered._d)
+    assert appends >= 0.95 * len(keys)
+    assert len(inline) == len(layered) == len(set(keys))
+    inline.check_invariants()
+    layered._d.check_invariants()
+
+
+def test_the_cases_around_an_append_in_lockstep():
+    """The cases on either side of the append branch -- the first key
+    of an empty bucket, an append, an update equal to the bucket
+    maximum, an insert just below it, an append into a full bucket and
+    ``2^64 - 1`` written over MAX padding -- through ``DyTIS.insert``,
+    ``ColumnarStorage.insert`` and one-key ``insert_many`` calls.  Each
+    step is classified against its pre-insert bucket, and the three
+    indexes must agree after every step."""
+    cfg = DyTISConfig(**CONFIGS["scaled"])
+    cap = cfg.bucket_capacity
+    inline, layered, batched = DyTIS(cfg), ConcurrentDyTIS(cfg), DyTIS(cfg)
+
+    def put(key, kind):
+        bucket = _bucket(inline, key)
+        if not len(bucket):
+            seen = "empty"
+        elif key == bucket[-1]:
+            seen = "update"
+        elif key < bucket[-1]:
+            seen = "below"
+        else:
+            seen = "full" if len(bucket) == cap else "append"
+        assert seen == kind, (key, seen, kind)
+        before = _restructures(inline)
+        value = (key, kind)
+        inline.insert(key, value)
+        layered.insert(key, value)
+        batched.insert_many([key], [value])
+        assert (_restructures(inline) > before) == (kind == "full")
+        assert _state(inline) == _state(layered._d) == _state(batched)
+        assert inline.get(key) == value
+
+    # Keys far apart: a split separates them without directory
+    # doublings down to single-key spans.
+    step = 1 << 52
+    put(5 * step, "empty")  # the index's first key
+    put(6 * step, "append")
+    put(6 * step, "update")  # equal to the bucket maximum
+    put(6 * step - 1, "below")  # just below it
+    key = 6 * step
+    while len(_bucket(inline, key + step)) < cap:
+        key += step
+        put(key, "append")
+    put(key + step, "full")  # an append into a full bucket restructures
+    put(1 << 59, "empty")  # table 0's upper half, empty since the split
+    put(KEY_MAX - 1, "empty")
+    seg = inline._segment(KEY_MAX)
+    b = seg.bucket_index_for(KEY_MAX)
+    assert seg.store._karr[b * cap + seg.store.counts[b]] == KEY_MAX
+    put(KEY_MAX, "append")  # written over the MAX padding it equals
+    for index in (inline, layered._d, batched):
+        index.check_invariants()
+        assert len(index) == 20
+
+
 def test_a_failed_remap_is_charged_to_remap_time():
     """``plan_remap`` may grow a layout to the cap before it gives up;
     that work is remapping time even though no segment is replaced."""
@@ -131,28 +245,40 @@ def _insert_many_inputs(name):
         half = keys[: len(keys) // 2]
         rest = keys[len(keys) // 2 :]
         return half, [rest[i : i + 1024] for i in range(0, len(rest), 1024)]
+    if name == "TX33":
+        # A time-advancing stream in arrival order: its chunks ascend,
+        # so the group loop mostly appends.
+        keys = _tx33(50_000)
+        return [], [keys[i : i + 1024] for i in range(0, len(keys), 1024)]
     return [], list(_batches(7))
 
 
-@pytest.mark.parametrize("inputs", ["RL-shifted", "MM-into-bulk", "batches"])
+@pytest.mark.parametrize(
+    "inputs", ["RL-shifted", "MM-into-bulk", "TX33", "batches"]
+)
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_insert_many_builds_what_the_sorted_scalar_loop_builds(config, inputs):
     """``insert_many`` is a scalar ``insert`` loop over the sorted,
     deduplicated batch: Algorithm 1 sees each full bucket with every
     earlier key of the batch in place and no later one, so both build
-    the same segments byte for byte."""
+    the same segments byte for byte.  The loop also counts the keys
+    that append, which the ``TX33`` row needs to be nearly all."""
     cfg = DyTISConfig(**CONFIGS[config])
     preload, batches = _insert_many_inputs(inputs)
     batched, looped = DyTIS(cfg), DyTIS(cfg)
     if preload:
         batched.bulk_load(preload, preload)
         looped.bulk_load(preload, preload)
+    appends = 0
     for round_no, batch in enumerate(batches):
         values = [(k, round_no) for k in batch]
         batched.insert_many(batch, values)
         last = dict(zip(batch, values))
         for k in sorted(last):
+            appends += _is_append(looped, k)
             looped.insert(k, last[k])
         assert _state(batched) == _state(looped)
         assert len(batched) == len(looped)
     batched.check_invariants()
+    if inputs == "TX33":
+        assert appends >= 0.95 * len(batched)

@@ -51,10 +51,6 @@ from repro.obs.events import (
     SplitEvent,
 )
 
-#: One past the largest representable key; ``searchsorted`` guards
-#: against group upper bounds that overflow uint64.
-_KEY_SPACE = 1 << 64
-
 #: Batches of at most this many keys take the list paths of
 #: ``get_many``/``insert_many``, which make no NumPy call: a 2-shard
 #: fleet epoch hands each worker ~22 keys per side, where the array
@@ -606,67 +602,77 @@ class DyTIS:
     def delete_range(self, low: int, high: int) -> int:
         """Delete every key with low <= key < high; return the count.
 
-        Keys are collected first with the :meth:`scan_range` walk
-        (deleting while iterating a structure that merges segments
-        underneath the iterator is undefined), then removed through
-        :meth:`delete_many`, so each bucket takes one splice and
-        under-utilized segments still merge down.
+        The range is one contiguous run per bucket (paper §3.3): the walk
+        visits each segment whose aligned key span overlaps it, skipping
+        tables never created, and cuts its part with
+        :meth:`Segment.delete_run`.  Only once every run is gone does the
+        post-delete merge policy visit the touched segments, so no merge
+        rewires the walk under it; a segment that a buddy merge has
+        already replaced is skipped.
         """
-        victims = [k for k, _ in self.scan_range(low, high)]
-        if not victims:
-            return 0
-        return self.delete_many(victims)
+        key = self._check_key(low)
+        high = min(_as_int(high), self._key_limit)
+        m = self._m
+        removed = 0
+        touched = []
+        while key < high:
+            table = self._tables[key >> m]
+            if table is None:
+                key = ((key >> m) + 1) << m
+                continue
+            local = key & self._local_mask
+            seg = table.dir[local >> (m - table.global_depth)]
+            span_bits = m - seg.local_depth
+            end = ((key >> span_bits) + 1) << span_bits
+            gone = seg.delete_run(key, min(high, end))
+            if gone:
+                removed += gone
+                touched.append((table, seg, local))
+            key = end
+        if removed:
+            self._size -= removed
+            self._gen += 1
+            for table, seg, local in touched:
+                if table.segment_for(local, m) is seg:
+                    self._maybe_merge_after_delete(table, seg, local)
+            if self._fused is not None and self._fused.gen != self._gen:
+                self._fused = None  # a stale snapshot goes at a batch write
+        return removed
 
     def delete_many(self, keys) -> int:
         """Batched delete; returns how many keys were present.
 
-        The batch is sorted and deduplicated once, partitioned per
-        segment with the same cached routing as :meth:`insert_many`,
-        and each segment's group is removed with one splice per bucket.
-        After each segment's group the usual post-delete merge policy
-        runs, so structural behaviour matches a sequence of scalar
-        deletes to within merge timing.
+        The batch is sorted and deduplicated once and partitioned into
+        per-segment groups as :meth:`insert_many` partitions it; each
+        key of a group leaves through the scalar :meth:`Segment.delete`
+        splice.  After each segment's group the usual post-delete merge
+        policy runs, so structural behaviour matches a sequence of
+        scalar deletes to within merge timing.
         """
         arr = self._key_column(keys)
         if arr.size == 0:
             return 0
-        sk = np.unique(arr)
+        key_list = np.unique(arr).tolist()
         m = self._m
         local_mask = self._local_mask
         tables = self._tables
         removed = 0
-        n = int(sk.size)
+        n = len(key_list)
         i = 0
         while i < n:
-            key = int(sk[i])
-            ti = key >> m
-            table = tables[ti]
+            key = key_list[i]
+            table = tables[key >> m]
             if table is None:
-                upper = (ti + 1) << m
-                i = (
-                    n
-                    if upper >= _KEY_SPACE
-                    else int(sk.searchsorted(np.uint64(upper), side="left"))
-                )
+                i = bisect_left(key_list, ((key >> m) + 1) << m, i + 1)
                 continue
-            gd = table.global_depth
             local = key & local_mask
-            if gd:
-                di = local >> (m - gd)
-                seg = table.dir[di]
-                span = 1 << (gd - seg.local_depth)
-                end_di = (di // span) * span + span
-                seg_upper = (ti << m) + (end_di << (m - gd))
-            else:
-                seg = table.dir[0]
-                seg_upper = (ti + 1) << m
-            j = (
-                n
-                if seg_upper >= _KEY_SPACE
-                else int(sk.searchsorted(np.uint64(seg_upper), side="left"))
+            seg = table.dir[local >> (m - table.global_depth)]
+            # The segment owns the aligned key span of its local depth.
+            span_bits = m - seg.local_depth
+            j = bisect_left(
+                key_list, ((key >> span_bits) + 1) << span_bits, i + 1
             )
-            hits = seg.delete_batch(sk[i:j])
-            gone = int(hits.sum())
+            gone = sum(map(seg.delete, key_list[i:j]))
             if gone:
                 removed += gone
                 self._size -= gone

@@ -149,49 +149,38 @@ class Segment:
             return True
         return False
 
-    # -- batch operations --------------------------------------------------
+    def delete_run(self, lo: int, hi: int) -> int:
+        """Delete every key in ``[lo, hi)``, a range inside this
+        segment's span; return how many went.
 
-    def delete_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Batched delete of ascending unique full ``keys``; hit mask."""
-        n = int(keys.size)
-        if n <= 8:
-            remap = self.remap
-            cum = remap._cum
-            allocs = remap.allocs
-            shift = remap._shift
-            offmask = remap._offmask
-            last_bucket = remap.n_buckets - 1
-            mask = self._mask
-            store = self.store
-            pc = self.piece_counts
-            hits = np.zeros(n, dtype=bool)
-            for idx in range(n):
-                key = int(keys[idx])
-                lk = key & mask
-                i = lk >> shift
-                b = cum[i] + ((allocs[i] * (lk & offmask)) >> shift)
-                if b > last_bucket:
-                    b = last_bucket
-                if store.delete(b, key):
-                    hits[idx] = True
-                    pc[i] -= 1
-                    self.total_keys -= 1
-            return hits
-        lk = keys & np.uint64(self._mask)
-        bidx = self.remap.bucket_indices(lk)
-        hits = self.store.delete_batch_sorted(bidx, keys)
-        n_gone = int(hits.sum())
-        if n_gone:
-            self.total_keys -= n_gone
-            shift = np.uint64(self.remap.domain_bits - self.remap.piece_bits)
-            pc = np.bincount(
-                (lk[hits] >> shift).astype(np.int64),
-                minlength=self.remap.n_pieces,
-            )
-            self.piece_counts = (
-                np.asarray(self.piece_counts, dtype=np.int64) - pc
-            ).tolist()
-        return hits
+        Each bucket the range routes to loses one contiguous run
+        (:meth:`ColumnarStorage.delete_run`).  The buckets go last to
+        first, so a full bucket's freed slots copy the next bucket's
+        first slot after that bucket is cut: a live key, not a deleted
+        one.
+        """
+        mask = self._mask
+        remap = self.remap
+        store = self.store
+        counts = store.counts
+        pc = self.piece_counts
+        shift = remap._shift
+        removed = 0
+        for b in range(
+            remap.bucket_of((hi - 1) & mask), remap.bucket_of(lo & mask) - 1, -1
+        ):
+            if not counts[b]:
+                continue
+            gone = store.delete_run(b, lo, hi)
+            if gone:
+                removed += len(gone)
+                if len(pc) == 1:
+                    pc[0] -= len(gone)
+                else:
+                    for k in gone:
+                        pc[(k & mask) >> shift] -= 1
+        self.total_keys -= removed
+        return removed
 
     # -- iteration ----------------------------------------------------------
 

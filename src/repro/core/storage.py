@@ -289,98 +289,30 @@ class ColumnarStorage:
         self.counts[b] = cnt - 1
         return True
 
-    # -- batch delete (one searchsorted + one compaction per bucket) ------
+    def delete_run(self, b: int, lo: int, hi: int) -> array:
+        """Remove bucket ``b``'s keys in ``[lo, hi)`` and return them.
 
-    def delete_batch_sorted(
-        self, bidx: np.ndarray, keys: np.ndarray
-    ) -> np.ndarray:
-        """Batched delete of ascending unique ``keys``; returns hit mask.
-
-        Each bucket's group compacts the live prefix with one boolean
-        gather; the freed tail and any now-stale padding are repaired
-        once for the whole touched span.
+        The run is contiguous in the sorted live prefix: the survivors
+        above it shift down over it with one slice, and the freed slots
+        take :meth:`delete`'s padding, a copy of the slot after the old
+        live prefix (MAX past the column's end).
         """
-        n = int(keys.size)
-        hits = np.zeros(n, dtype=bool)
-        if n == 0:
-            return hits
-        cap = self.capacity
-        keys_np = self.keys
-        counts = self.counts
-        if n > 1:
-            cuts = np.flatnonzero(bidx[1:] != bidx[:-1]) + 1
-            starts = np.concatenate(([0], cuts)).tolist()
-            ends = np.concatenate((cuts, [n])).tolist()
-        else:
-            starts, ends = [0], [1]
-        b_lo = b_hi = -1
-        for s, e in zip(starts, ends):
-            b = int(bidx[s])
-            off = b * cap
-            cnt = counts[b]
-            if cnt == 0:
-                continue
-            nk = keys[s:e]
-            ok = keys_np[off : off + cnt]
-            pos = ok.searchsorted(nk).astype(np.int64)
-            found = (pos < cnt) & (ok[np.minimum(pos, cnt - 1)] == nk)
-            n_gone = int(found.sum())
-            if n_gone == 0:
-                continue
-            hits[s + np.flatnonzero(found)] = True
-            keep = np.ones(cnt, dtype=bool)
-            keep[pos[found]] = False
-            kept = ok[keep]  # fancy index: a copy, safe to write back
-            keys_np[off : off + cnt - n_gone] = kept
-            old_vals = self.values[b]
-            self.values[b] = [v for v, kf in zip(old_vals, keep.tolist()) if kf]
-            counts[b] = cnt - n_gone
-            if b_lo < 0:
-                b_lo = b
-            b_hi = b
-        if b_lo >= 0:
-            self._repair_padding_span(b_lo, b_hi)
-        return hits
-
-    def _repair_padding_span(self, b_lo: int, b_hi: int) -> None:
-        """Recompute sentinel padding around the touched bucket span.
-
-        Rewrites every slack slot from the end of the last live prefix
-        *before* bucket ``b_lo`` (stale padding there may duplicate a
-        key the batch deleted) through the end of bucket
-        ``b_hi``'s span.  Walking buckets in reverse, each slack run is
-        one constant fill with the next live key inside the span; the
-        seed past ``b_hi`` is the *current value of the very next slot*
-        (or MAX past the last bucket), NOT the next live key: padding
-        between ``b_hi`` and that live key may legally hold a smaller
-        stale value (a deleted key's ghost), and seeding from the live
-        key would lift the span's tail above it, breaking the global
-        non-decreasing order.  The next-slot value is a safe upper fill
-        for the span -- every key routed to a bucket <= ``b_hi`` sorts
-        strictly below it under the monotone remap.
-        """
-        cap = self.capacity
-        keys_np = self.keys
-        counts = self.counts
-        if b_hi + 1 < self.n_buckets:
-            nxt = int(keys_np[(b_hi + 1) * cap])
-        else:
-            nxt = _MAX_KEY
-        start = 0
-        b_start = 0
-        for b in range(b_lo - 1, -1, -1):
-            if counts[b]:
-                start = b * cap + counts[b]
-                b_start = b
-                break
-        for b in range(b_hi, b_start - 1, -1):
-            off = b * cap
-            c = counts[b]
-            lo = max(off + c, start)
-            if lo < off + cap:
-                keys_np[lo : off + cap] = nxt
-            if c:
-                nxt = int(keys_np[off])
+        off = b * self.capacity
+        cnt = self.counts[b]
+        karr = self._karr
+        end = off + cnt
+        i = bisect_left(karr, lo, off, end)
+        j = bisect_left(karr, hi, i, end)
+        gone = karr[i:j]
+        n = j - i
+        if n:
+            if j < end:  # an empty slice would resize the exported array
+                karr[i : end - n] = karr[j:end]
+            pad = karr[end] if end < len(karr) else _MAX_KEY
+            karr[end - n : end] = array("Q", (pad,)) * n
+            del self.values[b][i - off : j - off]
+            self.counts[b] = cnt - n
+        return gone
 
     # -- iteration ---------------------------------------------------------
 

@@ -298,8 +298,10 @@ def proportional_allocs(
     remaining = n_buckets - int(allocs.sum())
     if remaining > 0:
         # Rank by remainder, breaking ties toward non-empty zero-alloc
-        # sub-ranges so they get their reserve bucket first.
+        # sub-ranges so they get their reserve bucket first, then toward
+        # the lower sub-range: a stable sort orders ties the same on
+        # every CPU, where the default kind's SIMD sorts do not.
         fractional = quotas - allocs
         fractional += (counts > 0) & (allocs == 0)
-        allocs[(-fractional).argsort()[:remaining]] += 1
+        allocs[(-fractional).argsort(kind="stable")[:remaining]] += 1
     return allocs

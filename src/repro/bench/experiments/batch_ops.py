@@ -1,4 +1,4 @@
-"""Batch-operation micro-benchmark: get_many / insert_many vs. scalar.
+"""Batch-operation micro-benchmark: batch calls vs. the scalar loop.
 
 DyTIS's batch layer sorts each batch and walks it with per-segment
 cached routing state, so directory lookups and remap coefficient loads
@@ -6,7 +6,9 @@ are amortised across every key that lands in the same segment.  This
 driver measures that amortisation directly: for each batch size it
 times the scalar loop (``get``/``insert`` per key) against one
 ``get_many``/``insert_many`` call over the same keys and reports the
-speedup.
+speedup.  The delete rows time the scalar ``delete`` loop against
+``delete_many`` (dispersed batches) and ``delete_range`` (runs of
+consecutive keys) over the same victims.
 
 A cell is a few milliseconds of work, so one timing of each side is at
 the mercy of the scheduler: each cell times its two sides alternately,
@@ -25,6 +27,10 @@ from typing import Callable, List, Sequence, Tuple
 from repro.bench.experiments.scale import ExperimentScale, default_scale
 
 DEFAULT_BATCH_SIZES = (64, 256, 1024, 4096)
+#: Batch sizes of the ``delete_many`` rows: a fleet epoch's, and a bulk one.
+DELETE_BATCH_SIZES = (16, 1024)
+#: Consecutive keys per range of the ``delete_range`` row.
+RANGE_KEYS = 64
 
 #: Timed rounds per side of a cell; the reported times are medians.
 ROUNDS = 11
@@ -34,7 +40,7 @@ ROUNDS = 11
 class BatchOpRow:
     """One (operation, batch size) cell of the micro-benchmark."""
 
-    op: str  # "get_many" | "insert_many"
+    op: str  # "get_many" | "insert_many" | "delete_many" | "delete_range"
     batch_size: int
     scalar_s: float
     batch_s: float
@@ -104,7 +110,8 @@ def run(
     dataset: str = "MM",
     batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
 ) -> List[BatchOpRow]:
-    """Time scalar loops vs. batch calls over ``batch_sizes``.
+    """Time scalar loops vs. batch calls over ``batch_sizes``, then the
+    delete rows (:func:`_delete_rows`).
 
     Lookups run against a preloaded index; inserts measure fresh keys
     drawn from the same distribution (each repeat inserts a disjoint
@@ -188,6 +195,63 @@ def run(
                 _speedup(scalar_s, batch_s),
             )
         )
+    return rows + _delete_rows(scale, preload, rng)
+
+
+def _delete_rows(scale, preload, rng) -> List[BatchOpRow]:
+    """The scalar ``delete`` loop vs. ``delete_many`` and
+    ``delete_range``, each deleting half of the preloaded keys.
+
+    ``delete_many`` takes a random half in :data:`DELETE_BATCH_SIZES`
+    batches (the scalar loop deletes the same keys in the same order);
+    ``delete_range`` takes every other run of :data:`RANGE_KEYS`
+    consecutive keys (the scalar loop deletes each run's keys).  Deletes
+    mutate, so each timed round bulk-loads its index first.
+    """
+    ordered = sorted(set(preload))
+
+    def cell(op, size, keys, calls) -> BatchOpRow:
+        """``delete`` of each of ``keys`` against ``op`` called once
+        per argument tuple of ``calls``."""
+
+        def scalar() -> float:
+            ix = _make_index(scale)
+            ix.bulk_load(preload, preload)
+            t0 = time.perf_counter()
+            for k in keys:
+                ix.delete(k)
+            return time.perf_counter() - t0
+
+        def batch() -> float:
+            ix = _make_index(scale)
+            ix.bulk_load(preload, preload)
+            method = getattr(ix, op)
+            t0 = time.perf_counter()
+            for args in calls:
+                method(*args)
+            return time.perf_counter() - t0
+
+        scalar_s, batch_s = _alternate(scalar, batch)
+        return BatchOpRow(op, size, scalar_s, batch_s, _speedup(scalar_s, batch_s))
+
+    victims = rng.sample(ordered, len(ordered) // 2)
+    rows = [
+        cell(
+            "delete_many", size, victims,
+            [(victims[i : i + size],) for i in range(0, len(victims), size)],
+        )
+        for size in DELETE_BATCH_SIZES
+    ]
+    # A run's last key is its range's exclusive end.
+    runs = [
+        ordered[i : i + RANGE_KEYS + 1]
+        for i in range(0, len(ordered) - RANGE_KEYS, 2 * RANGE_KEYS)
+    ]
+    rows.append(cell(
+        "delete_range", RANGE_KEYS,
+        [k for run in runs for k in run[:-1]],
+        [(run[0], run[-1]) for run in runs],
+    ))
     return rows
 
 

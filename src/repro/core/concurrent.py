@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
+from operator import index as _as_int
 from typing import Any, List, Optional, Tuple
 
 from repro.api.protocol import batch_pairs
@@ -326,16 +327,33 @@ class ConcurrentDyTIS:
     def delete_range(self, low: int, high: int) -> int:
         """Delete every key in [low, high); returns how many went.
 
-        Collects the doomed keys from a consistent-prefix
-        :meth:`scan_range` pass, then deletes each under the normal
-        two-level locking -- the same collect-then-delete shape as
-        :class:`repro.api.BatchOpsMixin`, but through the thread-safe
-        paths.  Concurrent writers may insert into the range between
-        the two phases (the method is not atomic, exactly like a
-        paged delete on any real store).
+        One EH table at a time, under its write lock: each segment the
+        range overlaps cuts its run (:meth:`DyTIS._cut_range`, which
+        also runs the post-delete merge policy on the touched
+        segments), so the range's part in a table goes atomically.  The
+        call as a whole is not atomic across tables: a writer may insert
+        into a table the walk has already passed.
         """
-        doomed = [key for key, _ in self.scan_range(low, high)]
-        return sum(1 for key in doomed if self.delete(key))
+        d = self._d
+        key = d._check_key(low)
+        high = min(_as_int(high), d._key_limit)
+        m = d._m
+        removed = 0
+        while key < high:
+            ti = key >> m
+            end = (ti + 1) << m
+            with self._eh_locks[ti].write():
+                table = d._tables[ti]
+                gone = (
+                    d._cut_range(table, key, min(high, end))
+                    if table is not None else 0
+                )
+            if gone:
+                with self._size_lock:
+                    d._size -= gone
+                removed += gone
+            key = end
+        return removed
 
     def count_range(self, low: int, high: int) -> int:
         """Number of keys with low <= key < high (API parity with DyTIS).

@@ -1,5 +1,6 @@
 """Tests for the concurrent DyTIS wrapper (repro.core.concurrent)."""
 
+import random
 import threading
 import time
 
@@ -297,3 +298,59 @@ class TestBatchOperations:
         cindex.check_invariants()
         expect = {k for c in chunks for k, _ in c}
         assert len(cindex) == len(expect)
+
+
+class TestDeleteRange:
+    """``delete_range`` cuts each table's runs under its write lock and
+    must leave what ``DyTIS.delete_range`` leaves, merges included,
+    while readers scan the index."""
+
+    CONFIG = DyTISConfig(
+        key_bits=32, first_level_bits=4, bucket_capacity=8, l_start=2
+    )
+
+    def test_matches_dytis_with_scanners_running(self):
+        from repro.core import DyTIS
+        from tests.test_structure_identity import fingerprint
+
+        rng = random.Random(5)
+        keys = rng.sample(range(2**32), 6000)
+        keep_low = 2**31  # the ranges below stay under it
+        cindex, plain = ConcurrentDyTIS(self.CONFIG), DyTIS(self.CONFIG)
+        for k in keys:
+            cindex.insert(k, k)
+            plain.insert(k, k)
+        ranges = []
+        for _ in range(40):
+            lo = rng.randrange(keep_low)
+            ranges.append((lo, min(keep_low, lo + rng.randrange(1, 2**26))))
+        ranges.append((2**29, 2**30 + 12345))  # spans several tables
+        kept = sorted(k for k in keys if k >= keep_low)
+        stop = threading.Event()
+        errors = []
+
+        def scanner():
+            try:
+                while not stop.is_set():
+                    got = [k for k, _ in cindex.scan_range(0, 2**32)]
+                    assert got == sorted(set(got))
+                    assert [k for k in got if k >= keep_low] == kept
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        readers = [threading.Thread(target=scanner) for _ in range(2)]
+        for t in readers:
+            t.start()
+        try:
+            for lo, hi in ranges:
+                assert cindex.delete_range(lo, hi) == plain.delete_range(lo, hi)
+        finally:
+            stop.set()
+            for t in readers:
+                t.join()
+        assert not errors
+        cindex.check_invariants()
+        assert len(cindex) == len(plain)
+        assert list(cindex.items()) == list(plain.items())
+        assert fingerprint(cindex._d) == fingerprint(plain)
+        assert plain.stats.merges  # the merge policy ran on both sides

@@ -1,6 +1,6 @@
 """The list paths for the batch sizes a fleet epoch produces.
 
-``DyTIS.get_many``/``insert_many`` take a NumPy-free path for batches
+``DyTIS.get_many``/``insert_many``/``delete_many`` take a NumPy-free path for batches
 of at most ``_SMALL_BATCH`` keys, and ``ShardRouter.partition`` routes
 at most ``_SMALL_PARTITION`` keys one at a time.  Neither may change a
 result, an error or a structure, so this suite pins
@@ -10,7 +10,8 @@ result, an error or a structure, so this suite pins
   absent first-level tables), and the structure Algorithm 1 builds,
   with tiny buckets restructuring mid-batch;
 - the key rule at the boundary: each bad key raises the same exception
-  type on both paths, with the same sequential prefix applied;
+  type on both paths, with the same sequential prefix applied (none
+  for ``delete_many``, which refuses a batch before deleting);
 - a fleet in lockstep with a dict over epochs straddling the router's
   cutoff;
 - that the small paths make no NumPy call (a stand-in that raises), and
@@ -161,6 +162,53 @@ def test_a_bad_key_fails_the_same_way_on_both_paths(kind, n, monkeypatch):
         assert dict(index.items()) == want
 
 
+@pytest.mark.parametrize("n", [1, 5, dytis._SMALL_BATCH, dytis._SMALL_BATCH + 3])
+@pytest.mark.parametrize("kind", sorted(_BAD))
+def test_a_bad_key_in_delete_many_deletes_nothing(kind, n, monkeypatch):
+    rng = random.Random(n)
+    keys = rng.sample(range(1, 2**32), n)
+    small, array = DyTIS(TINY), DyTIS(TINY)
+    for index in (small, array):
+        index.insert_many(keys, keys)
+    want = dict(small.items())
+    doomed = keys[:]
+    doomed[n // 2] = _BAD[kind]
+    got_small = _outcome(lambda: small.delete_many(doomed))
+    with monkeypatch.context() as m:
+        m.setattr(dytis, "_SMALL_BATCH", -1)
+        got_array = _outcome(lambda: array.delete_many(doomed))
+    got_scalar = _outcome(lambda: DyTIS(TINY).delete(_BAD[kind]))
+    assert got_small is got_array is got_scalar is not None
+    assert dict(small.items()) == dict(array.items()) == want
+
+
+@pytest.mark.parametrize("config", [TINY, SPARSE], ids=["tiny", "sparse"])
+def test_small_and_array_deletes_agree(config, monkeypatch):
+    """Both ``delete_many`` paths delete the same keys and leave the
+    same structure, merges included, for batches of 0..40 keys with
+    duplicates and misses."""
+    rng = random.Random(31)
+    pool = _pool(rng, config)
+    small, array = DyTIS(config), DyTIS(config)
+    for index in (small, array):
+        index.insert_many(pool, pool)
+    live = set(pool)
+    for n in SIZES:
+        batch = [rng.choice(pool) for _ in range(n)]
+        batch += [_read(rng, pool, config) for _ in range(n // 4)]
+        want = len(live & set(batch))
+        assert small.delete_many(batch) == want
+        with monkeypatch.context() as m:
+            m.setattr(dytis, "_SMALL_BATCH", -1)
+            assert array.delete_many(batch) == want
+        live -= set(batch)
+        assert _layout(small) == _layout(array)
+    for index in (small, array):
+        index.check_invariants()
+        assert sorted(k for k, _ in index.items()) == sorted(live)
+    assert small.stats.merges
+
+
 def test_integer_like_keys_pass_on_both_paths(monkeypatch):
     keys = [np.uint64(9), np.int64(3), True, 2**32 - 1, np.uint32(5)]
     plain = [9, 3, 1, 2**32 - 1, 5]
@@ -246,7 +294,7 @@ class _NoArrayCalls:
         self._real = real
 
     def __getattr__(self, name):
-        if name in ("argsort", "fromiter", "asarray"):
+        if name in ("argsort", "fromiter", "asarray", "unique"):
             raise AssertionError(f"np.{name} on a small batch")
         return getattr(self._real, name)
 
@@ -266,6 +314,12 @@ def test_small_batches_make_no_numpy_call(monkeypatch):
         oracle.update(zip(keys, keys))
         assert d.get_many(keys) == keys
         assert d.get_many(tuple(keys)) == keys
+    assert dict(d.items()) == oracle
+    for n in range(dytis._SMALL_BATCH):
+        keys = rng.sample(sorted(oracle), min(n, len(oracle))) + [1]  # a miss
+        assert d.delete_many(keys) == sum(k in oracle for k in set(keys))
+        for k in keys:
+            oracle.pop(k, None)
     assert dict(d.items()) == oracle
     with pytest.raises(AssertionError, match="on a small batch"):
         d.get_many(list(range(dytis._SMALL_BATCH + 1)))  # the stand-in bites

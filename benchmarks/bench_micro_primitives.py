@@ -7,12 +7,16 @@ rather than rediscovered through Figure 8.
 """
 
 import random
+import statistics
+import time
 
 import numpy as np
 import pytest
 
-from repro.core import ColumnarStorage, PiecewiseRemap
-from repro.core.segment import Segment, plan_remap
+from repro.core import ColumnarStorage, DyTIS, PiecewiseRemap
+from repro.core import dytis as dytis_module
+from repro.core.dytis import _EHTable
+from repro.core.segment import ROUTED_PROBE_BUCKETS, Segment, plan_remap
 from repro.hashing import pseudo_key
 from repro.learned import GappedArray, LinearModel
 
@@ -116,3 +120,54 @@ def test_gapped_array_insert(benchmark):
 def test_linear_model_fit(benchmark):
     keys = sorted(random.Random(8).sample(range(2**40), 1024))
     benchmark(lambda: LinearModel.fit_cdf(keys, 2048))
+
+
+@pytest.mark.parametrize("n_buckets", [1 << p for p in range(11)])
+def test_probe_break_even(benchmark, monkeypatch, n_buckets):
+    """``DyTIS.get``'s two probes on one segment of ``n_buckets``
+    buckets: the whole-column ``bisect_right`` against the remap route
+    plus a bisect of one bucket.  Each bucket holds 80 of its 128 slots
+    (the ~75 keys a Zipfian get finds in its bucket on bulk-loaded RL)
+    and every get hits.  Both probes run the real ``get``, switched by
+    patching ``ROUTED_PROBE_BUCKETS``, in fifteen back-to-back pairs of
+    4,096 gets whose order alternates; the ratio is the median of the
+    pairs' ratios, which the host's speed swings cancel out of.  The
+    printed rows (``-s``) are the break-even table of
+    docs/ARCHITECTURE.md §6, which the constant is read from."""
+    index = DyTIS()
+    m, cap, fill = index._m, index.config.bucket_capacity, 80
+    rng = random.Random(9)
+    width = (1 << m) // n_buckets
+    keys = sorted(
+        k for b in range(n_buckets)
+        for k in rng.sample(range(b * width, (b + 1) * width), fill)
+    )
+    seg = Segment.build(0, PiecewiseRemap(m, [n_buckets]), cap, keys, keys)
+    index._tables[0] = _EHTable([seg])
+    probes = [rng.choice(keys) for _ in range(4096)]
+    get = index.get
+    column_path, routed_path = n_buckets, 0  # thresholds forcing each
+
+    def timed(threshold):
+        monkeypatch.setattr(dytis_module, "ROUTED_PROBE_BUCKETS", threshold)
+        t0 = time.perf_counter_ns()
+        for k in probes:
+            get(k)
+        return (time.perf_counter_ns() - t0) / len(probes)
+
+    column, routed = [], []
+    sides = ((column, column_path), (routed, routed_path))
+    for rep in range(15):
+        for times, threshold in sides if rep % 2 else sides[::-1]:
+            times.append(timed(threshold))
+    ratio = statistics.median(r / c for r, c in zip(routed, column))
+    rule = "routed" if n_buckets > ROUTED_PROBE_BUCKETS else "column"
+    print(
+        f"\nprobe break-even: {n_buckets:5d} buckets  column {min(column):6.0f}"
+        f" ns  routed {min(routed):6.0f} ns  routed/column {ratio:.2f}"
+        f"  rule: {rule}"
+    )
+    for threshold in (column_path, routed_path, ROUTED_PROBE_BUCKETS):
+        monkeypatch.setattr(dytis_module, "ROUTED_PROBE_BUCKETS", threshold)
+        assert [get(k) for k in probes] == probes
+    benchmark(lambda: [get(k) for k in probes])

@@ -37,6 +37,7 @@ from repro.core.remap import (
     proportional_allocs,
 )
 from repro.core.segment import (
+    ROUTED_PROBE_BUCKETS,
     Segment,
     build_fitting,
     count_pieces,
@@ -220,9 +221,10 @@ class DyTIS:
     #
     # ``get`` and ``insert`` run flat: key check, table and directory
     # lookup (for ``insert`` also the remap arithmetic and the bucket
-    # splice, for ``get`` the live-prefix hit check) are inlined, so no
-    # Python frame sits between either method and the store's C
-    # ``bisect``.
+    # splice, for ``get`` the probe rule: the remap arithmetic in a
+    # long segment, the live-prefix hit check in a short one) are
+    # inlined, so no Python frame sits between either method and the
+    # store's C ``bisect``.
 
     def get(self, key: int) -> Optional[Any]:
         """Value stored under ``key``, or None ('not exist')."""
@@ -238,11 +240,29 @@ class DyTIS:
             return None
         seg = table.dir[(key & self._local_mask) >> (m - table.global_depth)]
         store = seg.store
+        if store.n_buckets > ROUTED_PROBE_BUCKETS:
+            # Long column: the bucket the remap names (insert's routing),
+            # then a bisect of its live prefix only.
+            (mask, shift, cum, allocs, offmask, n_buckets, cap, counts,
+             karr, values, _) = seg._route
+            lk = key & mask
+            i = lk >> shift
+            b = cum[i] + ((allocs[i] * (lk & offmask)) >> shift)
+            if b >= n_buckets:  # trailing zero-allocation sub-ranges
+                b = n_buckets - 1
+            off = b * cap
+            end = off + counts[b]
+            j = bisect_left(karr, key, off, end)
+            if j < end and karr[j] == key:
+                return values[b][j - off]
+            return None
         # ``ColumnarStorage.probe_key``'s first step inlined: the last
         # slot <= key is a hit when it lies in its bucket's live prefix.
+        # ``pos == -1`` needs no test: the column is non-decreasing, so
+        # its last slot is >= the first, which exceeds ``key``.
         karr = store._karr
         pos = bisect_right(karr, key) - 1
-        if pos < 0 or karr[pos] != key:
+        if karr[pos] != key:
             return None
         cap = store.capacity
         b = pos // cap
@@ -271,10 +291,11 @@ class DyTIS:
         # so shard scrapes merge by summation.
         shift = m - seg.local_depth
         span = ((key >> shift) << shift)
-        # Probe depth = live keys in the routed bucket (the bisect
-        # search space the get paid for).
-        depth = seg.store.bucket_len(seg.bucket_index_for(key))
-        found, value = seg.probe(key)
+        # Probe depth = live keys in the routed bucket, which a long
+        # segment's probe then searches without routing again.
+        b = seg.bucket_index_for(key)
+        depth = seg.store.bucket_len(b)
+        found, value = seg.probe(key, b)
         probes.note_get(span, depth, found)
         self._rec_get(_now() - t0)
         return value
@@ -925,10 +946,25 @@ class DyTIS:
             if table is None:
                 append(None)
                 continue
-            store = table.dir[(key & local_mask) >> (m - table.global_depth)].store
+            seg = table.dir[(key & local_mask) >> (m - table.global_depth)]
+            store = seg.store
+            if store.n_buckets > ROUTED_PROBE_BUCKETS:  # as in ``get``
+                (mask, shift, cum, allocs, offmask, n_buckets, cap, counts,
+                 karr, values, _) = seg._route
+                lk = key & mask
+                i = lk >> shift
+                b = cum[i] + ((allocs[i] * (lk & offmask)) >> shift)
+                if b >= n_buckets:
+                    b = n_buckets - 1
+                off = b * cap
+                end = off + counts[b]
+                j = bisect_left(karr, key, off, end)
+                append(values[b][j - off] if j < end and karr[j] == key
+                       else None)
+                continue
             karr = store._karr
             pos = bisect_right(karr, key) - 1
-            if pos < 0 or karr[pos] != key:
+            if karr[pos] != key:  # ``pos == -1`` included, as in ``get``
                 append(None)
                 continue
             cap = store.capacity
@@ -1237,8 +1273,13 @@ class DyTIS:
 
     def _double_directory(self, table: _EHTable) -> None:
         t0 = time.perf_counter()
-        old_size = len(table.dir)
-        table.dir = [s for s in table.dir for _ in range(2)]
+        old = table.dir
+        old_size = len(old)
+        # Each entry twice in a row, by two strided slice copies in C.
+        new = old * 2
+        new[::2] = old
+        new[1::2] = old
+        table.dir = new
         table.global_depth += 1
         self.stats.doublings += 1
         dt = time.perf_counter() - t0

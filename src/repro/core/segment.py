@@ -38,6 +38,16 @@ from repro.core.remap import PiecewiseRemap, _apportion, proportional_allocs
 from repro.core.storage import SLICED_BUCKETS, ColumnarStorage
 
 
+#: Point reads in a segment of more buckets than this route the key
+#: through the remap and bisect only its bucket's live prefix; a
+#: segment of this many buckets or fewer is probed with one bisect over
+#: its whole padded key column (:meth:`ColumnarStorage.probe_key`),
+#: which skips the remap arithmetic.  The break-even comes from
+#: ``benchmarks/bench_micro_primitives.py::test_probe_break_even``
+#: (table in docs/ARCHITECTURE.md §6).
+ROUTED_PROBE_BUCKETS = 64
+
+
 class SegmentOverflow(Exception):
     """A layout cannot hold its keys within bucket capacity."""
 
@@ -134,14 +144,20 @@ class Segment:
     def bucket_index_for(self, key: int) -> int:
         return self.remap.bucket_of(key & self._mask)
 
-    def probe(self, key: int) -> Tuple[bool, Any]:
-        """(found, value) for ``key``: one binary search over the padded
-        key column, no routing."""
-        return self.store.probe_key(key)
+    def probe(self, key: int, b: Optional[int] = None) -> Tuple[bool, Any]:
+        """(found, value) for ``key`` under the probe rule: past
+        :data:`ROUTED_PROBE_BUCKETS` buckets, a bisect of the bucket the
+        remap names (``b`` when the caller routed already); otherwise one
+        bisect over the whole padded key column, no routing."""
+        store = self.store
+        if store.n_buckets > ROUTED_PROBE_BUCKETS:
+            if b is None:
+                b = self.bucket_index_for(key)
+            return store.probe_bucket(b, key)
+        return store.probe_key(key)
 
     def get(self, key: int) -> Optional[Any]:
-        found, value = self.store.probe_key(key)
-        return value if found else None
+        return self.probe(key)[1]
 
     def contains(self, key: int) -> bool:
         return self.probe(key)[0]

@@ -13,21 +13,23 @@ whole-array slice copies instead of per-key Python tuples.
 
 Slack slots are not dead space -- they hold *sentinel padding*
 (a following key, or ``2^64 - 1`` past the last one) chosen so the
-entire key column stays non-decreasing.  Point lookups therefore
-skip bucket routing entirely: one ``bisect_right`` over the whole
-column lands on the last slot ``<= key``, and a slot is a genuine
-hit only when it lies inside its bucket's live prefix
-(``slot - b*capacity < counts[b]``) -- padding can duplicate a key
-but always *before* its live slot, never shadow it.  ``DyTIS.get_many``
-does not probe these columns in a read-only phase: it answers from a
-snapshot of the live keys alone, gathered segment by segment with
-:meth:`ColumnarStorage.live_keys_into`, so neither slack nor padding is
-copied.
+entire key column stays non-decreasing.  A point lookup in a short
+column can therefore skip bucket routing: one ``bisect_right`` over
+the whole column (:meth:`ColumnarStorage.probe_key`) lands on the last
+slot ``<= key``, and a slot is a genuine hit only when it lies inside
+its bucket's live prefix (``slot - b*capacity < counts[b]``) -- padding
+can duplicate a key but always *before* its live slot, never shadow
+it.  A long column is probed in the bucket the remap names instead
+(:meth:`ColumnarStorage.probe_bucket`; ``Segment.probe`` holds the
+rule).  ``DyTIS.get_many`` does not probe these columns in a read-only
+phase: it answers from a snapshot of the live keys alone, gathered
+segment by segment with :meth:`ColumnarStorage.live_keys_into`, so
+neither slack nor padding is copied.
 
-:class:`repro.core.segment.Segment` routes keys to buckets (inserts and
-deletes need the bucket; lookups and scans do not) and delegates the
-storage here; docs/ARCHITECTURE.md §6 records why this is the only
-layout.
+:class:`repro.core.segment.Segment` routes keys to buckets (inserts,
+deletes and lookups in long segments need the bucket; scans do not)
+and delegates the storage here; docs/ARCHITECTURE.md §6 records why
+this is the only layout.
 """
 
 from __future__ import annotations
@@ -244,6 +246,18 @@ class ColumnarStorage:
             if i < counts[b]:
                 return True, self.values[b][i]
             pos -= 1
+        return False, None
+
+    def probe_bucket(self, b: int, key: int) -> Tuple[bool, Any]:
+        """(found, value) by binary search over bucket ``b``'s live
+        prefix, the bucket the remap routes ``key`` to: no padding is
+        searched, so nothing needs walking back."""
+        off = b * self.capacity
+        end = off + self.counts[b]
+        karr = self._karr
+        i = bisect_left(karr, key, off, end)
+        if i < end and karr[i] == key:
+            return True, self.values[b][i - off]
         return False, None
 
     def insert(self, b: int, key: int, value: Any) -> str:

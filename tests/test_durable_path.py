@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DyTIS, DyTISConfig
+from repro.core.segment import ROUTED_PROBE_BUCKETS
 from repro.core.storage import ColumnarStorage
 from repro.kvstore import CodecError, KVStore, StringCodec, UintCodec
 from repro.wal import DurableKVStore, SimFS, WriteAheadLog
@@ -266,6 +267,13 @@ def test_get_hands_padding_duplicates_to_probe_key(monkeypatch):
     keys = [k << 56 for k in range(1, 41)]  # one table, many buckets
     for k in keys:
         index.insert(k, k)
+    # Gets here bisect the whole column: no segment is long enough for
+    # the routed probe (tests/test_point_probe.py covers that one).
+    assert all(
+        seg.n_buckets <= ROUTED_PROBE_BUCKETS
+        for table in index._tables if table is not None
+        for seg in table.unique_segments()
+    )
     # Padding copies a *following* key: each bucket minimum that has
     # slack before it is duplicated there, and still found directly.
     assert [index.get(k) for k in keys] == keys

@@ -162,7 +162,8 @@ class DyTIS:
             self._rec_scan = None
         self._m = self.config.eh_key_bits
         self._local_mask = (1 << self._m) - 1
-        self._key_limit = 1 << self.config.key_bits
+        self._key_bits = self.config.key_bits
+        self._key_limit = 1 << self._key_bits
         self._tables: List[Optional[_EHTable]] = [None] * (
             1 << self.config.first_level_bits
         )
@@ -199,7 +200,7 @@ class DyTIS:
         """
         if type(key) is not int:
             key = _as_int(key)
-        if not 0 <= key < self._key_limit:
+        if key >> self._key_bits:  # nonzero for a negative key too
             raise ValueError(
                 f"key {key} outside [0, 2^{self.config.key_bits})"
             )
@@ -232,7 +233,7 @@ class DyTIS:
             return self._get_observed(key)
         if type(key) is not int:
             key = _as_int(key)
-        if not 0 <= key < self._key_limit:
+        if key >> self._key_bits:
             self._check_key(key)  # raises ValueError
         m = self._m
         table = self._tables[key >> m]
@@ -320,7 +321,7 @@ class DyTIS:
             t0 = _now()
         if type(key) is not int:
             key = _as_int(key)
-        if not 0 <= key < self._key_limit:
+        if key >> self._key_bits:
             self._check_key(key)  # raises ValueError
         m = self._m
         table = self._tables[key >> m]
@@ -391,7 +392,10 @@ class DyTIS:
         rec = self._rec_delete
         if rec is not None:
             t0 = _now()
-        key = self._check_key(key)
+        if type(key) is not int:
+            key = _as_int(key)
+        if key >> self._key_bits:
+            self._check_key(key)  # raises ValueError
         seg = self._segment(key)
         found = seg is not None and seg.delete(key)
         if found:

@@ -113,14 +113,24 @@ class Namespace:
         self.codec = codec
         self._base = ns_id << store._payload_bits
         self._span = 1 << store._payload_bits
-        # The scalar read's two callees, bound once (``get`` below).
+        # The key check, picked once.  Under the identity codec
+        # (``UintCodec`` exactly) a plain int below 2^bits *is* its
+        # encoding, tested inline as ``type(key) is int and not key >>
+        # bits``.  Every other key -- and every key of any other codec,
+        # whose ``_plain_int`` is None, which no ``type(key)`` is --
+        # goes through ``codec.encode``, which raises the rejections.
+        self._plain_int = int if type(codec) is UintCodec else None
+        self._codec_bits = codec.bits
+        # The scalar read's callees, bound once (``get`` below).
         self._encode_key = codec.encode
         self._index_get = store.index.get
         if store._index_read_write is not None:
             self.read_write_many = self._read_write_many
 
     def _encode(self, key) -> int:
-        return self._base | self.codec.encode(key)
+        if type(key) is self._plain_int and not key >> self._codec_bits:
+            return self._base | key
+        return self._base | self._encode_key(key)
 
     def _upper_bound(self, high) -> int:
         """Encode an *exclusive* range bound, saturating at the span end.
@@ -150,7 +160,11 @@ class Namespace:
         self.store.index.insert(self._encode(key), value)
 
     def get(self, key, default: Any = None) -> Any:
-        found = self._index_get(self._base | self._encode_key(key))
+        # ``_encode`` inlined: a read is one frame above the index's.
+        if type(key) is self._plain_int and not key >> self._codec_bits:
+            found = self._index_get(self._base | key)
+        else:
+            found = self._index_get(self._base | self._encode_key(key))
         return default if found is None else found
 
     def get_many(self, keys) -> List[Any]:
@@ -222,14 +236,15 @@ class Namespace:
         """
         lo = self._encode(low)
         hi = self._upper_bound(high)
-        if hi <= lo:
-            return 0
+        return self._delete_span(lo, hi) if lo < hi else 0
+
+    def _delete_span(self, lo: int, hi: int) -> int:
+        """Delete every prefixed index key in ``[lo, hi)``, ``lo < hi``;
+        returns the count."""
         index = self.store.index
         if self.store._index_is_batch:
             return index.delete_range(lo, hi)
-        # scan_range handles scan-only indexes by paging; re-encode
-        # the decoded keys rather than duplicating that logic here.
-        doomed = [self._encode(k) for k, _ in self.scan_range(low, high)]
+        doomed = [full for full, _ in self._raw_range(lo, hi)]
         return sum(1 for full in doomed if index.delete(full))
 
     def scan(self, start_key, count: int) -> List[Tuple[Any, Any]]:
@@ -257,28 +272,32 @@ class Namespace:
         hi = self._upper_bound(high)
         if hi <= lo:
             return []
-        index = self.store.index
-        if self.store._index_has_scan_range:
-            raw = index.scan_range(lo, hi)
-        else:
-            raw = []
-            cursor = lo
-            while cursor < hi:
-                batch = index.scan(cursor, 1024)
-                if not batch:
-                    break
-                for full, value in batch:
-                    if full >= hi:
-                        break
-                    raw.append((full, value))
-                else:
-                    cursor = batch[-1][0] + 1
-                    continue
-                break
         return [
             (self.codec.decode(full - self._base), value)
-            for full, value in raw
+            for full, value in self._raw_range(lo, hi)
         ]
+
+    def _raw_range(self, lo: int, hi: int) -> List[Tuple[int, Any]]:
+        """The index's pairs with ``lo <= key < hi`` (prefixed keys);
+        a scan-only index is paged through ``scan``."""
+        index = self.store.index
+        if self.store._index_has_scan_range:
+            return index.scan_range(lo, hi)
+        raw = []
+        cursor = lo
+        while cursor < hi:
+            batch = index.scan(cursor, 1024)
+            if not batch:
+                break
+            for full, value in batch:
+                if full >= hi:
+                    break
+                raw.append((full, value))
+            else:
+                cursor = batch[-1][0] + 1
+                continue
+            break
+        return raw
 
     def count_range(self, low, high) -> int:
         """Number of keys with low <= key < high in this namespace."""

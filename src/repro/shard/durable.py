@@ -23,6 +23,7 @@ from typing import Any, List, Optional
 
 from repro.api.protocol import batch_columns
 from repro.core import DyTIS, DyTISConfig
+from repro.kvstore.codec import dump_value
 from repro.wal import record as rec
 from repro.wal.checkpoint import DurableDirectory
 
@@ -103,7 +104,8 @@ class DurableShardIndex(DurableDirectory):
     # -- mutations (log first, then apply) ------------------------------
 
     def insert(self, key: int, value: Any) -> None:
-        self.wal.append(rec.OP_INSERT, rec.encode_insert(key, value))
+        # ``rec.encode_insert``'s payload, its key packed with the header.
+        self.wal.append(rec.OP_INSERT, dump_value(value), 1, key)
         self.index.insert(key, value)
 
     def insert_many(self, keys, values=None) -> None:

@@ -122,7 +122,7 @@ class DurableDirectory:
         self.fs = fs if fs is not None else OsFS()
         # Pass a shared WalMetrics to keep counters across close/reopen
         # cycles (each recovery otherwise starts a fresh set).
-        self.metrics = metrics if metrics is not None else WalMetrics()
+        self._metrics = metrics if metrics is not None else WalMetrics()
         self._lock = threading.Lock()  # writes never nest it
         self._in_checkpoint = False
         self._checkpoint_errors: List[str] = []
@@ -169,7 +169,7 @@ class DurableDirectory:
             fs=self.fs,
             policy=fsync,
             segment_size=segment_size,
-            metrics=self.metrics,
+            metrics=self._metrics,
             on_seal=self._on_seal if shipping else None,
             retention_pin=self.uploader.safe_truncate_lsn if shipping else None,
             checkpoint_lsn=self.checkpoint_lsn,
@@ -251,10 +251,16 @@ class DurableDirectory:
                     "alone cannot rebuild the store"
                 )
             raise
-        m = self.metrics
+        m = self._metrics
         m.replays_total += 1
         m.records_replayed_total += n
         m.replay_ns_total += int((time.perf_counter() - t0) * 1e9)
+
+    @property
+    def metrics(self) -> WalMetrics:
+        """The WAL counters, read through the log (which publishes its
+        derived append counters first)."""
+        return self.wal.metrics
 
     # -- remote shipping ------------------------------------------------
 
@@ -310,7 +316,7 @@ class DurableDirectory:
                 self.uploader.ship_segments()
             self.wal.truncate_upto(lsn)
             self.checkpoint_lsn = lsn
-            m = self.metrics
+            m = self._metrics
             m.checkpoints_total += 1
             m.checkpoint_ns_total += int((time.perf_counter() - t0) * 1e9)
             return lsn

@@ -58,7 +58,11 @@ from repro.wal.policy import AlwaysFsync, FsyncPolicy, parse_policy
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
 _RECORD_BODY = rec._RECORD_BODY
+#: An ``OP_INSERT`` record's body up to its value bytes, packed at once:
+#: lsn | op | payload_len | the payload's u64 key (``rec.encode_insert``).
+_KEYED_BODY = rec._KEYED_BODY
 _RECORD_HEADER_SIZE = rec.RECORD_HEADER_SIZE
+_KEY_SIZE = rec._U64.size
 
 
 class RecoveryError(RuntimeError):
@@ -100,7 +104,7 @@ class WriteAheadLog:
         # returns without waiting for it.
         self._ack_after_sync = isinstance(self.policy, AlwaysFsync)
         self.segment_size = segment_size
-        self.metrics = metrics if metrics is not None else WalMetrics()
+        self._metrics = metrics if metrics is not None else WalMetrics()
         #: Called as ``on_seal(name, seqno, base_lsn, last_lsn)`` when a
         #: segment is sealed by rotation -- the hook remote shipping
         #: hangs off (a sealed segment is immutable, hence shippable).
@@ -112,7 +116,12 @@ class WriteAheadLog:
 
         self.fs.makedirs(self.directory)
         self._handle = None
-        self._segment_bytes = 0
+        self._segment_bytes = 0  # bytes in the active segment
+        self._sealed_bytes = 0  # bytes in segments this log sealed
+        self._extra_ops = 0  # ops past the first in batch records
+        # Serialises ``_publish`` and the rotation's move of the active
+        # segment's bytes into ``_sealed_bytes``; ``append`` never takes it.
+        self._publishing = threading.Lock()
         self._pending = 0  # records appended since the last sync started
         self._last_sync = _clock()
         self._closed = False
@@ -128,10 +137,16 @@ class WriteAheadLog:
         # Never restart below a checkpoint the caller recovered: LSNs
         # at or under it are ones replay skips.
         last_lsn = max(last_lsn, checkpoint_lsn)
-        m = self.metrics
+        m = self._metrics
         self.last_lsn = m.last_lsn = last_lsn  # highest LSN ever acknowledged
         self.durable_lsn = m.durable_lsn = last_lsn  # highest known fsync-durable
         m.live_segments = len(segment_files(self.fs, self.directory))
+        # The append counters are derived, not kept (``_publish``): what
+        # the metrics held at open plus what this log appended since.
+        self._open_lsn = last_lsn
+        self._open_counts = (
+            m.appends_total, m.ops_logged_total, m.bytes_written_total
+        )
         self._open_segment(next_seqno, base_lsn=last_lsn + 1)
 
     # -- startup --------------------------------------------------------
@@ -178,15 +193,52 @@ class WriteAheadLog:
         # Surface the header past the user-space buffer so readers
         # (truncation, replay of a live log) can identify the segment.
         self._handle.flush()
-        self._segment_bytes = len(header)
+        with self._publishing:
+            self._sealed_bytes += self._segment_bytes
+            self._segment_bytes = len(header)
         self._seqno = seqno
         self._base_lsn = base_lsn
-        self.metrics.live_segments += 1
-        self.metrics.bytes_written_total += len(header)
+        self._metrics.live_segments += 1
+
+    # -- metrics --------------------------------------------------------
+
+    @property
+    def metrics(self) -> WalMetrics:
+        """The log's :class:`WalMetrics`, its append counters published
+        first (a closed log published them at ``close``)."""
+        if not self._closed:
+            self._publish()
+        return self._metrics
+
+    def _publish(self) -> None:
+        """Write the derived counters into the metrics object.
+
+        ``append`` keeps no counters: every record takes one LSN, so
+        ``appends_total`` is the LSNs issued since open, ``ops_logged_
+        total`` adds the batch records' extra ops, and ``bytes_written_
+        total`` is the sealed segments' bytes plus the active one's.
+        Each is an absolute value over fields that only grow between
+        rotations, and the rotation's move of the active segment's bytes
+        holds ``_publishing``, so concurrent readers publish monotone
+        values; the syncer thread writes other fields.
+        """
+        with self._publishing:
+            lsn = self.last_lsn
+            appended = lsn - self._open_lsn
+            appends, ops, written = self._open_counts
+            m = self._metrics
+            m.appends_total = appends + appended
+            m.ops_logged_total = ops + appended + self._extra_ops
+            m.bytes_written_total = (
+                written + self._sealed_bytes + self._segment_bytes
+            )
+            m.last_lsn = lsn
 
     # -- appending ------------------------------------------------------
 
-    def append(self, op: int, payload: bytes, ops: int = 1) -> int:
+    def append(
+        self, op: int, payload: bytes, ops: int = 1, key: Optional[int] = None
+    ) -> int:
         """Append one record; returns its LSN.
 
         Under ``always`` the record is fsync-durable when this returns.
@@ -194,15 +246,22 @@ class WriteAheadLog:
         group commit (unless one is in flight) and returns without
         waiting for it.  ``ops`` is the number of logical operations the
         record carries (a batch record logs many), feeding the metrics
-        only.
+        only.  ``key``, when given, is the payload's leading u64 (an
+        ``OP_INSERT``'s key, with ``payload`` its value bytes): it is
+        packed with the record header, and the bytes are those of
+        ``rec.encode_insert``'s payload.
         """
         if self._closed or self._error is not None:
             raise self._error or ValueError("log is closed")
         lsn = self.last_lsn + 1
         # ``rec.encode_record`` inlined (it stays the format's
         # definition): the CRC covers lsn | op | length | payload.
-        size = len(payload)
-        body = _RECORD_BODY.pack(lsn, op, size) + payload
+        if key is None:
+            size = len(payload)
+            body = _RECORD_BODY.pack(lsn, op, size) + payload
+        else:
+            size = len(payload) + _KEY_SIZE
+            body = _KEYED_BODY.pack(lsn, op, size, key) + payload
         size += _RECORD_HEADER_SIZE
         end = self._segment_bytes + size
         if end > self.segment_size:
@@ -211,12 +270,9 @@ class WriteAheadLog:
         self._handle.append(_crc32(body).to_bytes(4, "little") + body)
         self._segment_bytes = end
         self.last_lsn = lsn
+        if ops != 1:
+            self._extra_ops += ops - 1
         pending = self._pending = self._pending + 1
-        m = self.metrics
-        m.appends_total += 1
-        m.ops_logged_total += ops
-        m.bytes_written_total += size
-        m.last_lsn = lsn
         records = self._sync_records
         interval = self._sync_interval
         if (records is not None and pending >= records) or (
@@ -246,7 +302,7 @@ class WriteAheadLog:
     def _synced(self, error: Optional[BaseException]) -> None:
         """``done`` of a group commit, on whichever thread ran it."""
         if error is None:
-            m = self.metrics
+            m = self._metrics
             m.fsyncs_total += 1
             m.fsync_ns_total += int((_clock() - self._last_sync) * 1e9)
             self.durable_lsn = m.durable_lsn = self._sync_target
@@ -268,7 +324,7 @@ class WriteAheadLog:
         t0 = _clock()
         self._handle.sync()
         now = self._last_sync = _clock()
-        m = self.metrics
+        m = self._metrics
         m.fsyncs_total += 1
         m.fsync_ns_total += int((now - t0) * 1e9)
         self.durable_lsn = m.durable_lsn = self.last_lsn
@@ -287,7 +343,7 @@ class WriteAheadLog:
         """
         self.sync()
         self._handle.close()
-        self.metrics.rotations_total += 1
+        self._metrics.rotations_total += 1
         sealed = (
             segment_name(self._seqno),
             self._seqno,
@@ -295,6 +351,7 @@ class WriteAheadLog:
             next_base_lsn - 1,
         )
         self._open_segment(self._seqno + 1, base_lsn=next_base_lsn)
+        self._publish()
         if self.on_seal is not None:
             self.on_seal(*sealed)
 
@@ -303,6 +360,7 @@ class WriteAheadLog:
         Closes even when the sync raises, and re-raises its error."""
         if self._closed:
             return
+        self._publish()  # the last time: a closed log publishes nothing
         self._closed = True
         try:
             self.sync()
@@ -336,7 +394,7 @@ class WriteAheadLog:
                 # holds nothing acknowledged.  Legal as the tail, and
                 # legal mid-log only if the next readable segment
                 # continues from ``prev_lsn`` (checked on its header).
-                self.metrics.torn_tails_total += 1
+                self._metrics.torn_tails_total += 1
                 if final:
                     break
                 continue
@@ -375,8 +433,8 @@ class WriteAheadLog:
                 # iteration).  A continuity break there means durable
                 # acknowledged history was damaged, and raises.
                 if tail.reason == "crc":
-                    self.metrics.crc_failures_total += 1
-                self.metrics.torn_tails_total += 1
+                    self._metrics.crc_failures_total += 1
+                self._metrics.torn_tails_total += 1
                 if final:
                     break
 
@@ -417,8 +475,8 @@ class WriteAheadLog:
                 removed += 1
             else:
                 break  # later segments are younger still (or unprovable)
-        self.metrics.live_segments -= removed
-        self.metrics.segments_truncated_total += removed
+        self._metrics.live_segments -= removed
+        self._metrics.segments_truncated_total += removed
         return removed
 
     def __enter__(self) -> "WriteAheadLog":

@@ -1,7 +1,13 @@
 """WAL metrics: throughput, fsync, checkpoint, and replay counters.
 
-One :class:`WalMetrics` travels with one :class:`~repro.wal.log.
+One :class:`WalMetrics` travels with one live :class:`~repro.wal.log.
 WriteAheadLog` (and is shared with the wrapping ``DurableKVStore``).
+The log does not write ``appends_total``, ``ops_logged_total``,
+``bytes_written_total`` or ``last_lsn`` per append: it derives them and
+publishes them into this object whenever ``log.metrics`` or
+``store.metrics`` is read, and at rotation and close.  A caller that
+keeps the object of a live log between reads sees those four fields as
+of its last read.
 The counters feed the observability exposition: a snapshot carrying a
 ``"wal"`` block renders one ``<prefix>_wal_<field>`` family per field
 through :func:`repro.obs.exposition.family`, which types a ``*_total``

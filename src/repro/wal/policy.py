@@ -22,8 +22,12 @@ trade-off the bench quantifies (``benchmarks/bench_wal_overhead.py``):
   time: an idle log's tail waits for the next write, ``flush``,
   checkpoint or ``close``.
 - :class:`NeverFsync` -- leave durability to the OS writeback (no
-  threshold).  Data survives a process kill (the bytes reached the
-  kernel) but not a power cut.
+  threshold).  Appends collect in the log's 64 KiB user-space buffer
+  (:class:`~repro.wal.faultfs.OsAppendHandle`) and reach the kernel
+  when it fills, or at ``flush``, checkpoint, rotation or ``close``.
+  A process kill loses at most that buffered tail, a power cut
+  everything since the last sync; recovery lands on a prefix either
+  way.
 
 ``parse_policy`` accepts the config-friendly spellings ``"always"``,
 ``"never"``, ``"batch"``, and ``"batch(n,interval)"``.

@@ -84,6 +84,7 @@ class WalRecord(NamedTuple):
 
 
 _RECORD_BODY = struct.Struct("<QBI")  # lsn, op, payload_len (after the crc)
+_KEYED_BODY = struct.Struct("<QBIQ")  # the same, then an insert payload's key
 
 
 def encode_record(lsn: int, op: int, payload: bytes) -> bytes:

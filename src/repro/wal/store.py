@@ -7,8 +7,10 @@ namespace creation -- is logged *before* it is applied, and the call
 returns ("acknowledges") only after the log append and the fsync
 policy's decision.  With ``fsync='always'`` an acknowledged write is on
 stable storage; ``'batch'`` group-commits with bounded, prefix-ordered
-loss; ``'never'`` trusts OS writeback (survives a process kill, not a
-power cut).
+loss; ``'never'`` trusts OS writeback: records reach the kernel when
+the log's 64 KiB buffer fills or at ``flush``, checkpoint, rotation or
+``close``, so a process kill loses at most the buffered tail (a prefix
+survives) and a power cut everything since the last sync.
 
 Construction *is* recovery, and recovery, the checkpoint protocol and
 remote shipping are the durability core's (:mod:`repro.wal.checkpoint`);
@@ -22,7 +24,6 @@ that never crashed.
 
 from __future__ import annotations
 
-import struct
 from typing import Any, Dict, List, Optional
 
 from repro.api import batch_columns
@@ -33,7 +34,7 @@ from repro.wal import record as rec
 from repro.wal.checkpoint import DurableDirectory
 from repro.wal.metrics import WalMetrics
 
-_U64_PACK = struct.Struct("<Q").pack
+_OP_INSERT = rec.OP_INSERT
 
 
 class DurableKVStore(DurableDirectory):
@@ -155,14 +156,19 @@ class DurableNamespace:
     def __init__(self, store: DurableKVStore, inner):
         self._ns = inner
         self.name, self.codec = inner.name, inner.codec
-        # The write path's callees, bound once: the store's write lock,
-        # its log's ``append`` and, for ``insert``, the key encoding and
-        # the index's ``insert``.
+        # The write path's callees, bound once: the store's write lock
+        # (and, for ``insert``, its bound ``acquire``/``release``: a
+        # ``with`` block costs about twice the two calls), its log's
+        # ``append`` and the index's ``insert`` and ``delete``; and the
+        # namespace's inline key check (see ``Namespace.__init__``).
         self._lock = store._lock
+        self._acquire, self._release = store._lock.acquire, store._lock.release
         self._wal_append = store.wal.append
         self._base = inner._base
+        self._plain_int, self._codec_bits = inner._plain_int, inner._codec_bits
         self._encode_key = inner.codec.encode
         self._index_insert = inner.store.index.insert
+        self._index_delete = inner.store.index.delete
         # Reads never touch the log: they *are* the inner bound methods.
         self.get, self.get_many = inner.get, inner.get_many
         self.scan, self.scan_range = inner.scan, inner.scan_range
@@ -171,16 +177,24 @@ class DurableNamespace:
     # -- logged mutations -----------------------------------------------
 
     def insert(self, key, value: Any) -> None:
-        # Key and payload (``rec.encode_insert``: u64 key | the value as
-        # ``dump_value`` writes it) are encoded here, before the lock:
-        # a key or value that fails to encode logs nothing.
-        full = self._base | self._encode_key(key)
-        payload = _U64_PACK(full) + (
+        # The key (``Namespace._encode`` inlined) and the value bytes
+        # (``dump_value``, its int case inline) are encoded here, before
+        # the lock: a key or value that fails to encode logs nothing.
+        # ``append`` packs the key into the record header, so the
+        # payload is ``rec.encode_insert``'s: u64 key | value bytes.
+        if type(key) is self._plain_int and not key >> self._codec_bits:
+            full = self._base | key
+        else:
+            full = self._base | self._encode_key(key)
+        value_bytes = (
             str(value).encode("ascii") if type(value) is int else dump_value(value)
         )
-        with self._lock:
-            self._wal_append(rec.OP_INSERT, payload)
+        self._acquire()
+        try:
+            self._wal_append(_OP_INSERT, value_bytes, 1, full)
             self._index_insert(full, value)
+        finally:
+            self._release()
 
     def insert_many(self, keys, values=None) -> None:
         keys, values = batch_columns(keys, values)
@@ -200,10 +214,10 @@ class DurableNamespace:
             self._ns._insert_full(keys, values)
 
     def delete(self, key) -> bool:
-        full = self._ns._encode(key)
+        full = self._ns._encode(key)  # once: the record and the apply share it
         with self._lock:
             self._wal_append(rec.OP_DELETE, rec.encode_delete(full))
-            return self._ns.delete(key)
+            return self._index_delete(full)
 
     def delete_range(self, low, high) -> int:
         lo = self._ns._encode(low)
@@ -214,7 +228,7 @@ class DurableNamespace:
             self._wal_append(
                 rec.OP_DELETE_RANGE, rec.encode_delete_range(lo, hi)
             )
-            return self._ns.delete_range(low, high)
+            return self._ns._delete_span(lo, hi)
 
     def __contains__(self, key) -> bool:
         return key in self._ns

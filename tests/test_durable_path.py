@@ -1,11 +1,12 @@
 """The flat durable path: ``ns.insert`` -> segment file, ``ns.get``, checkpoint.
 
-The scalar durable write is three frames deep (``DurableNamespace.
-insert`` -> ``WriteAheadLog.append`` -> ``handle.append``) beside a
-one-frame index insert, a scalar ``get`` is ``Namespace.get`` ->
-``codec.encode`` -> ``DyTIS.get``, and a checkpoint streams its lines
-from ``scan_range``.  None of that may change a byte on disk, a sync
-decision or a reply, so the suite pins
+The scalar durable write is two frames deep (``DurableNamespace.
+insert`` -> ``WriteAheadLog.append``, whose ``handle.append`` is the
+buffered file's C ``write`` on the real disk) beside a one-frame index
+insert, a scalar ``get`` is ``Namespace.get`` -> ``DyTIS.get`` (the
+identity codec's key check is inline), and a checkpoint streams its
+lines from ``scan_range``.  None of that may change a byte on disk, a
+sync decision, a reply or a counter a reader sees, so the suite pins
 
 - golden bytes: WAL segments and the checkpoint of a fixed script hash
   to constants recorded from the commit before the path was flattened,
@@ -14,7 +15,9 @@ decision or a reply, so the suite pins
 - the work count, so a re-layering fails a test, not a benchmark,
 - scalar ``get`` against a dict, including the
   padding-duplicate cases the inline hit check hands to ``probe_key``,
-- the codec's rejections, and that a failed encode logs nothing.
+- the codec's rejections, through every scalar op of both namespace
+  kinds, and that a failed encode logs nothing,
+- the derived ``WalMetrics`` append counters against an eager count.
 """
 
 import hashlib
@@ -31,7 +34,8 @@ from repro.core import DyTIS, DyTISConfig
 from repro.core.segment import ROUTED_PROBE_BUCKETS
 from repro.core.storage import ColumnarStorage
 from repro.kvstore import CodecError, KVStore, StringCodec, UintCodec
-from repro.wal import DurableKVStore, SimFS, WriteAheadLog
+from repro.kvstore.codec import dump_value
+from repro.wal import DurableKVStore, SimFS, WalMetrics, WriteAheadLog
 from repro.wal import log as wal_log
 from repro.wal import record as rec
 
@@ -96,15 +100,20 @@ def test_golden_bytes(tmp_path):
 
 
 def test_log_record_is_encode_record():
-    """``append`` inlines the framing ``rec.encode_record`` defines."""
+    """``append`` inlines the framing ``rec.encode_record`` defines, and
+    an insert whose key rides as ``key=`` is ``rec.encode_insert``'s."""
     fs = SimFS()
     log = WriteAheadLog("w", fs=fs, policy="never")
     log.append(rec.OP_INSERT, b"payload")
     log.append(rec.OP_DELETE, b"")
+    log.append(rec.OP_INSERT, b'{"a":1}', 1, (1 << 64) - 2)
     log.close()
     assert fs.read_bytes("w/wal-00000001.log")[rec.SEGMENT_HEADER_SIZE:] == (
         rec.encode_record(1, rec.OP_INSERT, b"payload")
         + rec.encode_record(2, rec.OP_DELETE, b"")
+        + rec.encode_record(
+            3, rec.OP_INSERT, rec.encode_insert((1 << 64) - 2, {"a": 1})
+        )
     )
 
 
@@ -186,11 +195,11 @@ def _python_calls(fn) -> int:
 
 
 def test_scalar_durable_ops_stay_flat(tmp_path):
-    """<= 6 Python calls per durable update (``DurableNamespace.insert``,
-    ``UintCodec.encode``, ``wal.append``, ``handle.append``,
-    ``DyTIS.insert``, the engine's ``insert``; the parent made 13) and
-    <= 3 per get (``Namespace.get``, ``UintCodec.encode``,
-    ``DyTIS.get``; the parent made 8), on the production engine."""
+    """<= 3 Python calls per durable update (``DurableNamespace.insert``,
+    ``WriteAheadLog.append``, ``DyTIS.insert``; the layered path made
+    13) and <= 2 per get (``Namespace.get``, ``DyTIS.get``; it made 8),
+    on the production engine and the real disk, where the log's
+    ``handle.append`` is the buffered file's C ``write``."""
     index = DyTIS()
     store = DurableKVStore(tmp_path, index=index, fsync="batch(4096,1000)")
     ns = store.namespace("default")
@@ -208,8 +217,8 @@ def test_scalar_durable_ops_stay_flat(tmp_path):
         for k in hot:
             ns_get(k)
 
-    assert _python_calls(updates) / len(hot) <= 6
-    assert _python_calls(gets) / len(hot) <= 3
+    assert _python_calls(updates) / len(hot) <= 3
+    assert _python_calls(gets) / len(hot) <= 2
     assert [ns.get(k) for k in hot] == list(range(len(hot)))
     store.close()
 
@@ -330,3 +339,123 @@ def test_failed_encode_logs_nothing():
     with pytest.raises(CodecError):
         KVStore().namespace("default").get(True)
     store.close()
+
+
+class _Int(int):
+    """An int subclass: the codec accepts it, the inline check does not
+    claim it."""
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+def test_scalar_ops_raise_the_codecs_rejections(durable):
+    """Every key ``test_uint_codec_rejects`` names raises the codec's own
+    ``CodecError`` (same message) through ``get``, ``insert`` and
+    ``delete``, whether the inline identity check or ``codec.encode``
+    answers, and the durable namespace logs nothing for it."""
+    store = (
+        DurableKVStore("db", fs=SimFS(), fsync="never") if durable else KVStore()
+    )
+    ns = store.namespace("default")
+    codec = ns.codec
+    assert type(codec) is UintCodec and codec.bits == 56
+    ns.insert(5, "five")
+    lsn = store.last_lsn if durable else None
+    for bad in [True, np.int64(5), np.uint64(5), -1, 1 << 56, 5.0, "5", None]:
+        with pytest.raises(CodecError) as want:
+            codec.encode(bad)
+        for call in (ns.get, lambda k: ns.insert(k, 1), ns.delete):
+            with pytest.raises(CodecError) as got:
+                call(bad)
+            assert str(got.value) == str(want.value)
+    # An in-range int subclass is the codec's to accept, as before.
+    assert ns.get(_Int(5)) == "five"
+    if durable:
+        assert store.last_lsn == lsn
+        ns.insert(_Int(6), "six")
+        assert ns.delete(_Int(6)) and store.last_lsn == lsn + 2
+        store.close()
+    assert len(ns) == 1 and ns.get(5) == "five"
+
+
+# -- (f) derived WAL metrics -------------------------------------------------
+
+_EXACT = ("appends_total", "ops_logged_total", "bytes_written_total", "last_lsn")
+
+
+@pytest.mark.parametrize("policy", ["always", "batch(3,1000)", "never"])
+def test_wal_metrics_are_exact_on_every_read(policy):
+    """The log derives its append counters instead of writing them per
+    append; every read through ``log.metrics`` or ``store.metrics``
+    must still equal an eager count of what was appended, across
+    rotation (512-byte segments), ``BATCH2`` records of many ops, a
+    checkpoint's rotation and truncation, and close/reopen cycles that
+    share one ``WalMetrics``."""
+    fs, shared = SimFS(), WalMetrics()
+    want = dict.fromkeys(_EXACT, 0)
+    rotations = [0]
+
+    def logged(store, size, ops=1):
+        # One record of ``size`` payload bytes, plus a segment header
+        # for every rotation since the last look (rotations_total is
+        # still counted where it happens).
+        want["appends_total"] += 1
+        want["last_lsn"] += 1
+        want["ops_logged_total"] += ops
+        want["bytes_written_total"] += rec.RECORD_HEADER_SIZE + size
+        check(store)
+
+    def check(store):
+        turned = shared.rotations_total - rotations[0]
+        rotations[0] += turned
+        want["bytes_written_total"] += turned * rec.SEGMENT_HEADER_SIZE
+        for m in (store.wal.metrics, store.metrics):
+            assert m is shared
+            assert {k: getattr(m, k) for k in _EXACT} == want
+        assert store.last_lsn == want["last_lsn"]
+
+    def reopen():
+        store = DurableKVStore(
+            "db", fs=fs, fsync=policy, segment_size=512, metrics=shared
+        )
+        want["bytes_written_total"] += rec.SEGMENT_HEADER_SIZE
+        check(store)
+        return store
+
+    store = reopen()
+    ns = store.namespace("t")
+    logged(store, len(rec.encode_ns_open("t")))
+    rng = random.Random(3)
+    for i in range(150):
+        if i % 10 == 9:
+            keys = sorted(rng.sample(range(1 << 30), 5))
+            ns.insert_many(keys, keys)
+            logged(store, len(rec.encode_batch2(keys, keys)), ops=5)
+        elif i % 17 == 16:
+            ns.delete(rng.randrange(1 << 30))
+            logged(store, 8)
+        elif i % 29 == 28:
+            ns.delete_range(0, rng.randrange(1 << 20))
+            logged(store, 16)
+        elif i == 60:
+            store.checkpoint()  # a rotation, then truncation: no bytes
+            check(store)
+            assert shared.segments_truncated_total > 0
+        elif i in (90, 120):
+            closed = store
+            closed.close()
+            check(closed)
+            store = reopen()
+            ns = store.namespace("t")  # known: no NS_OPEN record
+            check(store)
+            # A closed log publishes nothing over its successor's counts.
+            ns.insert(1, 1)
+            logged(store, 8 + 1)
+            assert closed.metrics is shared
+            check(store)
+        else:
+            value = [i, f"v{i}", {"n": i}][i % 3]
+            ns.insert(rng.randrange(1 << 30), value)
+            logged(store, 8 + len(dump_value(value)))
+    assert shared.rotations_total > 10
+    store.close()
+    check(store)

@@ -8,7 +8,10 @@ checkpoint's step 0 and ``close`` -- still waits for the disk.  These
 tests pin that contract with ``os.fsync`` patched to a slow disk (or a
 failing one), race rotation against in-flight syncs, and SIGKILL a
 ``batch`` writer to check recovery yields a prefix that covers
-everything the writer saw published as durable.
+everything the writer saw published as durable.  A ``never`` writer is
+killed too: its acknowledged records sit in the log's 64 KiB user-space
+buffer until it fills or a flush, checkpoint, rotation or close hands
+them to the kernel, so a kill loses at most that buffered tail.
 """
 
 import errno
@@ -16,6 +19,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -208,6 +212,58 @@ def test_rotation_races_in_flight_syncs(tmp_path):
     reopened.close()
 
 
+def test_metrics_readers_race_the_writer_and_the_syncer(tmp_path):
+    """Two threads read ``log.metrics`` (each read publishes the derived
+    append counters) while the writer appends under ``batch(2,0)`` on
+    4 KiB segments, so rotations and the syncer thread run throughout:
+    every reader sees each counter grow monotonically, and the read
+    after ``close`` is exact."""
+    log = WriteAheadLog(tmp_path, policy="batch(2,0)", segment_size=4096)
+    stop = threading.Event()
+    seen = ([], [])
+
+    def read(out):
+        while not stop.is_set():
+            m = log.metrics
+            out.append((m.appends_total, m.ops_logged_total, m.bytes_written_total))
+
+    readers = [threading.Thread(target=read, args=(out,)) for out in seen]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    size = ops = 0
+    try:
+        for t in readers:
+            t.start()
+        for i in range(3000):
+            if i % 50 == 49:
+                payload = rec.encode_batch2([i, i + 1, i + 2], [0, 0, 0])
+                log.append(rec.OP_BATCH2, payload, ops=3)
+                ops += 3
+            else:
+                payload = rec.encode_insert(i, i)
+                _append(log, i)
+                ops += 1
+            size += rec.RECORD_HEADER_SIZE + len(payload)
+    finally:
+        stop.set()
+        for t in readers:
+            t.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers)
+    log.close()
+    for out in seen:
+        assert out, "a reader never ran"
+        for column in zip(*out):
+            assert list(column) == sorted(column)
+    m = log.metrics
+    assert m.rotations_total > 20
+    headers = (1 + m.rotations_total) * rec.SEGMENT_HEADER_SIZE
+    assert (m.appends_total, m.ops_logged_total, m.bytes_written_total) == (
+        3000, ops, size + headers
+    )
+    assert m.last_lsn == log.last_lsn == 3000
+
+
 # -- SIGKILL a ``batch`` writer ----------------------------------------------
 
 #: Prints ``<key> <lsn>`` per acknowledged insert and, every 100 keys,
@@ -226,16 +282,19 @@ for i in range(1_000_000):
 """
 
 
-def test_sigkill_under_batch_recovers_a_durable_prefix(tmp_path):
+def _child_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def test_sigkill_under_batch_recovers_a_durable_prefix(tmp_path):
     child = subprocess.Popen(
         [sys.executable, "-c", WRITER, str(tmp_path)],
         stdout=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     lsn_of, durable = {}, 0
     try:
@@ -262,3 +321,59 @@ def test_sigkill_under_batch_recovers_a_durable_prefix(tmp_path):
     assert m > last_durable_key, (
         f"recovered {m} keys, but key {last_durable_key} was durable"
     )
+
+
+# -- SIGKILL a ``never`` writer ----------------------------------------------
+
+#: Inserts ``argv[2]`` keys, flushes if ``argv[3]`` says so, reports, and
+#: waits to be killed.
+NEVER_WRITER = """
+import sys
+from repro.wal import DurableKVStore
+
+store = DurableKVStore(sys.argv[1], fsync="never")
+ns = store.namespace("events")
+for i in range(int(sys.argv[2])):
+    ns.insert(i, {"seq": i})
+if sys.argv[3] == "flush":
+    store.flush()
+print("acknowledged", store.last_lsn, flush=True)
+sys.stdin.read()
+"""
+
+
+@pytest.mark.parametrize("flush", [False, True], ids=["no-flush", "flush"])
+def test_sigkill_under_never_loses_at_most_the_buffered_tail(tmp_path, flush):
+    """``never`` acknowledges records still in user-space memory: a kill
+    recovers a prefix short of them by at most one buffer (64 KiB), and
+    nothing once a ``flush`` has handed them to the kernel."""
+    n = 5000  # ~180 KiB of records: the buffer fills, and spills, twice
+    child = subprocess.Popen(
+        [sys.executable, "-c", NEVER_WRITER, str(tmp_path), str(n),
+         "flush" if flush else "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=_child_env(),
+    )
+    try:
+        line = child.stdout.readline()
+    finally:
+        os.kill(child.pid, signal.SIGKILL)
+        child.wait(timeout=30)
+        child.stdin.close()
+        child.stdout.close()
+    assert line.split() == ["acknowledged", str(n + 1)]  # + the NS_OPEN
+
+    with DurableKVStore(tmp_path) as store:
+        got = list(store.namespace("events").items())
+    m = len(got)
+    assert got == [(k, {"seq": k}) for k in range(m)], "not a prefix"
+    if flush:
+        assert m == n
+    else:
+        lost = sum(
+            rec.RECORD_HEADER_SIZE + len(rec.encode_insert(k, {"seq": k}))
+            for k in range(m, n)
+        )
+        assert 0 < m and lost < 1 << 16, f"lost {n - m} keys, {lost} bytes"

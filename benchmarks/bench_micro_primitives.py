@@ -171,3 +171,74 @@ def test_probe_break_even(benchmark, monkeypatch, n_buckets):
         monkeypatch.setattr(dytis_module, "ROUTED_PROBE_BUCKETS", threshold)
         assert [get(k) for k in probes] == probes
     benchmark(lambda: [get(k) for k in probes])
+
+
+def _tx33(n):
+    """The ``embedded_ingest`` keys: TX pickup times in arrival order,
+    each with a seeded 33-bit trip suffix."""
+    from repro import datasets
+
+    low = np.uint64(33)
+    times = datasets.generate("TX", n, seed=0)
+    suffix = np.random.default_rng(11).integers(
+        0, 1 << 33, size=n, dtype=np.uint64
+    )
+    return (((times >> low) << low) | suffix).tolist()
+
+
+def test_append_cursor(benchmark):
+    """``DyTIS.insert``'s append cursor on three streams of the same
+    100,000 ``embedded_ingest`` keys: in arrival order (cursor hits),
+    shuffled into an empty index (misses, with a cursor armed by the
+    few keys that append) and shuffled updates after an in-order
+    ingest (misses, with the ingest's last cursor armed).  Prints µs
+    per insert (best of three fresh indexes) and the share of inserts
+    the cursor served: an append that leaves the armed tuple in place,
+    where a routed append arms a new one.  The figures of
+    docs/ARCHITECTURE.md §6; the timings are printed (``-s``), not
+    gated, and the in-order stream must be served > 90 %."""
+    keys = _tx33(100_000)
+    shuffled = keys[:]
+    random.Random(4).shuffle(shuffled)
+
+    def ingest(index, stream):
+        insert = index.insert
+        t0 = time.perf_counter_ns()
+        for k in stream:
+            insert(k, k)
+        return (time.perf_counter_ns() - t0) / len(stream) / 1e3
+
+    def hit_share(index, stream):
+        hits = 0
+        for k in stream:
+            cur = index._cursor
+            served = False
+            if cur[0] <= k < cur[1]:
+                _, _, counts, b, off, cap, karr = cur[:7]
+                cnt = counts[b]
+                served = 0 < cnt < cap and karr[off + cnt - 1] < k
+            index.insert(k, k)
+            hits += served and index._cursor is cur
+        return hits / len(stream)
+
+    def loaded():
+        index = DyTIS()
+        ingest(index, keys)
+        return index
+
+    rows = [
+        ("in order", lambda: DyTIS(), keys),
+        ("shuffled", lambda: DyTIS(), shuffled),
+        ("updates", loaded, shuffled),
+    ]
+    print(f"\nappend cursor: {len(keys):,} embedded_ingest keys")
+    for name, fresh, stream in rows:
+        us = min(ingest(fresh(), stream) for _ in range(3))
+        index = fresh()
+        share = hit_share(index, stream)
+        index.check_invariants()
+        assert len(index) == len(set(keys))
+        print(f"  {name:9s} {us:5.2f} µs/insert   cursor hits {share:6.1%}")
+        if name == "in order":
+            assert share > 0.9
+    benchmark(lambda: ingest(DyTIS(), keys[:10_000]))

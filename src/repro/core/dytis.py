@@ -73,6 +73,12 @@ _SMALL_BATCH = 32
 _PROBE_CHUNK = 16_384
 
 
+#: The append cursor when none is armed: an empty key interval that
+#: starts above every key, so the range test ``cur[0] <= key < cur[1]``
+#: fails, at its first comparison for any key in the domain.
+_NO_CURSOR = (1 << 64, 0)
+
+
 class _FusedColumn:
     """A read-only snapshot of the index's live pairs for ``get_many``.
 
@@ -179,6 +185,13 @@ class DyTIS:
         self._fused: Optional[_FusedColumn] = None
         self._routed_gen = -1
         self._routed_keys = 0
+        # The append cursor (see :meth:`insert`): ``(lo, hi, counts, b,
+        # off, capacity, karr, values[b], seg, piece_counts, i)`` for
+        # the key interval ``[lo, hi)`` of sub-range ``i`` that bucket
+        # ``b`` of live segment ``seg`` takes, armed by the last insert
+        # that appended; ``_NO_CURSOR`` after anything replaces a
+        # segment or a table.
+        self._cursor = _NO_CURSOR
         # Segment-size-limit escalation state (§3.3).
         self._boost_decided = False
         self._boosted = False
@@ -315,11 +328,36 @@ class DyTIS:
         remap and columns with one load of ``seg._route`` -- those stay
         the definition ``ConcurrentDyTIS`` and the batch paths use, and
         ``tests/test_insert_path.py`` holds the two in lockstep.
+
+        A key inside the append cursor's interval whose bucket is not
+        empty, not full and whose live maximum is below it appends
+        through the cursor without routing: the writes of the append
+        branch below, from the tuple that branch armed.  Every other
+        key routes as before.
         """
         rec = self._rec_insert
         if rec is not None:
             t0 = _now()
-        if type(key) is not int:
+        if type(key) is int:
+            cur = self._cursor
+            # Two tests, not a chained comparison, whose stack shuffling
+            # every miss would pay.
+            if cur[0] <= key and key < cur[1]:
+                (_, _, counts, b, off, cap, karr, vals, seg, piece_counts,
+                 i) = cur
+                cnt = counts[b]
+                if 0 < cnt < cap and karr[off + cnt - 1] < key:
+                    karr[off + cnt] = key
+                    vals.append(value)
+                    counts[b] = cnt + 1
+                    seg.total_keys += 1
+                    piece_counts[i] += 1
+                    self._size += 1
+                    self._gen += 1
+                    if rec is not None:
+                        rec(_now() - t0)
+                    return
+        else:
             key = _as_int(key)
         if key >> self._key_bits:
             self._check_key(key)  # raises ValueError
@@ -345,11 +383,30 @@ class DyTIS:
                 # bisect would return ``end``, whose slot is padding
                 # >= key, so nothing shifts and no padding is rewritten.
                 karr[end] = key
-                values[b].append(value)
+                vals = values[b]
+                vals.append(value)
                 counts[b] = cnt + 1
                 seg.total_keys += 1
                 piece_counts[i] += 1
                 self._size += 1
+                # Arm the cursor on the keys of sub-range ``i`` that
+                # route to ``b`` or below: from the sub-range's start
+                # to bucket ``b + 1``'s first offset
+                # (``PiecewiseRemap.bucket_offset``, never past the
+                # sub-range's end since ``b - cum[i] < allocs[i]``), or
+                # to its end when the sub-range has no allocation of its
+                # own (its keys all share ``b``, clamped or not).  A key
+                # there above ``b``'s live maximum routes to ``b``.
+                lo = key - (lk & offmask)
+                a = allocs[i]
+                if a:
+                    hi = lo - (-((b - cum[i] + 1) << shift) // a)
+                else:
+                    hi = lo + offmask + 1
+                self._cursor = (
+                    lo, hi, counts, b, off, cap, karr, vals, seg,
+                    piece_counts, i,
+                )
                 break
             j = bisect_left(karr, key, off, end)
             if j < end and karr[j] == key:
@@ -835,6 +892,7 @@ class DyTIS:
             raise ValueError("bulk_load requires an empty index")
         self._gen += 1
         self._fused = None
+        self._cursor = _NO_CURSOR  # it may point into a replaced table
         values = list(values)
         arr = self._key_column(keys)
         if arr.size != len(values):
@@ -1318,8 +1376,10 @@ class DyTIS:
         ``local`` is any table-local key ``old`` owns.  ``replacements``
         divide the span evenly and are chained in key order; the
         predecessor segment's sibling pointer is redirected (paper
-        §3.4: sibling updates accompany directory updates).
+        §3.4: sibling updates accompany directory updates).  The
+        append cursor may point into ``old``: it is dropped.
         """
+        self._cursor = _NO_CURSOR
         directory = table.dir
         gd = table.global_depth
         span = 1 << (gd - old.local_depth)
@@ -1624,6 +1684,7 @@ class DyTIS:
         if merged is None:  # no compact layout at the parent depth
             return
         parent_start = min(start, buddy_start)
+        self._cursor = _NO_CURSOR  # it may point into either buddy
         merged.sibling = right_seg.sibling
         for i in range(parent_start, parent_start + 2 * span):
             table.dir[i] = merged
@@ -1768,3 +1829,34 @@ class DyTIS:
                 require(a.sibling is b, "sibling chain broken")
             require(chain[-1].sibling is None, "sibling chain must end the table")
         require(total == self._size, "size counter out of sync")
+        if self._cursor is not _NO_CURSOR:
+            self._check_cursor()
+
+    def _check_cursor(self) -> None:
+        """The armed append cursor names live objects, and every key of
+        its interval above bucket ``b``'s live maximum routes to ``b``."""
+        (lo, hi, counts, b, off, cap, karr, vals, seg, piece_counts,
+         i) = self._cursor
+        require(
+            lo < hi and self._segment(lo) is seg
+            and self._segment(hi - 1) is seg,
+            "append cursor's segment is not the directory's",
+        )
+        store, remap = seg.store, seg.remap
+        require(
+            counts is store.counts and karr is store._karr
+            and cap == store.capacity and off == b * cap
+            and vals is store.values[b]
+            and piece_counts is seg.piece_counts,
+            "append cursor does not hold the segment's live objects",
+        )
+        llo, ltop = lo & seg._mask, (hi - 1) & seg._mask
+        require(
+            llo & remap._offmask == 0
+            and remap.piece_of(llo) == i == remap.piece_of(ltop),
+            "append cursor's interval is not the start of sub-range i",
+        )
+        require(
+            remap.bucket_of(llo) <= b == remap.bucket_of(ltop),
+            "append cursor's interval does not end in bucket b",
+        )

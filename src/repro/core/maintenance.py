@@ -50,6 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core import bulkload
+from repro.core.dytis import _NO_CURSOR
 from repro.core.remap import line_remap
 from repro.core.segment import Segment
 from repro.obs.events import MaintenanceEvent
@@ -452,6 +453,7 @@ class MaintenanceController:
         # under the single-writer model; in-flight readers finish on the
         # old table object, which stays internally consistent.
         index._tables[ti] = new_table
+        index._cursor = _NO_CURSOR  # it may point into the old table
         index._gen += 1
         index._fused = None
         self.metrics.table_rebuilds_total += 1

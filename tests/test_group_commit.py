@@ -71,15 +71,28 @@ def test_batch_append_does_not_wait_for_fsync(tmp_path, slow_disk):
     assert slow_disk, "no fsync ran"
 
 
+def _await_publish(log, before, deadline):
+    """Wait, until ``deadline`` at most, for the group commit in flight
+    (if any) to publish a ``durable_lsn`` past ``before``."""
+    while (
+        log._syncing.locked() and log.durable_lsn == before
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.001)
+
+
 def test_durable_lsn_is_monotone_and_bounded(tmp_path, slow_disk):
     log = WriteAheadLog(tmp_path, policy="batch(4,100)")
     seen = [log.durable_lsn]
+    # Every 20 appends, let the sync in flight land: a loaded host may
+    # not run the syncer thread within any fixed sleep.
+    deadline = time.monotonic() + 5.0
     for i in range(200):
         _append(log, i)
         assert log.durable_lsn <= log.last_lsn
         seen.append(log.durable_lsn)
-        if i % 20 == 0:
-            time.sleep(FSYNC_S / 4)
+        if i % 20 == 19:
+            _await_publish(log, seen[-1], deadline)
     assert seen == sorted(seen)
     assert 0 < seen[-1] < log.last_lsn  # some syncs finished, not all
     log.sync()

@@ -16,6 +16,11 @@ Each copy of the splice writes a key past its bucket's maximum (an
 *append*, what a time-advancing stream mostly does) without a bisect;
 the ``TX33`` rows drive that branch at every site and count how often
 it ran, and an edge-case stream walks the cases around it.
+
+``DyTIS.insert`` also appends through its *cursor*, the bucket interval
+the last append armed, without routing.  A cursor hit leaves the
+cursor tuple as it was, where a routed append arms a new one, so the
+rows count hits by the tuple's identity across each insert.
 """
 
 import random
@@ -25,6 +30,7 @@ import pytest
 
 from repro import datasets
 from repro.core import ConcurrentDyTIS, DyTIS, DyTISConfig
+from repro.core.dytis import _NO_CURSOR
 
 KEY_MAX = (1 << 64) - 1
 
@@ -84,6 +90,22 @@ def _is_append(index, key):
     return len(bucket) > 0 and bucket[-1] < key
 
 
+def _insert_counting_hits(index, key, value):
+    """``index.insert(key, value)``; whether the append cursor served
+    it: an append that left the armed cursor tuple in place (a routed
+    append arms a new tuple)."""
+    before = index._cursor
+    append = before is not _NO_CURSOR and _is_append(index, key)
+    index.insert(key, value)
+    return append and index._cursor is before
+
+
+#: The share of the first 50,000 ``TX33`` keys the cursor must serve.
+#: The scaled config's 16-key buckets fill after a few appends each, and
+#: the first append into a bucket re-arms the cursor.
+_CURSOR_SHARE = {"default": 0.95, "scaled": 0.70}
+
+
 def _restructures(index):
     s = index.stats
     return s.splits + s.remappings + s.expansions + s.doublings
@@ -139,23 +161,65 @@ def test_inlined_insert_matches_the_store_insert_in_lockstep(config):
 def test_a_time_advancing_stream_appends_in_lockstep(config):
     """The ``embedded_ingest`` stream through ``DyTIS.insert`` and
     through ``ColumnarStorage.insert``: nearly every key lands past its
-    bucket's maximum, so the append branch of both runs, and the two
-    build the same segments byte for byte."""
+    bucket's maximum, so the append branch of both runs -- in
+    ``DyTIS.insert`` mostly through the cursor -- and the two build the
+    same segments byte for byte."""
     cfg = DyTISConfig(**CONFIGS[config])
     inline = DyTIS(cfg)
     layered = ConcurrentDyTIS(cfg)
     keys = _tx33(50_000)
-    appends = 0
+    appends = hits = 0
     for n, k in enumerate(keys, 1):
         appends += _is_append(inline, k)
-        inline.insert(k, n)
+        hits += _insert_counting_hits(inline, k, n)
         layered.insert(k, n)
         if n % 10_000 == 0:
             assert _state(inline) == _state(layered._d)
     assert appends >= 0.95 * len(keys)
+    assert hits >= _CURSOR_SHARE[config] * len(keys)
     assert len(inline) == len(layered) == len(set(keys))
     inline.check_invariants()
     layered._d.check_invariants()
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_batches_that_mostly_hit_the_cursor_in_lockstep(config):
+    """``TX33`` batches through ``DyTIS.insert`` (cursor) and
+    ``ColumnarStorage.insert``, with keys that fall inside the armed
+    cursor's interval but may not take it: an update of the bucket
+    maximum, a key just below it, and a delete that may empty the
+    bucket.  Both build the same segments byte for byte after every
+    batch, and most inserts are cursor hits."""
+    cfg = DyTISConfig(**CONFIGS[config])
+    inline = DyTIS(cfg)
+    layered = ConcurrentDyTIS(cfg)
+    shadow = {}
+    keys = _tx33(20_000)
+    rng = random.Random(3)
+    hits = writes = 0
+    for start in range(0, len(keys), 2_000):
+        for n, k in enumerate(keys[start : start + 2_000], start):
+            ops = [(k, n)]
+            if n % 25 == 0:
+                ops.append((k, -n))  # an update equal to the maximum
+            elif n % 25 == 7:
+                ops.append((k - 1 - rng.randrange(64), -n))  # below it
+            for key, value in ops:
+                writes += 1
+                hits += _insert_counting_hits(inline, key, value)
+                layered.insert(key, value)
+                shadow[key] = value
+            if n % 25 == 13:
+                # ``DyTIS.delete`` on both: ``ConcurrentDyTIS.delete``
+                # skips the merge policy, which would part the layouts.
+                assert inline.delete(k) and layered._d.delete(k)
+                del shadow[k]
+        assert _state(inline) == _state(layered._d)
+        assert len(inline) == len(layered) == len(shadow)
+    inline.check_invariants()
+    assert hits >= (_CURSOR_SHARE[config] - 0.1) * writes
+    for k, v in shadow.items():
+        assert inline.get(k) == v
 
 
 def test_the_cases_around_an_append_in_lockstep():

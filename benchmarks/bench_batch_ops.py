@@ -1,10 +1,11 @@
 """Batch-operation micro-benchmark: batch calls vs. the scalar loop.
 
-The batch layer sorts each batch and caches per-segment routing state,
-so larger batches amortise more directory/remap work per key;
-``insert_many`` applies every segment group with one inline C-bisect
-splice loop that reuses the group's routing, and builds what a scalar
-insert loop over the sorted batch builds.
+``insert_many`` sorts each batch and caches per-segment routing state,
+so larger batches amortise more directory/remap work per key: it
+applies every segment group with one inline C-bisect splice loop that
+reuses the group's routing, and builds what a scalar insert loop over
+the sorted batch builds.  ``get_many`` answers a read-only phase from
+its read snapshot and otherwise probes key by key, as ``get`` does.
 
 16 and 32 are the sizes a 2-shard fleet epoch hands each worker; there
 the batch calls take their NumPy-free list paths and must keep up with

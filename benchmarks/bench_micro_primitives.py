@@ -242,3 +242,84 @@ def test_append_cursor(benchmark):
         if name == "in order":
             assert share > 0.9
     benchmark(lambda: ingest(DyTIS(), keys[:10_000]))
+
+
+@pytest.mark.parametrize("dataset", ["MM", "RL", "TX"])
+def test_get_many_rent_and_buy(benchmark, dataset):
+    """The two sides of ``get_many``'s ski-rental rule on a bulk-loaded
+    100,000-key index: what a key costs while the read snapshot is
+    stale (the per-key probe, "rent") against what rebuilding the
+    snapshot costs per indexed key ("buy").  Rent is timed on batches
+    of 33 and 1,024 random hits, each batch just after an upsert (so
+    the snapshot is stale, its key count starts over and the batch
+    stays below ``len / 8``), beside a scalar ``get`` loop over the
+    same batches; seven rounds alternate the order of the three, and
+    each figure is the best round.  The rebuild is the best of five
+    ``_build_fused`` calls.  Prints µs per key and the rent/buy ratio
+    of each batch size: the table of docs/ARCHITECTURE.md §6 that the
+    rebuild threshold (``_size >> 3``) is read from.  The timings are
+    printed (``-s``), not gated; every batch must equal its scalar
+    loop."""
+    from repro import datasets
+
+    keys = np.unique(datasets.generate(dataset, 100_000, seed=0)).tolist()
+    index = DyTIS()
+    index.bulk_load(keys, keys)
+    n = len(index)
+    anchor = keys[0]
+    rng = random.Random(10)
+    sizes = (33, 1024)
+    batches = {
+        size: [[rng.choice(keys) for _ in range(size)]
+               for _ in range(8192 // size)]
+        for size in sizes
+    }
+    assert max(sizes) < n >> 3
+
+    def rented(batch):
+        index.insert(anchor, anchor)  # stale snapshot, rent count reset
+        t0 = time.perf_counter_ns()
+        got = index.get_many(batch)
+        dt = time.perf_counter_ns() - t0
+        assert index._fused is None  # rented: nothing was rebuilt
+        return dt, got
+
+    def rent(size):
+        total = 0
+        for batch in batches[size]:
+            dt, got = rented(batch)
+            total += dt
+            assert got == batch
+        return total / (len(batches[size]) * size) / 1e3
+
+    def scalar():
+        get = index.get
+        total = 0
+        for batch in batches[1024]:
+            t0 = time.perf_counter_ns()
+            got = [get(k) for k in batch]
+            total += time.perf_counter_ns() - t0
+            assert got == batch
+        return total / (len(batches[1024]) * 1024) / 1e3
+
+    sides = [lambda: rent(33), lambda: rent(1024), scalar]
+    times = [[], [], []]
+    for rep in range(7):
+        for i in range(3) if rep % 2 else range(2, -1, -1):
+            times[i].append(sides[i]())
+    rent33, rent1024, loop = (min(t) for t in times)
+
+    def rebuild():
+        t0 = time.perf_counter_ns()
+        index._build_fused()
+        return (time.perf_counter_ns() - t0) / n / 1e3
+
+    buy = min(rebuild() for _ in range(5))
+    assert index.get_many(keys) == keys  # the snapshot answers alike
+    print(
+        f"\nrent/buy {dataset} {n:,} keys: rent 33 {rent33:.3f}"
+        f"  rent 1024 {rent1024:.3f}  get loop {loop:.3f} µs/key"
+        f"  rebuild {buy:.4f} µs/indexed key"
+        f"  ratio {rent33 / buy:.0f} / {rent1024 / buy:.0f}"
+    )
+    benchmark(lambda: rented(batches[1024][0]))

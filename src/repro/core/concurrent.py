@@ -293,7 +293,14 @@ class ConcurrentDyTIS:
                 return ti
 
     def delete(self, key: int) -> bool:
-        """Thread-safe delete (segment merging deferred to quiescence)."""
+        """Thread-safe delete.
+
+        The key leaves under the table's read lock and its segment's
+        mutex.  A delete that leaves the segment below a quarter of the
+        utilization threshold then takes the table's write lock and
+        runs :meth:`DyTIS._maybe_merge_after_delete` on the key's
+        segment, as :meth:`DyTIS.delete` does.
+        """
         if self._obs is not None:
             t0 = time.perf_counter_ns()
             found = self._delete_impl(key)
@@ -308,21 +315,33 @@ class ConcurrentDyTIS:
         d = self._d
         key = d._check_key(key)
         ti = d._table_index(key)
+        local = key & d._local_mask
         with self._eh_locks[ti].read():
             table = d._tables[ti]
             if table is None:
                 return False
-            local = key & d._local_mask
             while True:
                 seg = table.dir[table.dir_index(local, d._m)]
                 with seg.lock:
                     if table.dir[table.dir_index(local, d._m)] is not seg:
                         continue
-                    if seg.delete(key):
-                        with self._size_lock:
-                            d._size -= 1
-                        return True
-                    return False
+                    if not seg.delete(key):
+                        return False
+                    with self._size_lock:
+                        d._size -= 1
+                    sparse = (
+                        seg.utilization() < 0.25 * d.config.util_threshold
+                    )
+                    break
+        if sparse:
+            with self._eh_locks[ti].write():
+                # Re-resolve: another writer may have restructured the
+                # segment between the two locks.
+                table = d._tables[ti]
+                d._maybe_merge_after_delete(
+                    table, table.segment_for(local, d._m), local
+                )
+        return True
 
     def delete_range(self, low: int, high: int) -> int:
         """Delete every key in [low, high); returns how many went.

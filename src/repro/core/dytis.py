@@ -944,15 +944,16 @@ class DyTIS:
     def get_many(self, keys) -> List[Optional[Any]]:
         """Batched point lookups; returns values aligned with ``keys``.
 
-        When the read snapshot is current (no write since it was built)
-        the batch is probed against it in chunks of ``_PROBE_CHUNK``
-        keys, each type- and bounds-checked by :meth:`_key_column` and
-        resolved with one ``searchsorted``; otherwise the checked batch
-        is walked in key order against the live segments with the
-        routing state resolved once per *group* of keys sharing a
-        segment.  Missing keys yield None (same contract as
-        :meth:`get`).  A list or tuple of at most ``_SMALL_BATCH`` keys
-        takes :meth:`_get_many_small` instead.
+        Two paths.  When the read snapshot is current (no write since
+        it was built) the batch is probed against it in chunks of
+        ``_PROBE_CHUNK`` keys, each type- and bounds-checked by
+        :meth:`_key_column` and resolved with one ``searchsorted``.
+        Otherwise every key takes :meth:`get`'s probe in
+        :meth:`_get_many_small`, until the keys read since the last
+        write pay for a rebuild (the rule below).  Missing keys yield
+        None (same contract as :meth:`get`).  A list or tuple of at
+        most ``_SMALL_BATCH`` keys always takes the per-key probe and
+        does not count toward a rebuild.
         """
         if isinstance(keys, np.ndarray):
             keys = self._key_column(keys)  # checks the array whole
@@ -965,21 +966,23 @@ class DyTIS:
             return []
         fused = self._fused
         if fused is None or fused.gen != self._gen:
-            # Stale snapshot: rent (route) until the keys read since the
-            # last write reach len // 8, then buy (rebuild) -- ski
-            # rental.  Measured on paper-shaped keys, a rebuild costs
-            # 0.04-0.06 us per indexed key and a routed read 1.1-2.3 us
-            # per key, a ratio of 20-43 (ARCHITECTURE §6); 8 stays below
-            # it, so a read-only phase rebuilds within about one
-            # rebuild's worth of routing, while batches with writes
-            # between them (YCSB-A) never rebuild.
+            # Stale snapshot: rent (probe each key) until the keys read
+            # since the last write reach len // 8, then buy (rebuild)
+            # -- ski rental.  On 100k paper-shaped keys a rebuild costs
+            # 0.03-0.05 us per indexed key and a probed key 0.8-1.7 us,
+            # a ratio of 18-42 (ARCHITECTURE §6); at 8 or more a
+            # read-only phase probes at least one rebuild's worth
+            # before it buys, and batches with writes between them
+            # (YCSB-A) never rebuild.
             gen = self._gen
             if self._routed_gen != gen:
                 self._routed_gen, self._routed_keys = gen, 0
                 self._fused = None  # free it: a stale snapshot is never reused
             self._routed_keys += n
             if self._routed_keys < self._size >> 3:
-                return self._get_many_routed(self._key_column(keys), [None] * n)
+                return self._get_many_small(
+                    keys.tolist() if isinstance(keys, np.ndarray) else keys
+                )
             fused = self._build_fused()
         if n <= _PROBE_CHUNK:
             return self._get_many_fused(fused, self._key_column(keys))
@@ -990,13 +993,15 @@ class DyTIS:
         return out
 
     def _get_many_small(self, keys) -> List[Optional[Any]]:
-        """``get_many`` of a small batch: :meth:`get`'s probe per key,
-        in input order, with no NumPy call.
+        """``get_many`` without the read snapshot: :meth:`get`'s probe
+        per key, in input order, with no NumPy call.
 
-        Neither the read snapshot nor the ski-rental count is touched.
-        Each key is routed on its own: the routed walk's ``seg_upper``
-        cache holds only for ascending keys, and sorting would cost
-        more than it saves at this size.
+        Serves every batch of at most ``_SMALL_BATCH`` keys and, while
+        the snapshot is stale, larger ones until a rebuild pays (the
+        caller keeps that count; this method touches neither).  Each
+        key is routed on its own: sorting the batch to share a
+        segment's routing between neighbours cost more than it saved
+        (ARCHITECTURE §6).
         """
         m = self._m
         local_mask = self._local_mask
@@ -1084,74 +1089,6 @@ class DyTIS:
                 )
             )
         return fused
-
-    def _get_many_routed(
-        self, arr: np.ndarray, out: List[Optional[Any]]
-    ) -> List[Optional[Any]]:
-        """Routed ``get_many`` against the live key columns.
-
-        Walks the batch in key order with per-segment cached routing
-        state (refreshed when the next key leaves the current segment's
-        key range, ``seg_upper``) and probes each segment's key column
-        with a bounded C ``bisect``; used while the fused column is
-        stale and too few keys have been read to pay for a rebuild (see
-        the rule in :meth:`get_many`).
-        """
-        order = np.argsort(arr, kind="stable").tolist()
-        key_list = arr.tolist()
-        m = self._m
-        local_mask = self._local_mask
-        tables = self._tables
-        seg_upper = -1
-        in_gap = False
-        cum = allocs = karr = counts = store_vals = None
-        shift = dmask = offmask = last_bucket = cap = 0
-        for pos in order:
-            key = key_list[pos]
-            if key >= seg_upper:
-                ti = key >> m
-                table = tables[ti]
-                if table is None:
-                    seg_upper = (ti + 1) << m
-                    in_gap = True
-                    continue
-                in_gap = False
-                gd = table.global_depth
-                local = key & local_mask
-                if gd:
-                    di = local >> (m - gd)
-                    seg = table.dir[di]
-                    span = 1 << (gd - seg.local_depth)
-                    end_di = (di // span) * span + span
-                    seg_upper = (ti << m) + (end_di << (m - gd))
-                else:
-                    seg = table.dir[0]
-                    seg_upper = (ti + 1) << m
-                remap = seg.remap
-                cum = remap._cum
-                allocs = remap.allocs
-                shift = remap._shift
-                dmask = seg._mask
-                offmask = remap._offmask
-                last_bucket = remap.n_buckets - 1
-                store = seg.store
-                karr = store._karr
-                counts = store.counts
-                store_vals = store.values
-                cap = store.capacity
-            elif in_gap:
-                continue
-            lk = key & dmask
-            i = lk >> shift
-            b = cum[i] + ((allocs[i] * (lk & offmask)) >> shift)
-            if b > last_bucket:
-                b = last_bucket
-            off = b * cap
-            end = off + counts[b]
-            idx = bisect_left(karr, key, off, end)
-            if idx < end and karr[idx] == key:
-                out[pos] = store_vals[b][idx - off]
-        return out
 
     def _get_many_fused(
         self, fused: _FusedColumn, arr: np.ndarray

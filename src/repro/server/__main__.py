@@ -62,10 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve one request per call (the naive baseline)",
     )
     parser.add_argument("--max-batch", type=int, default=1024)
-    parser.add_argument(
-        "--max-delay", type=float, default=0.0,
-        help="seconds a drain tick lingers to grow batches",
-    )
     return parser
 
 
@@ -114,7 +110,6 @@ async def _serve(args) -> int:
         admin_port=None if args.admin_port < 0 else args.admin_port,
         coalesce=not args.no_coalesce,
         max_batch=args.max_batch,
-        max_delay=args.max_delay,
     )
     server = IndexServer(store, config=config)
     await server.start()

@@ -25,8 +25,7 @@ connection or per drain.
 
 The coalescer's state machine::
 
-    IDLE --first burst enqueued--> SCHEDULED (call_soon, or
-                                    call_later(max_delay) if > 0)
+    IDLE --first burst enqueued--> SCHEDULED (call_soon)
     SCHEDULED --callback runs--> DRAINING
     DRAINING: pop an epoch (<= max_batch) -> one or two store calls
               -> collect reply frames in arrival order
@@ -77,11 +76,9 @@ class ServerConfig:
     ``port``/``admin_port`` of 0 bind ephemeral ports (read the bound
     ones back from ``server.port``/``server.admin_port`` after
     ``start``).  ``admin_port=None`` disables the admin endpoint.
-    ``max_batch`` bounds an epoch (gets plus inserts).  ``max_delay`` is
-    the seconds a scheduled drain lingers before running, trading
-    latency for bigger batches; 0 still yields one event-loop tick so
-    every connection that is already readable gets to enqueue into the
-    batch.
+    ``max_batch`` bounds an epoch (gets plus inserts).  A drain runs
+    one event-loop tick after the first request is queued, so every
+    connection that is already readable gets to enqueue into the batch.
     """
 
     host: str = "127.0.0.1"
@@ -89,7 +86,6 @@ class ServerConfig:
     admin_port: Optional[int] = None
     coalesce: bool = True
     max_batch: int = 1024
-    max_delay: float = 0.0
     checkpoint_on_shutdown: bool = True
 
 
@@ -347,14 +343,9 @@ class IndexServer:
     def _schedule_drain(self) -> None:
         """IDLE -> SCHEDULED.  ``call_soon`` runs the drain on the next
         tick, after every connection that was readable in this one has
-        queued its frames; ``max_delay`` lingers longer for bigger runs."""
+        queued its frames."""
         if self._drain_handle is None:
-            delay = self.config.max_delay
-            self._drain_handle = (
-                self._loop.call_later(delay, self._drain)
-                if delay > 0
-                else self._loop.call_soon(self._drain)
-            )
+            self._drain_handle = self._loop.call_soon(self._drain)
 
     def _drain(self) -> None:
         """Serve the whole queue and hand each connection its replies

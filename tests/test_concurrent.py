@@ -1,6 +1,7 @@
 """Tests for the concurrent DyTIS wrapper (repro.core.concurrent)."""
 
 import random
+import sys
 import threading
 import time
 
@@ -195,6 +196,49 @@ class TestConcurrentOperations:
         assert all(results)
         assert len(cindex) == len(keys) - len(victims)
         cindex.check_invariants()
+
+    def test_parallel_deletes_in_two_tables_merge(self, cindex, rng):
+        """Two threads thin two EH tables to a tenth of their keys: each
+        delete that leaves its segment sparse runs the merge policy
+        under its table's write lock, and the index ends equal to a
+        dict with its invariants intact."""
+        tables = (3, 9)  # key >> 28 with 32-bit keys and R = 4
+        keys = {t: rng.sample(range(t << 28, (t + 1) << 28), 3000)
+                for t in tables}
+        shadow = {}
+        for t in tables:
+            for k in keys[t]:
+                cindex.insert(k, -k)
+                shadow[k] = -k
+        errors = []
+
+        def worker(victims):
+            try:
+                for k in victims:
+                    assert cindex.delete(k)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        for t in tables:
+            for k in keys[t][300:]:
+                del shadow[k]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(keys[t][300:],))
+                       for t in tables]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        cindex.check_invariants()
+        assert len(cindex) == len(shadow)
+        assert dict(cindex.items()) == shadow
+        assert cindex.stats.merges  # the merge policy ran
 
     def test_scan_range_parity(self, cindex, rng):
         keys = rng.sample(range(2**32), 2000)

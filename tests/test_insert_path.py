@@ -210,9 +210,7 @@ def test_batches_that_mostly_hit_the_cursor_in_lockstep(config):
                 layered.insert(key, value)
                 shadow[key] = value
             if n % 25 == 13:
-                # ``DyTIS.delete`` on both: ``ConcurrentDyTIS.delete``
-                # skips the merge policy, which would part the layouts.
-                assert inline.delete(k) and layered._d.delete(k)
+                assert inline.delete(k) and layered.delete(k)
                 del shadow[k]
         assert _state(inline) == _state(layered._d)
         assert len(inline) == len(layered) == len(shadow)

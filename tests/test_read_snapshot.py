@@ -222,3 +222,36 @@ def test_numpy_batches(rng):
         ix.get_many(np.array([1, -2], dtype=np.int64))
     with pytest.raises(ValueError):
         ix.get_many(np.zeros((2, 2), dtype=np.uint64))
+
+    # The rent phase: a write just before each batch leaves the
+    # snapshot stale, and a batch below ``len / 8`` keys does not buy a
+    # rebuild, so the per-key probe answers it.
+    small = probe[: len(ix) // 8 - 1]
+    assert len(small) > 32
+
+    def rented(arr):
+        ix.insert(keys[0], str(keys[0]))
+        got = ix.get_many(arr)
+        assert ix._fused is None  # stale, dropped and not rebuilt
+        return got
+
+    assert rented(np.array(small, dtype=np.uint64)) == [
+        ix.get(k) for k in small
+    ]
+    signed = [k for k in small if k < 1 << 63]
+    assert rented(np.array(signed, dtype=np.int64)) == [
+        ix.get(k) for k in signed
+    ]
+    flags = [bool(k & 1) for k in small]
+    assert rented(np.array(flags)) == [ix.get(int(f)) for f in flags]
+    assert rented(np.array([True, False, True])) == [
+        ix.get(1), ix.get(0), ix.get(1)
+    ]
+    for bad, exc in (
+        (np.array([1.0, 2.0] * 40), TypeError),
+        (np.array([1, -2] * 40, dtype=np.int64), ValueError),
+        (np.zeros((40, 2), dtype=np.uint64), ValueError),
+    ):
+        ix.insert(keys[0], str(keys[0]))
+        with pytest.raises(exc):
+            ix.get_many(bad)

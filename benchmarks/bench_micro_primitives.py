@@ -255,7 +255,7 @@ def test_get_many_rent_and_buy(benchmark, dataset):
     stays below ``len / 8``), beside a scalar ``get`` loop over the
     same batches; seven rounds alternate the order of the three, and
     each figure is the best round.  The rebuild is the best of five
-    ``_build_fused`` calls.  Prints µs per key and the rent/buy ratio
+    ``_build_snapshot`` calls.  Prints µs per key and the rent/buy ratio
     of each batch size: the table of docs/ARCHITECTURE.md §6 that the
     rebuild threshold (``_size >> 3``) is read from.  The timings are
     printed (``-s``), not gated; every batch must equal its scalar
@@ -281,7 +281,7 @@ def test_get_many_rent_and_buy(benchmark, dataset):
         t0 = time.perf_counter_ns()
         got = index.get_many(batch)
         dt = time.perf_counter_ns() - t0
-        assert index._fused is None  # rented: nothing was rebuilt
+        assert index._snapshot is None  # rented: nothing was rebuilt
         return dt, got
 
     def rent(size):
@@ -311,7 +311,7 @@ def test_get_many_rent_and_buy(benchmark, dataset):
 
     def rebuild():
         t0 = time.perf_counter_ns()
-        index._build_fused()
+        index._build_snapshot()
         return (time.perf_counter_ns() - t0) / n / 1e3
 
     buy = min(rebuild() for _ in range(5))

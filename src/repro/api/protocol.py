@@ -178,14 +178,10 @@ class RangeOpsMixin:
 
     def _iter_range(self, low: int, high: int) -> Iterator[Tuple[int, Any]]:
         """Yield pairs with low <= key < high by paging ``scan``."""
-        if high <= low:
-            return
         batch_size = self._RANGE_BATCH
         cursor = low
-        while True:
+        while cursor < high:
             batch = self.scan(cursor, batch_size)
-            if not batch:
-                return
             for key, value in batch:
                 if key >= high:
                     return

@@ -2,10 +2,10 @@
 
 ``run_metrics_smoke`` drives an observability-enabled DyTIS through a
 mixed workload (bulk load, inserts, point gets -- present and absent --
-scans, deletes) and returns the collector snapshot, with the index's
-own ``OperationStats`` embedded so consumers can reconcile
-structural-event counts against the counters the index maintains
-independently.  The snapshot also carries a ``"wal"`` block from a
+scans, deletes; scalar and batched) and returns the collector
+snapshot, with the index's own ``OperationStats`` embedded so consumers
+can reconcile structural-event counts against the counters the index
+maintains independently.  The snapshot also carries a ``"wal"`` block from a
 durable-store workout (write, reopen/replay, checkpoint, all on the
 in-memory ``SimFS`` so no disk is touched), which the exposition
 renders as ``wal_*`` series.  ``python -m repro.bench --metrics-out
@@ -80,7 +80,12 @@ def run_wal_smoke(n: int = 500, seed: int = 42) -> Dict:
 def run_metrics_smoke(
     n: int = 3000, seed: int = 42
 ) -> Tuple[Dict, Observability, DyTIS]:
-    """Exercise every instrumented path; return (snapshot, obs, index)."""
+    """Exercise every instrumented path; return (snapshot, obs, index).
+
+    Each op kind runs scalar and as one batch call; ``extra["ops"]``
+    holds the keys read, written and deleted, which
+    :func:`check_snapshot` holds the latency counts to.
+    """
     rng = random.Random(seed)
     obs = Observability(enabled=True)
     index = DyTIS(obs=obs)
@@ -94,10 +99,14 @@ def run_metrics_smoke(
     half = n // 2
     loaded = sorted(keys[:half])
     index.bulk_load(loaded, [k * 2 for k in loaded])
-    for k in keys[half:]:
+    third = half + (n - half) // 2
+    for k in keys[half:third]:
         index.insert(k, k * 2)
-    for k in rng.sample(keys, min(n, 2000)):
+    index.insert_many(keys[third:], [k * 2 for k in keys[third:]])
+    reads = rng.sample(keys, min(n, 2000))
+    for k in reads[: len(reads) // 2]:
         index.get(k)
+    index.get_many(reads[len(reads) // 2 :])
     absent = 0
     while absent < 200:  # misses exercise the plr_misses counter
         k = rng.randrange(1, span)
@@ -106,11 +115,16 @@ def run_metrics_smoke(
             absent += 1
     for _ in range(100):
         index.scan(rng.choice(keys), 64)
-    for k in rng.sample(keys, min(n // 10, 500)):
+    doomed = rng.sample(keys, min(n // 10, 500))
+    for k in doomed[: len(doomed) // 2]:
         index.delete(k)
+    index.delete_many(doomed[len(doomed) // 2 :])
 
+    ops = {
+        "get": len(reads) + absent, "insert": n - half, "delete": len(doomed)
+    }
     snapshot = obs.snapshot(
-        op_stats=index.stats, extra={"n_keys": n, "seed": seed}
+        op_stats=index.stats, extra={"n_keys": n, "seed": seed, "ops": ops}
     )
     snapshot["wal"] = run_wal_smoke(n=max(200, n // 6), seed=seed)
     return snapshot, obs, index
@@ -119,8 +133,10 @@ def run_metrics_smoke(
 def check_snapshot(snapshot: Dict) -> None:
     """Assert the acceptance-criteria shape of a metrics snapshot.
 
-    Every required op has recorded latencies with quantiles, and the
-    structural-event counts reconcile exactly with ``OperationStats``.
+    Every required op has recorded latencies with quantiles, an op
+    whose key count the workload states (``extra["ops"]``) recorded one
+    sample per key, scalar or batched, and the structural-event counts
+    reconcile exactly with ``OperationStats``.
     """
     for op in REQUIRED_OPS:
         hist = snapshot["latency"][op]
@@ -129,6 +145,12 @@ def check_snapshot(snapshot: Dict) -> None:
         for q in ("p50_ns", "p95_ns", "p99_ns"):
             if hist[q] <= 0:
                 raise AssertionError(f"{op!r} {q} missing from snapshot")
+    for op, keys in snapshot.get("extra", {}).get("ops", {}).items():
+        count = snapshot["latency"][op]["count"]
+        if count != keys:
+            raise AssertionError(
+                f"{op!r} recorded {count} samples for {keys} keys"
+            )
     wal = snapshot.get("wal")
     if wal is None:
         raise AssertionError("snapshot lacks the wal metrics block")

@@ -26,7 +26,7 @@ import time
 from operator import index as _as_int
 from typing import Any, List, Optional, Tuple
 
-from repro.api.protocol import batch_pairs
+from repro.api.protocol import BatchOpsMixin, RangeOpsMixin
 from repro.core.config import DyTISConfig
 from repro.core.dytis import DyTIS
 
@@ -98,8 +98,13 @@ class RWLock:
         return RWLock._WriteGuard(self)
 
 
-class ConcurrentDyTIS:
+class ConcurrentDyTIS(BatchOpsMixin, RangeOpsMixin):
     """Thread-safe DyTIS with EH-level RW locks + segment-level mutexes.
+
+    The batch and range forms are the :mod:`repro.api` mixins' loops
+    over the locking point ops and ``scan``: each key, and each
+    ``scan`` page, is individually consistent, like the paper's
+    one-segment-at-a-time scan locking.
 
     Observability: latencies are recorded into one
     :class:`repro.obs.ObsShard` *per EH table* -- writers on different
@@ -167,25 +172,6 @@ class ConcurrentDyTIS:
                 lock.release_write()
         if self._obs is not None:
             self._obs.record("bulk_load", time.perf_counter_ns() - t0)
-
-    def get_many(self, keys) -> List[Optional[Any]]:
-        """Batched lookups through the locking :meth:`get` path.
-
-        The concurrent wrapper keeps the paper's two-level locking
-        protocol per key rather than vectorising across segments: each
-        lookup is individually consistent, like a scan's one-segment-
-        at-a-time locking.
-        """
-        return [self.get(key) for key in keys]
-
-    def insert_many(self, keys, values=None) -> None:
-        """Batched inserts through the locking :meth:`insert` path.
-
-        Accepts ``(keys, values)`` parallel sequences (the typed
-        contract) or one iterable of pairs (the legacy form).
-        """
-        for key, value in batch_pairs(keys, values):
-            self.insert(key, value)
 
     # -- operations --------------------------------------------------------------
 
@@ -374,49 +360,10 @@ class ConcurrentDyTIS:
             key = end
         return removed
 
-    def count_range(self, low: int, high: int) -> int:
-        """Number of keys with low <= key < high (API parity with DyTIS).
-
-        Counted from bounded :meth:`scan` batches under the same
-        one-segment-at-a-time locking; unlike the single-threaded
-        metadata fast path this materialises batches, trading speed for
-        the consistency model every other concurrent read uses.
-        """
-        low = self._d._check_key(low)
-        count = 0
-        cursor = low
-        while cursor < high:
-            batch = self.scan(cursor, 512)
-            if not batch:
-                break
-            for key, _ in batch:
-                if key >= high:
-                    return count
-                count += 1
-            cursor = batch[-1][0] + 1
-        return count
-
-    def scan_range(self, low: int, high: int) -> List[Tuple[int, Any]]:
-        """Thread-safe closed-open range scan (API parity with DyTIS).
-
-        Built from bounded :meth:`scan` batches, each of which holds its
-        segment locks only while copying; the result is a consistent
-        prefix-at-a-time view, like the paper's one-segment-at-a-time
-        scan locking.
-        """
-        low = self._d._check_key(low)
-        out: List[Tuple[int, Any]] = []
-        cursor = low
-        while cursor < high:
-            batch = self.scan(cursor, 512)
-            if not batch:
-                break
-            for key, value in batch:
-                if key >= high:
-                    return out
-                out.append((key, value))
-            cursor = batch[-1][0] + 1
-        return out
+    def _iter_range(self, low: int, high: int):
+        """The mixin's ``scan`` pager behind DyTIS's key check, so an
+        out-of-domain ``low`` raises even for an empty range."""
+        return super()._iter_range(self._d._check_key(low), high)
 
     def scan(self, start_key: int, count: int) -> List[Tuple[int, Any]]:
         """Thread-safe range scan, locking segments one by one (§3.4)."""

@@ -79,12 +79,22 @@ _PROBE_CHUNK = 16_384
 _NO_CURSOR = (1 << 64, 0)
 
 
-class _FusedColumn:
+def _record_batch(rec, t0: int, n: int) -> None:
+    """Record a batch call of ``n`` keys begun at ``t0`` as ``n``
+    samples of its time divided by ``n``: a histogram's count stays the
+    keys served however they were batched, and its sum the time spent."""
+    if n:
+        ns = (_now() - t0) // n
+        for _ in range(n):
+            rec(ns)
+
+
+class _ReadSnapshot:
     """A read-only snapshot of the index's live pairs for ``get_many``.
 
     ``keys`` holds every live key as ``uint64`` in global key order
     (strictly increasing) and ``vals`` an object array of their values,
-    16 bytes per live key (see :meth:`DyTIS._build_fused`).  ``gen`` is
+    16 bytes per live key (see :meth:`DyTIS._build_snapshot`).  ``gen`` is
     the index's write generation when the snapshot was taken; it answers
     reads exactly while ``DyTIS._gen`` still equals it, and is never
     updated in place.
@@ -177,14 +187,14 @@ class DyTIS:
         # ``_gen`` counts every write.  The read snapshot of live pairs
         # (serves ``get_many`` in read-only phases) is tagged with the
         # ``_gen`` it was built at, and a stale one is dropped by the
-        # next ``get_many``, batch write or restructure; ``_routed_keys``
+        # next ``get_many``, batch write or restructure; ``_rent_keys``
         # counts the keys ``get_many`` resolved without it during
-        # generation ``_routed_gen`` (see the rebuild rule in
+        # generation ``_rent_gen`` (see the rebuild rule in
         # :meth:`get_many`).
         self._gen = 0
-        self._fused: Optional[_FusedColumn] = None
-        self._routed_gen = -1
-        self._routed_keys = 0
+        self._snapshot: Optional[_ReadSnapshot] = None
+        self._rent_gen = -1
+        self._rent_keys = 0
         # The append cursor (see :meth:`insert`): ``(lo, hi, counts, b,
         # off, capacity, karr, values[b], seg, piece_counts, i)`` for
         # the key interval ``[lo, hi)`` of sub-range ``i`` that bucket
@@ -472,7 +482,7 @@ class DyTIS:
         if seg.utilization() < 0.25 * self.config.util_threshold:
             if seg.merge_backoff is not None and seg.total_keys > seg.merge_backoff:
                 return
-            self._fused = None  # stale since the delete; a merge may follow
+            self._snapshot = None  # stale since the delete; a merge may follow
             before = seg
             if seg.n_buckets > 1:
                 self._merge_down(table, seg, local)
@@ -703,8 +713,8 @@ class DyTIS:
             key = end
         if removed:
             self._size -= removed
-            if self._fused is not None and self._fused.gen != self._gen:
-                self._fused = None  # a stale snapshot goes at a batch write
+            if self._snapshot is not None and self._snapshot.gen != self._gen:
+                self._snapshot = None  # a stale snapshot goes at a batch write
         return removed
 
     def _cut_range(self, table: _EHTable, key: int, high: int) -> int:
@@ -751,12 +761,23 @@ class DyTIS:
         in :meth:`insert_many`: ``sorted(set(...))`` orders and
         deduplicates it and its ends are bounds-checked.  A key that
         path refuses sends the batch through the column path, which
-        raises for it before any key is deleted.
+        raises for it before any key is deleted.  On an observed index
+        the call records one ``delete`` sample per key (see
+        :func:`_record_batch`).
         """
+        if not isinstance(keys, (np.ndarray, list, tuple)):
+            keys = list(keys)
+        rec = self._rec_delete
+        if rec is None:
+            return self._delete_many_impl(keys)
+        t0 = _now()
+        removed = self._delete_many_impl(keys)
+        _record_batch(rec, t0, len(keys))
+        return removed
+
+    def _delete_many_impl(self, keys) -> int:
         key_list = None
         if not isinstance(keys, np.ndarray):
-            if not isinstance(keys, (list, tuple)):
-                keys = list(keys)
             if len(keys) <= _SMALL_BATCH:
                 try:
                     key_list = sorted(set(map(_as_int, keys)))
@@ -797,8 +818,8 @@ class DyTIS:
                 self._gen += 1
                 self._maybe_merge_after_delete(table, seg, local)
             i = j
-        if self._fused is not None and self._fused.gen != self._gen:
-            self._fused = None  # a stale snapshot goes at a batch write
+        if self._snapshot is not None and self._snapshot.gen != self._gen:
+            self._snapshot = None  # a stale snapshot goes at a batch write
         return removed
 
     # -- batch operations --------------------------------------------------
@@ -891,7 +912,7 @@ class DyTIS:
         if self._size:
             raise ValueError("bulk_load requires an empty index")
         self._gen += 1
-        self._fused = None
+        self._snapshot = None
         self._cursor = _NO_CURSOR  # it may point into a replaced table
         values = list(values)
         arr = self._key_column(keys)
@@ -953,8 +974,18 @@ class DyTIS:
         write pay for a rebuild (the rule below).  Missing keys yield
         None (same contract as :meth:`get`).  A list or tuple of at
         most ``_SMALL_BATCH`` keys always takes the per-key probe and
-        does not count toward a rebuild.
+        does not count toward a rebuild.  On an observed index the call
+        records one ``get`` sample per key (see :func:`_record_batch`).
         """
+        rec = self._rec_get
+        if rec is None:
+            return self._get_many_impl(keys)
+        t0 = _now()
+        out = self._get_many_impl(keys)
+        _record_batch(rec, t0, len(out))
+        return out
+
+    def _get_many_impl(self, keys) -> List[Optional[Any]]:
         if isinstance(keys, np.ndarray):
             keys = self._key_column(keys)  # checks the array whole
         elif not isinstance(keys, (list, tuple)):
@@ -964,8 +995,8 @@ class DyTIS:
         n = len(keys)
         if n == 0:
             return []
-        fused = self._fused
-        if fused is None or fused.gen != self._gen:
+        snap = self._snapshot
+        if snap is None or snap.gen != self._gen:
             # Stale snapshot: rent (probe each key) until the keys read
             # since the last write reach len // 8, then buy (rebuild)
             # -- ski rental.  On 100k paper-shaped keys a rebuild costs
@@ -975,21 +1006,23 @@ class DyTIS:
             # before it buys, and batches with writes between them
             # (YCSB-A) never rebuild.
             gen = self._gen
-            if self._routed_gen != gen:
-                self._routed_gen, self._routed_keys = gen, 0
-                self._fused = None  # free it: a stale snapshot is never reused
-            self._routed_keys += n
-            if self._routed_keys < self._size >> 3:
+            if self._rent_gen != gen:
+                self._rent_gen, self._rent_keys = gen, 0
+                self._snapshot = None  # free it: a stale snapshot is never reused
+            self._rent_keys += n
+            if self._rent_keys < self._size >> 3:
                 return self._get_many_small(
                     keys.tolist() if isinstance(keys, np.ndarray) else keys
                 )
-            fused = self._build_fused()
+            snap = self._build_snapshot()
         if n <= _PROBE_CHUNK:
-            return self._get_many_fused(fused, self._key_column(keys))
+            return self._get_many_snapshot(snap, self._key_column(keys))
         out: List[Optional[Any]] = [None] * n
         for lo in range(0, n, _PROBE_CHUNK):
             hi = lo + _PROBE_CHUNK
-            out[lo:hi] = self._get_many_fused(fused, self._key_column(keys[lo:hi]))
+            out[lo:hi] = self._get_many_snapshot(
+                snap, self._key_column(keys[lo:hi])
+            )
         return out
 
     def _get_many_small(self, keys) -> List[Optional[Any]]:
@@ -1043,7 +1076,7 @@ class DyTIS:
                 append(store.probe_key(key)[1])
         return out
 
-    def _build_fused(self) -> _FusedColumn:
+    def _build_snapshot(self) -> _ReadSnapshot:
         """Snapshot the index's live pairs into a fresh read snapshot.
 
         Two arrays preallocated at ``len(self)``, filled segment by
@@ -1078,8 +1111,8 @@ class DyTIS:
             dtype=object,
             count=n,
         )
-        fused = _FusedColumn(self._gen, keys_col, vals_col)
-        self._fused = fused
+        snap = _ReadSnapshot(self._gen, keys_col, vals_col)
+        self._snapshot = snap
         if self._obs is not None:
             self._obs.events.emit(
                 FusedRebuildEvent(
@@ -1088,10 +1121,10 @@ class DyTIS:
                     duration_ns=int((time.perf_counter() - t0) * 1e9),
                 )
             )
-        return fused
+        return snap
 
-    def _get_many_fused(
-        self, fused: _FusedColumn, arr: np.ndarray
+    def _get_many_snapshot(
+        self, snap: _ReadSnapshot, arr: np.ndarray
     ) -> List[Optional[Any]]:
         """``get_many`` of one chunk against the current read snapshot.
 
@@ -1102,7 +1135,7 @@ class DyTIS:
         dispatch: on dispersed batches (hundreds of segments per 1024
         keys) this is what beats per-key routing.
         """
-        keys_col = fused.keys
+        keys_col = snap.keys
         size = keys_col.size
         if not size:
             return [None] * arr.size
@@ -1114,7 +1147,7 @@ class DyTIS:
         np.minimum(pos, size - 1, out=pos)
         hit = keys_col[pos] == sk
         outa = np.full(arr.size, None, dtype=object)
-        outa[order[hit]] = fused.vals[pos[hit]]
+        outa[order[hit]] = snap.vals[pos[hit]]
         return outa.tolist()
 
     def insert_many(self, keys, values=None) -> None:
@@ -1129,19 +1162,31 @@ class DyTIS:
         resolution per group, one bisect for the group's end).  Each
         group is applied key by key in ascending order with the scalar
         splice (route, C ``bisect``, shift), inlined so the loop pays no
-        per-key call.  The first key whose bucket is full goes through
-        the scalar :meth:`insert`, which runs Algorithm 1's restructure
-        with every earlier key in place and no later one; the batch then
-        resumes from the next key and re-resolves the directory, so it
-        sees any rewiring.  The result is the layout a scalar ``insert``
-        loop over the sorted, deduplicated batch builds.
+        per-key call.  A key whose bucket is full runs Algorithm 1's
+        restructure (:meth:`_handle_full`) with every earlier key in
+        place and no later one, and is retried against the re-resolved
+        directory, so the batch sees any rewiring.  The result is the
+        layout a scalar ``insert`` loop over the sorted, deduplicated
+        batch builds.
 
         A batch of at most ``_SMALL_BATCH`` keys makes no NumPy call: a
         dict deduplicates it and ``sorted`` orders it (and bounds-checks
         it through its ends), then the same group loop applies it.
         Larger batches are sorted and deduplicated with NumPy.
+
+        On an observed index the call records one ``insert`` sample per
+        key, its time divided by the key count (see :func:`_record_batch`).
         """
         keys, values = batch_columns(keys, values)
+        rec = self._rec_insert
+        if rec is None:
+            self._insert_many_impl(keys, values)
+            return
+        t0 = _now()
+        self._insert_many_impl(keys, values)
+        _record_batch(rec, t0, len(keys))
+
+    def _insert_many_impl(self, keys: List[int], values: List[Any]) -> None:
         if not keys:
             return
         try:
@@ -1167,7 +1212,7 @@ class DyTIS:
         tables = self._tables
         n = len(key_list)
         self._gen += 1
-        self._fused = None  # stale from here on: free it now
+        self._snapshot = None  # stale from here on: free it now
         i = 0
         while i < n:
             key = key_list[i]
@@ -1233,18 +1278,18 @@ class DyTIS:
             if bail < 0:
                 i = j
                 continue
-            # Full bucket: run Algorithm 1's restructure for this key via
-            # the scalar path -- every earlier key of the batch is in
-            # place and no later one is -- then re-resolve routing and
-            # resume with the next key against the rewritten layout.
-            self.insert(key_list[bail], vals[bail])
-            i = bail + 1
+            # Full bucket: run Algorithm 1's restructure for this key --
+            # every earlier key of the batch is in place and no later one
+            # is -- then re-resolve routing and retry the key against the
+            # rewritten layout, as :meth:`insert`'s loop does.
+            self._handle_full(table, seg, key_list[bail] & local_mask)
+            i = bail
 
     # -- Algorithm 1 ------------------------------------------------------------
 
     def _handle_full(self, table: _EHTable, seg: Segment, local: int) -> None:
         # A restructure is a write: a read snapshot is stale from here on.
-        self._fused = None
+        self._snapshot = None
         cfg = self.config
         ld, gd = seg.local_depth, table.global_depth
         if ld < cfg.l_start:
@@ -1689,9 +1734,9 @@ class DyTIS:
             if t is not None
             for seg in t.unique_segments()
         )
-        fused = self._fused
-        if fused is not None:
-            total += fused.keys.nbytes + fused.vals.nbytes
+        snap = self._snapshot
+        if snap is not None:
+            total += snap.keys.nbytes + snap.vals.nbytes
         return total
 
     def describe(self) -> str:

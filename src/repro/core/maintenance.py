@@ -380,7 +380,7 @@ class MaintenanceController:
             return None
         index._wire(table, old, local_span, [fresh])
         index._gen += 1
-        index._fused = None
+        index._snapshot = None
         self.metrics.segment_rebuilds_total += 1
         self.metrics.keys_moved_total += len(keys)
         return self._emit(
@@ -455,7 +455,7 @@ class MaintenanceController:
         index._tables[ti] = new_table
         index._cursor = _NO_CURSOR  # it may point into the old table
         index._gen += 1
-        index._fused = None
+        index._snapshot = None
         self.metrics.table_rebuilds_total += 1
         self.metrics.keys_moved_total += n
         return self._emit(
@@ -476,11 +476,6 @@ class MaintenanceController:
     def snapshot_block(self) -> Dict[str, int]:
         """The ``snapshot["maint"]`` dict for metrics exposition."""
         return self.metrics.to_dict()
-
-    def augment_snapshot(self, snapshot: Dict) -> Dict:
-        """Attach the maintenance block to an obs snapshot in place."""
-        snapshot["maint"] = self.snapshot_block()
-        return snapshot
 
 
 #: Per-bucket walks (occupancy cv, max-fill comparisons) are skipped

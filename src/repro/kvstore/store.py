@@ -25,6 +25,9 @@ class KVStore:
     ``thread_safe=True`` swaps in :class:`ConcurrentDyTIS` (paper §3.4's
     multi-threaded engine); the default single-threaded engine skips
     locking entirely, mirroring the paper's H-Store/Redis-style usage.
+    ``index=`` takes any :class:`repro.api.BatchOpsProtocol` index,
+    checked here once; the namespaces then call its batch and range
+    forms without probing.
     """
 
     def __init__(
@@ -34,6 +37,12 @@ class KVStore:
         index: Optional[Any] = None,
     ):
         if index is not None:
+            if not is_batch_index(index):
+                raise TypeError(
+                    f"{type(index).__name__} does not satisfy "
+                    "BatchOpsProtocol; BatchOpsMixin and RangeOpsMixin "
+                    "(repro.api) supply the batch and range forms"
+                )
             self._index = index
         else:
             cfg = config or DyTISConfig()
@@ -44,16 +53,9 @@ class KVStore:
         if key_bits <= _NAMESPACE_BITS:
             raise ValueError("index key space too small for namespaces")
         self._payload_bits = key_bits - _NAMESPACE_BITS
-        # Capability flags, resolved once: every in-tree index satisfies
-        # the full BatchOpsProtocol, but ``index=`` accepts any object
-        # with the five core methods, so the namespaces keep loop
-        # fallbacks for minimal (e.g. scan-only) indexes.
-        self._index_is_batch = is_batch_index(self._index)
         # A process fleet serves an epoch's reads and writes in one
         # message per shard; in-process indexes have no such call.
         self._index_read_write = getattr(self._index, "read_write_many", None)
-        self._index_has_scan_range = hasattr(self._index, "scan_range")
-        self._index_has_count_range = hasattr(self._index, "count_range")
         self._namespaces: dict = {}
         self._ns_lock = threading.Lock()
 
@@ -147,11 +149,7 @@ class Namespace:
         return self._base + min(off, self._span)
 
     def __len__(self) -> int:
-        if self.store._index_has_count_range:
-            return self.store.index.count_range(
-                self._base, self._base + self._span
-            )
-        return sum(1 for _ in self.items())
+        return self.store.index.count_range(self._base, self._base + self._span)
 
     # -- operations -----------------------------------------------------
 
@@ -168,17 +166,8 @@ class Namespace:
         return default if found is None else found
 
     def get_many(self, keys) -> List[Any]:
-        """Batched lookups, None for absent keys.
-
-        Delegates to the index's vectorised ``get_many`` when it
-        satisfies :class:`repro.api.BatchOpsProtocol` (checked once at
-        store construction), else loops.
-        """
-        index = self.store.index
-        encoded = [self._encode(k) for k in keys]
-        if self.store._index_is_batch:
-            return index.get_many(encoded)
-        return [index.get(full) for full in encoded]
+        """Batched lookups, None for absent keys (the index's ``get_many``)."""
+        return self.store.index.get_many([self._encode(k) for k in keys])
 
     def insert_many(self, keys, values=None) -> None:
         """Batched insert-or-update.
@@ -193,12 +182,7 @@ class Namespace:
 
     def _insert_full(self, full_keys, values) -> None:
         """Upsert columns of already-prefixed index keys."""
-        index = self.store.index
-        if self.store._index_is_batch:
-            index.insert_many(full_keys, values)
-        else:
-            for full, value in zip(full_keys, values):
-                index.insert(full, value)
+        self.store.index.insert_many(full_keys, values)
 
     def _insert_encoded(self, encoded, values) -> None:
         """Upsert columns of codec-*encoded* keys (a snapshot's), after
@@ -236,16 +220,7 @@ class Namespace:
         """
         lo = self._encode(low)
         hi = self._upper_bound(high)
-        return self._delete_span(lo, hi) if lo < hi else 0
-
-    def _delete_span(self, lo: int, hi: int) -> int:
-        """Delete every prefixed index key in ``[lo, hi)``, ``lo < hi``;
-        returns the count."""
-        index = self.store.index
-        if self.store._index_is_batch:
-            return index.delete_range(lo, hi)
-        doomed = [full for full, _ in self._raw_range(lo, hi)]
-        return sum(1 for full in doomed if index.delete(full))
+        return self.store.index.delete_range(lo, hi) if lo < hi else 0
 
     def scan(self, start_key, count: int) -> List[Tuple[Any, Any]]:
         """Up to ``count`` pairs with key >= start_key, decoded, in order.
@@ -274,30 +249,8 @@ class Namespace:
             return []
         return [
             (self.codec.decode(full - self._base), value)
-            for full, value in self._raw_range(lo, hi)
+            for full, value in self.store.index.scan_range(lo, hi)
         ]
-
-    def _raw_range(self, lo: int, hi: int) -> List[Tuple[int, Any]]:
-        """The index's pairs with ``lo <= key < hi`` (prefixed keys);
-        a scan-only index is paged through ``scan``."""
-        index = self.store.index
-        if self.store._index_has_scan_range:
-            return index.scan_range(lo, hi)
-        raw = []
-        cursor = lo
-        while cursor < hi:
-            batch = index.scan(cursor, 1024)
-            if not batch:
-                break
-            for full, value in batch:
-                if full >= hi:
-                    break
-                raw.append((full, value))
-            else:
-                cursor = batch[-1][0] + 1
-                continue
-            break
-        return raw
 
     def count_range(self, low, high) -> int:
         """Number of keys with low <= key < high in this namespace."""
@@ -305,27 +258,11 @@ class Namespace:
         hi = self._upper_bound(high)
         if hi <= lo:
             return 0
-        index = self.store.index
-        if self.store._index_has_count_range:
-            return index.count_range(lo, hi)
-        return len(self.scan_range(low, high))
+        return self.store.index.count_range(lo, hi)
 
     def _full_items(self) -> List[Tuple[int, Any]]:
         """Every ``(prefixed index key, value)`` pair, ascending."""
-        index = self.store.index
-        if self.store._index_has_scan_range:
-            return index.scan_range(self._base, self._base + self._span)
-        pairs = []
-        cursor = self._base
-        end = self._base + self._span
-        while True:
-            batch = index.scan(cursor, 1024)
-            live = [(k, v) for k, v in batch if k < end]
-            pairs.extend(live)
-            if len(live) < len(batch) or not batch:
-                break
-            cursor = batch[-1][0] + 1
-        return pairs
+        return self.store.index.scan_range(self._base, self._base + self._span)
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         """Every pair of this namespace in ascending key order."""

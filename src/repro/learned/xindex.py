@@ -96,15 +96,6 @@ class _Group:
             return True
         return False
 
-    def live_size(self) -> int:
-        tombs = sum(1 for v in self.delta.values() if v is _TOMBSTONE)
-        news = sum(
-            1
-            for k, v in self.delta.items()
-            if v is not _TOMBSTONE and self._array_pos(k) < 0
-        )
-        return len(self.keys) + news - tombs
-
     def needs_compaction(self) -> bool:
         limit = max(32, int(_DELTA_COMPACT_FRACTION * max(len(self.keys), 1)))
         return len(self.delta) > limit

@@ -44,7 +44,7 @@ import threading
 import time
 from typing import List, Optional
 
-from repro.api import batch_columns, is_batch_index
+from repro.api import batch_columns
 from repro.kvstore import KVStore, SnapshotCorruptError, dump_snapshot_bytes
 from repro.wal import record as rec
 from repro.wal.faultfs import OsFS, join, segment_files
@@ -209,10 +209,7 @@ class DurableDirectory:
         costs nothing."""
         t0 = time.perf_counter()
         n = 0
-        index = self.index
-        # One structural check instead of per-record hasattr probes:
-        # every in-tree index satisfies BatchOpsProtocol.
-        batch = is_batch_index(index)
+        index = self.index  # a BatchOpsProtocol index (KVStore checks)
         try:
             for r in self.wal.replay(self.checkpoint_lsn):
                 n += 1
@@ -225,20 +222,11 @@ class DurableDirectory:
                         keys, values = rec.decode_batch2(r.payload)
                     else:  # the v1 record: one list of pairs
                         keys, values = batch_columns(rec.decode_batch(r.payload))
-                    if batch:
-                        index.insert_many(keys, values)
-                    else:
-                        for key, value in zip(keys, values):
-                            index.insert(key, value)
+                    index.insert_many(keys, values)
                 elif op == rec.OP_DELETE:
                     index.delete(rec.decode_delete(r.payload))
                 elif op == rec.OP_DELETE_RANGE:
-                    low, high = rec.decode_delete_range(r.payload)
-                    if batch:
-                        index.delete_range(low, high)
-                    else:
-                        for key, _ in list(index.scan_range(low, high)):
-                            index.delete(key)
+                    index.delete_range(*rec.decode_delete_range(r.payload))
                 elif op == rec.OP_NS_OPEN and self._open_namespace is not None:
                     self._open_namespace(rec.decode_ns_open(r.payload))
                 else:

@@ -228,7 +228,7 @@ class DurableNamespace:
             self._wal_append(
                 rec.OP_DELETE_RANGE, rec.encode_delete_range(lo, hi)
             )
-            return self._ns._delete_span(lo, hi)
+            return self._ns.store.index.delete_range(lo, hi)
 
     def __contains__(self, key) -> bool:
         return key in self._ns

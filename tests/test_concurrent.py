@@ -248,7 +248,22 @@ class TestConcurrentOperations:
         lo, hi = ref[200], ref[900]
         got = cindex.scan_range(lo, hi)
         assert [k for k, _ in got] == ref[200:900]
+        assert cindex.count_range(lo, hi) == 700
         assert cindex.scan_range(5, 5) == []
+        # DyTIS's error contract: an out-of-domain low raises, even for
+        # an empty range.
+        for low, high in [(-1, 5), (-1, -5), (2**32, 2**33), (2**32, 3)]:
+            with pytest.raises(ValueError):
+                cindex.scan_range(low, high)
+            with pytest.raises(ValueError):
+                cindex.count_range(low, high)
+        # A full last page ending at the domain's top key stops there
+        # rather than scanning from 2^key_bits.
+        top = range(2**32 - 1024, 2**32)
+        for k in top:
+            cindex.insert(k, k)
+        assert [k for k, _ in cindex.scan_range(top[0], 2**32)] == list(top)
+        assert cindex.count_range(top[0], 2**32) == 1024
 
     def test_scan_range_under_concurrent_writes(self, cindex, rng):
         base = rng.sample(range(2**31), 3000)

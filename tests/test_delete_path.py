@@ -225,12 +225,12 @@ def test_delete_range_drops_a_stale_read_snapshot():
     index, oracle = _bulk_loaded(random.Random(23).sample(range(1 << 32), 3000))
     ref = sorted(oracle)
     index.get_many(ref)
-    assert index._fused is not None
+    assert index._snapshot is not None
     gen = index._gen
     assert index.delete_range(ref[5], ref[5]) == 0
-    assert index._fused is not None and index._gen == gen
+    assert index._snapshot is not None and index._gen == gen
     _delete_range(index, oracle, ref[5], ref[50])
-    assert index._gen == gen + 1 and index._fused is None
+    assert index._gen == gen + 1 and index._snapshot is None
     assert index.get_many(ref[:60]) == [oracle.get(k) for k in ref[:60]]
 
 

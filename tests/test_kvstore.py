@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.api import BatchOpsMixin, RangeOpsMixin
 from repro.core import DyTISConfig
 from repro.kvstore import (
     CodecError,
@@ -235,15 +236,35 @@ class TestKVStore:
             def __len__(self):
                 return len(self._t)
 
-        store = KVStore(index=BTreeFacade())
+        # The store checks the batch contract once, at construction.
+        with pytest.raises(TypeError, match="BatchOpsProtocol"):
+            KVStore(index=BTreeFacade())
+
+        # The two repro.api mixins bring the five core methods up to it.
+        class MixedFacade(BatchOpsMixin, RangeOpsMixin, BTreeFacade):
+            def items(self):
+                return iter(self.scan_range(0, 1 << 64))
+
+            def bulk_load(self, keys, values):
+                self.insert_many(keys, values)
+
+        store = KVStore(index=MixedFacade())
         ns = store.namespace("n")
         ns.insert(1, "x")
         assert ns.get(1) == "x"
-        assert [k for k, _ in ns.items()] == [1]
-        # No count_range on this index: len() counts items().
         ns.insert(1, "y")
         store.namespace("m").insert(1, "other")
-        assert len(ns) == 1
+        ns.insert_many([2, 3, 4, 5], ["b", "c", "d", "e"])
+        assert ns.get_many([1, 3, 9]) == ["y", "c", None]
+        assert len(ns) == 5
+        assert [k for k, _ in ns.items()] == [1, 2, 3, 4, 5]
+        assert ns.scan(2, 2) == [(2, "b"), (3, "c")]
+        assert ns.scan_range(2, 4) == [(2, "b"), (3, "c")]
+        assert ns.count_range(2, 5) == 3
+        assert 4 in ns and ns.delete(4) and 4 not in ns
+        assert ns.delete_range(2, 4) == 2
+        assert [k for k, _ in ns.items()] == [1, 5]
+        assert store.namespace("m").get(1) == "other"
 
 
 class TestNamespaceProtocolAPI:

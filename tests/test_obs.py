@@ -234,6 +234,31 @@ class TestIndexInstrumentation:
         # Latencies from all four writers landed in the shards.
         assert obs.histogram("insert").count == 1600
 
+    def test_batch_calls_record_every_key(self):
+        """Each batch call records one sample per key, whatever path
+        serves it, restructuring keys included; the layout and the
+        structural events match an unobserved index fed the same way."""
+        rng = random.Random(6)
+        keys = rng.sample(range(1, 2**31), 3000)
+        obs = Observability(enabled=True)
+        d = DyTIS(CFG, obs=obs)
+        plain = DyTIS(CFG)
+        batches = [keys[i:i + 22] for i in range(0, 1980, 22)] + [keys[1980:]]
+        for ix in (d, plain):
+            for batch in batches:  # 22-key list path, then the NumPy path
+                ix.insert_many(batch, batch)
+        assert list(d.items()) == list(plain.items())
+        assert d.stats.splits > 0  # full buckets restructured mid-batch
+        assert obs.events.counts["split"] == d.stats.splits
+        assert obs.histogram("insert").count == len(keys)
+        assert d.get_many(keys[:30]) == keys[:30]
+        assert d.get_many(keys) == keys  # above ``_SMALL_BATCH``
+        assert obs.histogram("get").count == 30 + len(keys)
+        assert d.delete_many(iter(keys[:25])) == 25
+        assert d.delete_many(keys[25:1025]) == 1000
+        assert obs.histogram("delete").count == 1025
+        assert obs.histogram("insert").sum_ns > 0
+
     def test_probe_counters_track_gets_and_scans(self):
         obs = Observability(enabled=True)
         d = DyTIS(CFG, obs=obs)

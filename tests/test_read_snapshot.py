@@ -41,7 +41,7 @@ def _segment_bytes(ix):
 
 
 def _current(ix):
-    return ix._fused is not None and ix._fused.gen == ix._gen
+    return ix._snapshot is not None and ix._snapshot.gen == ix._gen
 
 
 def test_dense_whole_index_read_stays_small():
@@ -60,7 +60,7 @@ def test_dense_whole_index_read_stays_small():
         tracemalloc.stop()
     assert got == keys
     assert peak < 8 << 20, peak
-    snap = ix._fused
+    snap = ix._snapshot
     assert snap.keys.size == snap.vals.size == len(ix)
     assert snap.keys.tolist() == keys
     assert obs.events.keys_moved["fused_rebuild"] == len(ix)
@@ -77,10 +77,10 @@ def test_memory_bytes_counts_a_stale_snapshot_while_it_is_resident(rng):
     resident = ix.memory_bytes()
     assert resident > _segment_bytes(ix)
     ix.insert(keys[0], -1)  # an upsert: no restructure, nothing dropped
-    assert not _current(ix) and ix._fused is not None
+    assert not _current(ix) and ix._snapshot is not None
     assert ix.memory_bytes() == resident
     ix.insert_many([keys[1]], [-1])
-    assert ix._fused is None
+    assert ix._snapshot is None
     assert ix.memory_bytes() == _segment_bytes(ix)
 
 
@@ -94,19 +94,19 @@ def test_a_stale_snapshot_goes_at_the_next_batch_write_or_restructure(rng):
     assert _current(ix)
     assert ix.memory_bytes() == _segment_bytes(ix) + 16 * len(ix)
     ix.delete(keys[2])  # stale now; the next batch write drops it
-    assert ix._fused is not None
+    assert ix._snapshot is not None
     ix.delete_many([])
     ix.delete_many([keys[3]])
-    assert ix._fused is None
+    assert ix._snapshot is None
 
     ix.get_many(keys)
     structural = ix.stats.structural_ops()
     fresh = iter(rng.sample(range(1 << 32), 3000))
     while ix.stats.structural_ops() == structural:
-        assert ix._fused is not None
+        assert ix._snapshot is not None
         k = next(fresh)
         ix.insert(k, k)
-    assert ix._fused is None  # Algorithm 1 ran: dropped
+    assert ix._snapshot is None  # Algorithm 1 ran: dropped
     check_invariants(ix)
 
 
@@ -115,10 +115,10 @@ def test_a_current_snapshot_survives_a_delete_many_that_deletes_nothing(rng):
     keys = rng.sample(range(1 << 32), 2000)
     ix.bulk_load(keys, keys)
     ix.get_many(keys)
-    snap = ix._fused
+    snap = ix._snapshot
     absent = next(k for k in range(1 << 32) if k not in set(keys))
     assert ix.delete_many([absent]) == 0
-    assert ix._fused is snap and _current(ix)
+    assert ix._snapshot is snap and _current(ix)
 
 
 def test_bulk_load_drops_a_stale_snapshot(rng):
@@ -128,7 +128,7 @@ def test_bulk_load_drops_a_stale_snapshot(rng):
     ix.get_many(keys)
     assert ix.delete_range(0, 1 << 32) == len(keys)
     ix.bulk_load(keys[:10], keys[:10])
-    assert ix._fused is None
+    assert ix._snapshot is None
     assert ix.get_many(keys[:40]) == keys[:10] + [None] * 30
 
 
@@ -193,7 +193,7 @@ def test_lockstep_with_a_dict_across_chunk_boundaries():
             assert ix.get_many(probe) == [shadow.get(k) for k in probe], size
             assert _current(ix)
         assert obs.events.counts["fused_rebuild"] == built + 1
-        assert ix._fused.keys.size == len(ix) == len(shadow)
+        assert ix._snapshot.keys.size == len(ix) == len(shadow)
     check_invariants(ix)
 
 
@@ -232,7 +232,7 @@ def test_numpy_batches(rng):
     def rented(arr):
         ix.insert(keys[0], str(keys[0]))
         got = ix.get_many(arr)
-        assert ix._fused is None  # stale, dropped and not rebuilt
+        assert ix._snapshot is None  # stale, dropped and not rebuilt
         return got
 
     assert rented(np.array(small, dtype=np.uint64)) == [

@@ -93,6 +93,6 @@ def test_sharded_server_load_and_scrape(sharded_server):
         samples[("dytis_shard_ops_total", (("op", "insert"), ("shard", str(s))))]
         for s in (0, 1)
     )
-    assert inserted > 0
+    assert inserted >= sum(shard_keys)  # every stored key was recorded
     merged = samples[("dytis_shard_op_latency_ns_count", (("op", "insert"),))]
     assert merged == inserted

@@ -321,7 +321,7 @@ def test_read_only_phase_after_writes_rebuilds_once(rng):
         assert ix.get_many(probe) == [expect[k] for k in probe]
         read += len(probe)
         assert _rebuilds(ix) == (0 if read < threshold else 1), read
-    assert ix._fused.gen == ix._gen
+    assert ix._snapshot.gen == ix._gen
 
 
 def test_fused_cache_consistency_across_mutations():
